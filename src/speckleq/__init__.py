@@ -22,9 +22,11 @@ from .random_media import (
     CouplingStats,
     CouplingSums,
     DisorderParams,
+    EnsembleDraws,
     ScatteringRealization,
     coupling_sums,
     derive_trial_seed,
+    draw_ensemble,
     ensemble_coupling_stats,
     sample_realization,
 )
@@ -36,6 +38,7 @@ from .quantum_stats import (
     asymptotic_avg_fano,
     asymptotic_avg_snr_ratio,
     fano,
+    focus_moments,
     mean_photon,
     mean_photon_partial,
     photon_budget,

@@ -4,9 +4,11 @@ Commands map 1:1 onto the study's data products: fano-scatter, snr-sweep,
 nm-sweep, universal-fano, loss-sweep, superres, psf, prolate-basis,
 oracle-check and photon-budget.  Results go to a single CSV or JSON file
 with fixed schemas; floats are written with 17 significant digits so every
-emitted file re-parses into the exact values written.  Exit codes: 0 on
-success, 2 on usage errors, 3 on numerical/convergence errors.  The
-environment variable SPECKLE_SEED overrides --seed when set.
+emitted file re-parses into the exact values written.  Output goes through a
+temporary file renamed into place, so a failed run never leaves a truncated
+file.  Exit codes: 0 on success, 2 on usage errors and unwritable output, 3
+on numerical/convergence errors.  The environment variable SPECKLE_SEED
+overrides --seed when set.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -90,7 +93,7 @@ def parse_values(text: str, flag: str) -> list[float]:
 
 def _add_common(sub, *, trials: bool = True, channels: bool = True, alpha2: bool = True) -> None:
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect")
     sub.add_argument("--out", type=str, default=None)
     sub.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     if trials:
@@ -255,6 +258,15 @@ def parse_args(argv) -> RunConfig:
             _require(options[flag] > 0.0, f"--{flag}", "must be positive")
         _require(0.0 < options["fraction"] <= 1.0, "--fraction", "must lie in (0, 1]")
 
+    if "g" in options:
+        # universal-fano has no --alpha2: its coherent intensity vanishes at g = 0
+        squeeze = options["values"] if options.get("axis") == "g" else np.atleast_1d(options["g"])
+        _require(
+            options.get("alpha2", 0.0) > 0.0 or all(g != 0.0 for g in squeeze),
+            "--g",
+            "g = 0 with zero coherent intensity is a dark input: no photons reach the focus",
+        )
+
     if out is None:
         suffix = "txt" if command == "prolate-basis" else fmt
         out = f"{command}.{suffix}"
@@ -269,7 +281,17 @@ def _format_cell(value) -> str:
     return format(float(value), ".17g")
 
 
-def _write_table(path: Path, fmt: str, command: str, header: list[str], rows: list[tuple]) -> int:
+def _write_atomic(path: Path, write) -> None:
+    """Let ``write(tmp)`` fill a temporary file beside ``path``, then rename it over ``path``."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_table(path: Path, fmt: str, command: str, header: list[str], rows: list[tuple]) -> None:
     if fmt == "csv":
         lines = [",".join(header)]
         lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
@@ -286,21 +308,13 @@ def _write_table(path: Path, fmt: str, command: str, header: list[str], rows: li
             ],
         }
         path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return len(rows)
 
 
 def _summary_rows(summary: ensemble.EnsembleSummary) -> list[tuple]:
-    return [
-        (
-            summary.axis_values[j],
-            summary.mean_n[j],
-            summary.fano_ratio[j],
-            summary.snr_ratio[j],
-            summary.stderr_snr[j],
-            summary.trials,
-        )
-        for j in range(summary.axis_values.shape[0])
-    ]
+    columns = (
+        summary.axis_values, summary.mean_n, summary.fano_ratio, summary.snr_ratio, summary.stderr_snr
+    )
+    return [(*row, summary.trials) for row in zip(*columns)]
 
 
 _SWEEP_HEADER = ["axis_value", "mean_n", "fano_ratio", "snr_ratio", "stderr_snr", "trials"]
@@ -309,68 +323,44 @@ _SWEEP_HEADER = ["axis_value", "mean_n", "fano_ratio", "snr_ratio", "stderr_snr"
 def _run_fano_scatter(config: RunConfig) -> tuple[list[str], list[tuple]]:
     opt = config.options
     values = ensemble.run_fano_scatter(
-        opt["m"], opt["s"], opt["g"], opt["alpha2"], opt["trials"], opt["seed"],
-        workers=opt["workers"],
+        opt["m"], opt["s"], opt["g"], opt["alpha2"], opt["trials"], opt["seed"]
     )
     return ["trial", "fano"], [(i, v) for i, v in enumerate(values)]
 
 
-def _sweep_spec(opt: dict, axis: str, values, g: float, s: float) -> ensemble.SweepSpec:
-    return ensemble.SweepSpec(
+_SWEEP_AXIS = {"nm-sweep": "mode_fill_ratio", "universal-fano": "coherent_fraction"}
+
+
+def _run_sweep(config: RunConfig) -> tuple[list[str], list[tuple]]:
+    opt = config.options
+    if config.command == "snr-sweep":
+        axis = "squeeze_g" if opt["axis"] == "g" else "disorder_s"
+    else:
+        axis = _SWEEP_AXIS[config.command]
+    spec = ensemble.SweepSpec(
         axis=axis,
-        axis_values=tuple(values),
-        disorder=DisorderParams(opt["m"], s),
-        base_input=SqueezedInput.from_intensity(
-            opt.get("alpha2", DEFAULT_ALPHA2), g, fed_modes=opt["m"]
-        ),
+        axis_values=tuple(opt["values"]),
+        disorder=DisorderParams(opt["m"], opt["s"]),
+        # universal-fano has no --alpha2: the fraction axis sets the coherent intensity
+        base_input=SqueezedInput.from_intensity(opt.get("alpha2", 0.0), opt["g"], fed_modes=opt["m"]),
         trials=opt["trials"],
         master_seed=opt["seed"],
     )
-
-
-def _run_snr_sweep(config: RunConfig) -> tuple[list[str], list[tuple]]:
-    opt = config.options
-    axis = "squeeze_g" if opt["axis"] == "g" else "disorder_s"
-    spec = _sweep_spec(opt, axis, opt["values"], opt["g"], opt["s"])
-    summary = ensemble.run_sweep(spec, workers=opt["workers"])
-    return _SWEEP_HEADER, _summary_rows(summary)
-
-
-def _run_nm_sweep(config: RunConfig) -> tuple[list[str], list[tuple]]:
-    opt = config.options
-    spec = _sweep_spec(opt, "mode_fill_ratio", opt["values"], opt["g"], opt["s"])
-    summary = ensemble.run_sweep(spec, workers=opt["workers"])
-    return _SWEEP_HEADER, _summary_rows(summary)
-
-
-def _run_universal_fano(config: RunConfig) -> tuple[list[str], list[tuple]]:
-    opt = config.options
-    opt = {**opt, "alpha2": 0.0}  # alpha2 is derived from the fraction axis
-    spec = _sweep_spec(opt, "coherent_fraction", opt["values"], opt["g"], opt["s"])
-    summary = ensemble.run_sweep(spec, workers=opt["workers"])
-    return _SWEEP_HEADER, _summary_rows(summary)
+    return _SWEEP_HEADER, _summary_rows(ensemble.run_sweep(spec))
 
 
 def _run_loss_sweep(config: RunConfig) -> tuple[list[str], list[tuple]]:
     opt = config.options
     table = ensemble.run_loss_sweep(
         opt["g"], opt["s"], opt["alpha2"], opt["loss_grid"], opt["trials"], opt["seed"],
-        channel_count=opt["m"], workers=opt["workers"],
+        channel_count=opt["m"],
     )
     header = ["g", "axis_value", "mean_n", "fano_ratio", "snr_ratio", "stderr_snr", "trials"]
-    rows = [
-        (
-            table.squeeze_strength[j],
-            table.loss_rate[j],
-            table.mean_n[j],
-            table.fano_ratio[j],
-            table.snr_ratio[j],
-            table.stderr_snr[j],
-            table.trials,
-        )
-        for j in range(table.loss_rate.shape[0])
-    ]
-    return header, rows
+    columns = (
+        table.squeeze_strength, table.loss_rate, table.mean_n, table.fano_ratio, table.snr_ratio,
+        table.stderr_snr,
+    )
+    return header, [(*row, table.trials) for row in zip(*columns)]
 
 
 def _run_superres(config: RunConfig) -> tuple[list[str], list[tuple]]:
@@ -379,21 +369,14 @@ def _run_superres(config: RunConfig) -> tuple[list[str], list[tuple]]:
         opt["g"], opt["s"], opt["budgets"], opt["c"], opt["epsilon"],
         opt["trials"], opt["seed"],
         channel_count=opt["m"], alpha2=opt["alpha2"], num_modes=opt["modes"],
-        quad_order=opt["quad_order"], workers=opt["workers"],
+        quad_order=opt["quad_order"],
     )
     header = ["s", "mean_n", "Q", "W", "W_Q", "J"]
-    rows = [
-        (
-            table.disorder_strength[j],
-            table.mean_n[j],
-            int(table.modes_kept[j]),
-            table.classical_width[j],
-            table.recon_width[j],
-            table.resolution_gain[j],
-        )
-        for j in range(table.mean_n.shape[0])
-    ]
-    return header, rows
+    columns = (
+        table.disorder_strength, table.mean_n, table.modes_kept, table.classical_width,
+        table.recon_width, table.resolution_gain,
+    )
+    return header, list(zip(*columns))
 
 
 def _run_psf(config: RunConfig) -> tuple[list[str], list[tuple]]:
@@ -438,9 +421,9 @@ def _run_photon_budget(config: RunConfig) -> tuple[list[str], list[tuple]]:
 
 _DISPATCH = {
     "fano-scatter": _run_fano_scatter,
-    "snr-sweep": _run_snr_sweep,
-    "nm-sweep": _run_nm_sweep,
-    "universal-fano": _run_universal_fano,
+    "snr-sweep": _run_sweep,
+    "nm-sweep": _run_sweep,
+    "universal-fano": _run_sweep,
     "loss-sweep": _run_loss_sweep,
     "superres": _run_superres,
     "psf": _run_psf,
@@ -456,14 +439,23 @@ def execute(config: RunConfig) -> tuple[int, list[Path]]:
         if config.command == "prolate-basis":
             opt = config.options
             basis = prolate.build_basis(opt["c"], opt["modes"], opt["quad_order"])
-            prolate.export_basis(basis, config.out)
             rows = basis.grid.shape[0]
+            write = partial(prolate.export_basis, basis)
         else:
             header, table_rows = _DISPATCH[config.command](config)
-            rows = _write_table(config.out, config.fmt, config.command, header, table_rows)
+            rows = len(table_rows)
+            write = partial(
+                _write_table, fmt=config.fmt, command=config.command, header=header, rows=table_rows
+            )
     except (SpeckleQError, ValueError) as exc:
         print(f"speckleq {config.command}: error: {exc}", file=sys.stderr)
         return 3, []
+    try:
+        _write_atomic(config.out, write)
+    except OSError as exc:
+        reason = f"cannot write {config.out}: {exc.strerror or exc}"
+        print(f"speckleq {config.command}: error: {reason}", file=sys.stderr)
+        return 2, []
     elapsed = time.perf_counter() - start
     print(f"speckleq {config.command}: wrote {rows} rows to {config.out} in {elapsed:.2f}s")
 

@@ -1,11 +1,12 @@
 """Seeded Monte Carlo sweeps over disorder realizations.
 
 Trial i draws its realization from a seed derived statelessly from
-(master_seed, i), so serial and parallel execution and any worker count
-produce bitwise-identical tables; per-trial results land in preallocated
-arrays indexed by trial and are reduced afterwards in fixed order.  All
-axis values of a sweep reuse the same per-trial seeds (common random
-numbers), which makes monotone comparisons along the axis deterministic.
+(master_seed, i), and per-trial results are reduced in fixed trial order,
+so a rerun reproduces every table bitwise.  All axis values of a sweep use
+the same realizations (common random numbers), which makes monotone
+comparisons along the axis deterministic; each call therefore draws its
+ensemble once (:func:`~speckleq.random_media.draw_ensemble`) and evaluates
+every axis point as array expressions over the trials.
 
 The ensemble Fano factor is a ratio of means - mean variance over mean
 photon number - matching the averaged SNR definition
@@ -20,24 +21,14 @@ asymptotic large-M formulas.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import ZeroMean
 from .prolate import ProlateBasis, build_basis, superres_factor
-from .quantum_stats import (
-    LossChannel,
-    PhotonMoments,
-    SqueezedInput,
-    apply_loss,
-    fano,
-    mean_photon,
-    mean_photon_partial,
-    variance_photon,
-    variance_photon_partial,
-)
-from .random_media import DisorderParams, coupling_sums, derive_trial_seed, sample_realization
+from .quantum_stats import LossChannel, SqueezedInput, focus_moments
+from .random_media import DisorderParams, EnsembleDraws, draw_ensemble
 
 SWEEP_AXES = (
     "squeeze_g",
@@ -132,97 +123,38 @@ def _effective_point(spec: SweepSpec, value: float):
     return disorder, inp, loss
 
 
-def _trial_moments(
-    disorder: DisorderParams, inp: SqueezedInput, loss: LossChannel, master_seed: int, trial: int
-) -> PhotonMoments:
-    real = sample_realization(disorder, derive_trial_seed(master_seed, trial))
-    if inp.fed_modes == disorder.channel_count:
-        sums = coupling_sums(real)
-        moments = PhotonMoments(mean_photon(sums, inp), variance_photon(sums, inp))
-    else:
-        moments = PhotonMoments(mean_photon_partial(real, inp), variance_photon_partial(real, inp))
-    return apply_loss(moments, loss)
+def run_sweep(spec: SweepSpec) -> EnsembleSummary:
+    """Monte Carlo sweep along one axis; deterministic for a fixed spec."""
+    draws = draw_ensemble(spec.disorder.channel_count, spec.trials, spec.master_seed)
+    return _sweep_draws(spec, draws)
 
 
-def _run_trials(
-    disorder: DisorderParams,
-    inp: SqueezedInput,
-    loss: LossChannel,
-    master_seed: int,
-    trials: int,
-    workers: int,
-):
-    means = np.empty(trials)
-    variances = np.empty(trials)
-
-    def fill(index: int) -> None:
-        moments = _trial_moments(disorder, inp, loss, master_seed, index)
-        means[index] = moments.mean
-        variances[index] = moments.variance
-
-    if workers <= 1:
-        for i in range(trials):
-            fill(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(trials)))
-    return means, variances
+def _sweep_draws(spec: SweepSpec, draws: EnsembleDraws) -> EnsembleSummary:
+    points = [_point_summary(spec, value, draws) for value in spec.axis_values]
+    columns = [np.array(column) for column in zip(*points)]
+    return EnsembleSummary(spec.axis, np.array(spec.axis_values), *columns, trials=spec.trials)
 
 
-def _combined_snr_stderr(means: np.ndarray, variances: np.ndarray) -> float:
-    """Quadrature-combined standard error of snr_ratio = mean(n) / mean(var)."""
-    trials = means.shape[0]
-    if trials < 2:
-        return 0.0
+def _point_summary(spec: SweepSpec, value: float, draws: EnsembleDraws) -> tuple:
+    """One axis point's aggregates, in EnsembleSummary field order."""
+    disorder, inp, loss = _effective_point(spec, value)
+    means, variances = focus_moments(*draws.shaped_sums(disorder, inp.fed_modes), inp, loss)
     mean_n = float(np.mean(means))
     mean_v = float(np.mean(variances))
-    se_n = float(np.std(means, ddof=1)) / math.sqrt(trials)
-    se_v = float(np.std(variances, ddof=1)) / math.sqrt(trials)
+    if mean_n == 0.0:
+        if loss.loss_rate != 1.0:
+            raise ZeroMean(f"zero mean photon number at {spec.axis} = {value!r} (dark input)")
+        # complete loss leaves vacuum, which is Poissonian-limited (the
+        # q^2 -> 1 limit of the affine Fano law)
+        return mean_n, mean_v, 1.0, 1.0, 0.0, 0.0, 1.0
+    se_n = se_v = 0.0
+    if spec.trials > 1:
+        se_n = float(np.std(means, ddof=1)) / math.sqrt(spec.trials)
+        se_v = float(np.std(variances, ddof=1)) / math.sqrt(spec.trials)
     ratio = mean_n / mean_v
-    return ratio * math.sqrt((se_n / mean_n) ** 2 + (se_v / mean_v) ** 2)
-
-
-def run_sweep(spec: SweepSpec, *, workers: int = 1) -> EnsembleSummary:
-    """Monte Carlo sweep along one axis; deterministic for a fixed spec."""
-    n_axis = len(spec.axis_values)
-    out = {
-        name: np.empty(n_axis)
-        for name in (
-            "mean_n",
-            "mean_variance",
-            "fano_ratio",
-            "snr_ratio",
-            "stderr_mean_n",
-            "stderr_snr",
-            "fano_trial_mean",
-        )
-    }
-    for j, value in enumerate(spec.axis_values):
-        disorder, inp, loss = _effective_point(spec, value)
-        means, variances = _run_trials(disorder, inp, loss, spec.master_seed, spec.trials, workers)
-        mean_n = float(np.mean(means))
-        mean_v = float(np.mean(variances))
-        out["mean_n"][j] = mean_n
-        out["mean_variance"][j] = mean_v
-        if mean_n == 0.0:
-            # complete loss or dark input: the output is vacuum, which is
-            # Poissonian-limited (the q^2 -> 1 limit of the affine Fano law)
-            out["fano_ratio"][j] = 1.0
-            out["snr_ratio"][j] = 1.0
-            out["stderr_mean_n"][j] = 0.0
-            out["stderr_snr"][j] = 0.0
-            out["fano_trial_mean"][j] = 1.0
-            continue
-        out["fano_ratio"][j] = mean_v / mean_n
-        out["snr_ratio"][j] = mean_n / mean_v
-        out["stderr_mean_n"][j] = (
-            float(np.std(means, ddof=1)) / math.sqrt(spec.trials) if spec.trials > 1 else 0.0
-        )
-        out["stderr_snr"][j] = _combined_snr_stderr(means, variances)
-        out["fano_trial_mean"][j] = float(np.mean(variances / means))
-    return EnsembleSummary(
-        axis=spec.axis, axis_values=np.array(spec.axis_values), trials=spec.trials, **out
-    )
+    # quadrature-combined standard error of snr_ratio = mean(n) / mean(var)
+    stderr_snr = ratio * math.sqrt((se_n / mean_n) ** 2 + (se_v / mean_v) ** 2)
+    return mean_n, mean_v, mean_v / mean_n, ratio, se_n, stderr_snr, float(np.mean(variances / means))
 
 
 def run_fano_scatter(
@@ -232,14 +164,15 @@ def run_fano_scatter(
     alpha2: float,
     trials: int,
     master_seed: int,
-    *,
-    workers: int = 1,
 ) -> np.ndarray:
     """Per-trial Fano factors of fully filled shaped foci (one value per realization)."""
     disorder = DisorderParams(channel_count, disorder_strength)
     inp = SqueezedInput.from_intensity(alpha2, squeeze_strength, fed_modes=channel_count)
-    means, variances = _run_trials(disorder, inp, NO_LOSS, master_seed, trials, workers)
-    return np.array([fano(PhotonMoments(m, v)) for m, v in zip(means, variances)])
+    draws = draw_ensemble(channel_count, trials, master_seed)
+    means, variances = focus_moments(*draws.shaped_sums(disorder, channel_count), inp, NO_LOSS)
+    if (means == 0.0).any():
+        raise ZeroMean("Fano factor undefined at zero mean photon number")
+    return variances / means
 
 
 @dataclass(frozen=True)
@@ -268,7 +201,6 @@ def run_superres_sweep(
     alpha2: float = 1e4,
     num_modes: int = 7,
     quad_order: int = 256,
-    workers: int = 1,
     basis: ProlateBasis | None = None,
 ) -> SuperresTable:
     """Super-resolution factor vs focus photon number, per disorder strength.
@@ -283,10 +215,11 @@ def run_superres_sweep(
         basis = build_basis(bandwidth, num_modes, quad_order)
     budgets = [float(b) for b in budgets]
     curves = [(0.0, 1.0)]  # coherent baseline: F = 1 exactly
+    inp = SqueezedInput.from_intensity(alpha2, squeeze_strength, fed_modes=channel_count)
+    draws = draw_ensemble(channel_count, trials, master_seed)
     for s in disorder_strengths:
         disorder = DisorderParams(channel_count, float(s))
-        inp = SqueezedInput.from_intensity(alpha2, squeeze_strength, fed_modes=channel_count)
-        means, variances = _run_trials(disorder, inp, NO_LOSS, master_seed, trials, workers)
+        means, variances = focus_moments(*draws.shaped_sums(disorder, channel_count), inp, NO_LOSS)
         curves.append((float(s), float(np.mean(variances)) / float(np.mean(means))))
 
     rows_s, rows_n, rows_q, rows_w, rows_wq, rows_j = [], [], [], [], [], []
@@ -332,9 +265,9 @@ def run_loss_sweep(
     master_seed: int,
     *,
     channel_count: int = 50,
-    workers: int = 1,
 ) -> LossSweepTable:
     """Lossy-focus table: the ratio 1 / F-bar_L against the loss rate |q|^2."""
+    draws = draw_ensemble(channel_count, trials, master_seed)
     blocks = []
     for g in squeeze_strengths:
         spec = SweepSpec(
@@ -345,7 +278,7 @@ def run_loss_sweep(
             trials=trials,
             master_seed=master_seed,
         )
-        blocks.append((float(g), run_sweep(spec, workers=workers)))
+        blocks.append((float(g), _sweep_draws(spec, draws)))
     n_axis = len(blocks[0][1].axis_values)
     g_col = np.concatenate([np.full(n_axis, g) for g, _ in blocks])
     return LossSweepTable(

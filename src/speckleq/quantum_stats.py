@@ -118,13 +118,16 @@ def mean_photon(sums: CouplingSums, inp: SqueezedInput, *, bright_approximation:
     pairs collapses to (sum |t|)^2 since shaped amplitudes are real.
     """
     _require_full_fill(sums, inp)
-    coherent = inp.alpha2 * sums.sum_abs_t**2
     if bright_approximation:
-        return coherent
-    return sums.sum_T * math.sinh(inp.squeeze_strength) ** 2 + coherent
+        return inp.alpha2 * sums.sum_abs_t**2
+    return _mean_terms(sums.sum_T, sums.sum_abs_t, inp)
 
 
-def _variance_terms(tau: float, abs_sum: float, sum_r: float, tau_rest: float, inp: SqueezedInput) -> float:
+def _mean_terms(tau, abs_sum, inp: SqueezedInput):
+    return tau * math.sinh(inp.squeeze_strength) ** 2 + inp.alpha2 * abs_sum**2
+
+
+def _variance_terms(tau, abs_sum, sum_r, tau_rest, inp: SqueezedInput):
     g = inp.squeeze_strength
     sh2 = math.sinh(g) ** 2
     ch2 = math.cosh(g) ** 2
@@ -152,9 +155,7 @@ def mean_photon_partial(real: ScatteringRealization, inp: SqueezedInput) -> floa
     if n > real.channel_count:
         raise ValueError(f"fed_modes={n} exceeds channel_count={real.channel_count}")
     sums = coupling_sums(real)
-    tau_n = sums.partial_sum_T(n)
-    abs_n = sums.partial_sum_abs_t(n)
-    return tau_n * math.sinh(inp.squeeze_strength) ** 2 + inp.alpha2 * abs_n**2
+    return _mean_terms(sums.partial_sum_T(n), sums.partial_sum_abs_t(n), inp)
 
 
 def variance_photon_partial(real: ScatteringRealization, inp: SqueezedInput) -> float:
@@ -206,15 +207,33 @@ def asymptotic_avg_snr_ratio(disorder_strength: float, squeeze_strength: float) 
     return 1.0 / asymptotic_avg_fano(disorder_strength, squeeze_strength)
 
 
+def _loss_terms(mean, variance, loss: LossChannel):
+    p2 = loss.transmittance
+    return p2 * mean, p2 * p2 * variance + p2 * loss.loss_rate * mean
+
+
 def apply_loss(moments: PhotonMoments, loss: LossChannel) -> PhotonMoments:
     """Photon moments after the beam-splitter loss channel.
 
     mean' = |p|^2 mean and var' = |p|^4 var + |p|^2 |q|^2 mean, hence the
     affine Fano law F' = |p|^2 F + |q|^2.
     """
-    p2 = loss.transmittance
-    q2 = loss.loss_rate
-    return PhotonMoments(p2 * moments.mean, p2 * p2 * moments.variance + p2 * q2 * moments.mean)
+    return PhotonMoments(*_loss_terms(moments.mean, moments.variance, loss))
+
+
+def focus_moments(tau, abs_sum, tau_rest, sum_r, inp: SqueezedInput, loss: LossChannel):
+    """Per-trial (mean, variance) arrays of the shaped focus after loss.
+
+    The array form of mean/variance_photon_partial followed by apply_loss,
+    fed by :meth:`EnsembleDraws.shaped_sums` at N = ``inp.fed_modes``.
+    """
+    _require_zero_phases(inp)
+    mean, variance = _loss_terms(
+        _mean_terms(tau, abs_sum, inp), _variance_terms(tau, abs_sum, sum_r, tau_rest, inp), loss
+    )
+    if (mean < 0.0).any() or (variance < 0.0).any():
+        raise ValueError("photon-number moments must be nonnegative")
+    return mean, variance
 
 
 def photon_budget(wavelength: float, power: float, duration: float, focus_fraction: float) -> float:

