@@ -74,6 +74,7 @@ from .prolate import (
     reconstruction_psf,
     reconstruction_psf_curve,
     reconstruction_snr,
+    resolve_modes,
     superres_factor,
 )
 from .ensemble import (

@@ -281,6 +281,13 @@ def _format_cell(value) -> str:
     return format(float(value), ".17g")
 
 
+def _json_cell(value):
+    """Ints stay ints; non-finite floats become null, since JSON has no inf or nan."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    return float(value) if math.isfinite(value) else None
+
+
 def _write_atomic(path: Path, write) -> None:
     """Let ``write(tmp)`` fill a temporary file beside ``path``, then rename it over ``path``."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -299,15 +306,9 @@ def _write_table(path: Path, fmt: str, command: str, header: list[str], rows: li
     else:
         payload = {
             "command": command,
-            "rows": [
-                {
-                    key: (int(v) if isinstance(v, (int, np.integer)) else float(v))
-                    for key, v in zip(header, row)
-                }
-                for row in rows
-            ],
+            "rows": [{key: _json_cell(v) for key, v in zip(header, row)} for row in rows],
         }
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _summary_rows(summary: ensemble.EnsembleSummary) -> list[tuple]:

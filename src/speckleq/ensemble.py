@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ZeroMean
-from .prolate import ProlateBasis, build_basis, superres_factor
+from . import prolate
 from .quantum_stats import LossChannel, SqueezedInput, focus_moments
 from .random_media import DisorderParams, EnsembleDraws, draw_ensemble
 
@@ -201,7 +201,7 @@ def run_superres_sweep(
     alpha2: float = 1e4,
     num_modes: int = 7,
     quad_order: int = 256,
-    basis: ProlateBasis | None = None,
+    basis: prolate.ProlateBasis | None = None,
 ) -> SuperresTable:
     """Super-resolution factor vs focus photon number, per disorder strength.
 
@@ -210,9 +210,12 @@ def run_superres_sweep(
     s boosts it to budget / F-bar(s), with F-bar estimated from the seeded
     disorder ensemble at the reference intensity (the bright-regime Fano
     ratio is insensitive to the exact intensity).
+
+    Each row equals :func:`~speckleq.prolate.superres_factor` at its budget, but W
+    is resolved once per sweep and W_Q once per distinct Q, from one PSF per Q.
     """
     if basis is None:
-        basis = build_basis(bandwidth, num_modes, quad_order)
+        basis = prolate.build_basis(bandwidth, num_modes, quad_order)
     budgets = [float(b) for b in budgets]
     curves = [(0.0, 1.0)]  # coherent baseline: F = 1 exactly
     inp = SqueezedInput.from_intensity(alpha2, squeeze_strength, fed_modes=channel_count)
@@ -222,23 +225,22 @@ def run_superres_sweep(
         means, variances = focus_moments(*draws.shaped_sums(disorder, channel_count), inp, NO_LOSS)
         curves.append((float(s), float(np.mean(variances)) / float(np.mean(means))))
 
-    rows_s, rows_n, rows_q, rows_w, rows_wq, rows_j = [], [], [], [], [], []
+    rows_s, rows_n, rows_q = [], [], []
     for s, fano_bar in curves:
         for budget in budgets:
-            report = superres_factor(basis, budget / fano_bar, epsilon)
             rows_s.append(s)
             rows_n.append(budget)
-            rows_q.append(report.modes_kept)
-            rows_w.append(report.classical_width)
-            rows_wq.append(report.recon_width)
-            rows_j.append(report.resolution_gain)
+            rows_q.append(prolate.resolve_modes(basis, budget / fano_bar, epsilon)[0])
+    classical_w = prolate.half_width(prolate.classical_psf_curve(basis.bandwidth))
+    w_q = {q: prolate.half_width(prolate.reconstruction_psf_curve(basis, q)) for q in set(rows_q)}
+    recon_w = np.array([w_q[q] for q in rows_q], dtype=float)
     return SuperresTable(
         disorder_strength=np.array(rows_s),
         mean_n=np.array(rows_n),
         modes_kept=np.array(rows_q, dtype=int),
-        classical_width=np.array(rows_w),
-        recon_width=np.array(rows_wq),
-        resolution_gain=np.array(rows_j),
+        classical_width=np.full(len(rows_q), classical_w),
+        recon_width=recon_w,
+        resolution_gain=classical_w / recon_w,
         fano_by_curve=dict(curves),
     )
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import TruncationError
 from .quantum_stats import LossChannel, PhotonMoments, SqueezedInput
@@ -177,6 +176,7 @@ def _ladder(dim: int) -> np.ndarray:
 
 def _single_mode_state(alpha: complex, zeta: complex, dim: int) -> np.ndarray:
     """D(alpha) S(zeta) |0> in a dim-level Fock ladder via matrix exponentials."""
+    from scipy.linalg import expm  # only the Fock oracle needs it; keeps CLI import light
     low = _ladder(dim)
     hi = low.conj().T
     displace = expm(alpha * hi - np.conjugate(alpha) * low)

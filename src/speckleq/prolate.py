@@ -51,6 +51,7 @@ class ProlateBasis:
     columns ordered by descending eigenvalue; ``phi_at_zero`` stores the
     center values (exactly zero for odd modes).  Signs follow
     phi_k(0) > 0 for even k and phi_k'(0) > 0 for odd k.
+    ``convergence_shift``: eigenvalue move certified under quadrature doubling (nan if none).
     """
 
     bandwidth: float
@@ -59,6 +60,7 @@ class ProlateBasis:
     lam: np.ndarray
     phi: np.ndarray
     phi_at_zero: np.ndarray
+    convergence_shift: float = float("nan")
 
     @property
     def mode_count(self) -> int:
@@ -175,6 +177,7 @@ def build_basis(bandwidth: float, num_modes: int, quad_order: int = 256) -> Prol
         lam=lam,
         phi=phi,
         phi_at_zero=phi_at_zero,
+        convergence_shift=shift,
     )
 
 
@@ -308,6 +311,20 @@ class ReconstructionReport:
             raise ValueError("resolution gain must be positive")
 
 
+def resolve_modes(
+    basis: ProlateBasis, budget: float, epsilon: float, forced_modes: int | None = None
+) -> tuple[int, float]:
+    """SNR-limited mode count Q (unless ``forced_modes`` pins it) and its SNR for a point object."""
+    coeffs = point_object_coeffs(basis, budget, epsilon)
+    if forced_modes is None:
+        modes_kept = choose_mode_count(basis, coeffs)
+    else:
+        if not 1 <= forced_modes <= basis.mode_count:
+            raise ValueError(f"forced_modes must lie in [1, {basis.mode_count}]")
+        modes_kept = forced_modes
+    return modes_kept, reconstruction_snr(basis, coeffs, modes_kept)
+
+
 def superres_factor(
     basis: ProlateBasis,
     budget: float,
@@ -318,17 +335,10 @@ def superres_factor(
 ) -> ReconstructionReport:
     """Super-resolution factor J = W / W_Q for a point object at the origin.
 
-    Composes the coefficient projection, the SNR-limited mode count (unless
-    ``forced_modes`` pins Q), both PSF curves and their half-widths.
+    Composes :func:`resolve_modes` with both PSF half-widths, resolved anew on each call;
+    :func:`~speckleq.ensemble.run_superres_sweep` resolves W once and W_Q once per Q.
     """
-    coeffs = point_object_coeffs(basis, budget, epsilon)
-    if forced_modes is None:
-        modes_kept = choose_mode_count(basis, coeffs)
-    else:
-        if not 1 <= forced_modes <= basis.mode_count:
-            raise ValueError(f"forced_modes must lie in [1, {basis.mode_count}]")
-        modes_kept = forced_modes
-    snr_value = reconstruction_snr(basis, coeffs, modes_kept)
+    modes_kept, snr_value = resolve_modes(basis, budget, epsilon, forced_modes)
     classical_w = half_width(classical_psf_curve(basis.bandwidth, step=step))
     recon_w = half_width(reconstruction_psf_curve(basis, modes_kept, step=step))
     return ReconstructionReport(

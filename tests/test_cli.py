@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import speckleq
 from speckleq import UsageError, cli
 from speckleq.cli import RunConfig, execute, main, parse_args, parse_values
 
@@ -304,3 +309,30 @@ class TestExecuteSurface:
         status, paths = execute(config)
         assert status == 3
         assert paths == []
+
+
+class TestJsonEncoding:
+    def test_non_finite_cells_are_null(self, tmp_path):
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        out = tmp_path / "t.json"
+        header = ["case", "rel_err_mean", "rel_err_var"]
+        rows = [(0, math.inf, 1e-16), (1, math.nan, 0.0)]
+        cli._write_table(out, "json", "oracle-check", header, rows)
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        assert payload["rows"] == [
+            {"case": 0, "rel_err_mean": None, "rel_err_var": 1e-16},
+            {"case": 1, "rel_err_mean": None, "rel_err_var": 0.0},
+        ]
+
+
+def test_cli_import_does_not_load_scipy_linalg():
+    # scipy.linalg is needed only by the truncated-Fock oracle, which no command uses
+    src = str(Path(speckleq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, speckleq.cli; print('scipy.linalg' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

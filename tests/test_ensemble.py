@@ -5,16 +5,20 @@ import pytest
 
 from speckleq import (
     DisorderParams,
+    ProlateBasis,
     SqueezedInput,
     SweepSpec,
     TooDim,
     ZeroMean,
     asymptotic_avg_fano,
     asymptotic_avg_snr_ratio,
+    classical_psf_curve,
+    half_width,
     run_fano_scatter,
     run_loss_sweep,
     run_superres_sweep,
     run_sweep,
+    superres_factor,
 )
 from speckleq.ensemble import expected_shaped_intensity
 
@@ -222,3 +226,34 @@ class TestSuperresSweep:
         b = run_superres_sweep(1.5, [2.0], [1e8], 1.0, 0.01, kwargs["trials"], 9, basis=basis_c1)
         assert np.array_equal(a.resolution_gain, b.resolution_gain)
         assert np.array_equal(a.modes_kept, b.modes_kept)
+
+
+class TestSuperresWidthCache:
+    """The sweep resolves W once and W_Q once per Q; rows must not notice."""
+
+    def test_rows_equal_per_row_superres_factor(self, table, basis_c1):
+        assert len(set(table.modes_kept.tolist())) >= 2
+        for i in range(table.mean_n.shape[0]):
+            fano_bar = table.fano_by_curve[table.disorder_strength[i]]
+            report = superres_factor(basis_c1, table.mean_n[i] / fano_bar, 0.01)
+            assert table.modes_kept[i] == report.modes_kept
+            assert table.classical_width[i] == report.classical_width
+            assert table.recon_width[i] == report.recon_width
+            assert table.resolution_gain[i] == report.resolution_gain
+
+    def test_one_psf_evaluation_per_distinct_q(self, basis_c1, monkeypatch):
+        calls = []
+        original = ProlateBasis.evaluate
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProlateBasis, "evaluate", counting)
+        half_width(classical_psf_curve(basis_c1.bandwidth))
+        assert calls == []  # the classical PSF is closed-form
+        budgets = np.geomspace(1e6, 3.5e10, 7)
+        table = run_superres_sweep(1.5, [2.0, 8.0], budgets, 1.0, 0.01, 100, 1, basis=basis_c1)
+        distinct_q = len(set(table.modes_kept.tolist()))
+        assert distinct_q >= 2
+        assert len(calls) == distinct_q

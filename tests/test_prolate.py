@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 from speckleq import (
     AllZero,
     NoCrossing,
+    ProlateBasis,
     PsfCurve,
     TooDim,
     build_basis,
@@ -19,6 +20,7 @@ from speckleq import (
     reconstruction_psf,
     reconstruction_psf_curve,
     reconstruction_snr,
+    resolve_modes,
     superres_factor,
 )
 from speckleq.errors import ConvergenceError
@@ -58,6 +60,20 @@ class TestSpectrum:
         lam_256 = build_basis(c, 6, 256).lam
         lam_512 = build_basis(c, 6, 512).lam
         assert np.abs(lam_256 - lam_512).max() <= 1e-9
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    def test_convergence_shift_is_recorded(self, c):
+        basis = build_basis(c, 6, 256)
+        assert math.isfinite(basis.convergence_shift)
+        assert 0.0 <= basis.convergence_shift <= 1e-9
+        # the recorded value is the shift the certification measured
+        lam_512 = build_basis(c, 6, 512).lam
+        assert basis.convergence_shift == np.abs(basis.lam - lam_512).max()
+
+    def test_convergence_shift_defaults_to_nan(self, basis_c1):
+        fields = ("bandwidth", "grid", "weights", "lam", "phi", "phi_at_zero")
+        bare = ProlateBasis(*(getattr(basis_c1, name) for name in fields))
+        assert math.isnan(bare.convergence_shift)
 
     def test_eigenfunction_self_convergence(self):
         # Nystrom evaluation noise scales as eps / lambda_k, so pointwise
@@ -137,6 +153,13 @@ class TestClassicalPsf:
 
     def test_reference_width(self):
         assert half_width(classical_psf_curve(1.0)) == pytest.approx(1.8955, abs=1e-3)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 4.0])
+    def test_grid_width_relative_accuracy(self, c):
+        # the 1e-3 grid plus linear interpolation lands within 1e-7 relative of
+        # the exact root (worst case about 4.8e-8, at c = 4)
+        root = brentq(lambda u: math.sin(u) / u - 0.5, 1.0, math.pi, xtol=1e-15)
+        assert half_width(classical_psf_curve(c)) == pytest.approx(root / c, rel=1e-7)
 
 
 class TestHalfWidth:
@@ -281,6 +304,16 @@ class TestSuperresFactor:
     def test_too_dim_propagates(self, basis_c1):
         with pytest.raises(TooDim):
             superres_factor(basis_c1, 1.0, 0.01)
+
+    def test_resolve_modes_composes_mode_count_and_snr(self, basis_c1):
+        for budget in np.geomspace(1e4, 1e14, 6):
+            coeffs = point_object_coeffs(basis_c1, budget, 0.01)
+            q = choose_mode_count(basis_c1, coeffs)
+            expected = (q, reconstruction_snr(basis_c1, coeffs, q))
+            assert resolve_modes(basis_c1, budget, 0.01) == expected
+        assert resolve_modes(basis_c1, 1e4, 0.01, forced_modes=7)[0] == 7
+        with pytest.raises(ValueError):
+            resolve_modes(basis_c1, 1e4, 0.01, forced_modes=8)
 
 
 class TestExport:
