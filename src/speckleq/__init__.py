@@ -42,7 +42,6 @@ from .quantum_stats import (
     mean_photon,
     mean_photon_partial,
     photon_budget,
-    photon_moments,
     snr,
     variance_photon,
     variance_photon_partial,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ZeroMean
 from . import prolate
-from .quantum_stats import LossChannel, SqueezedInput, focus_moments
+from .quantum_stats import NO_LOSS, LossChannel, SqueezedInput, focus_moments
 from .random_media import DisorderParams, EnsembleDraws, draw_ensemble
 
 SWEEP_AXES = (
@@ -38,8 +38,6 @@ SWEEP_AXES = (
     "coherent_fraction",
     "photon_budget",
 )
-
-NO_LOSS = LossChannel(0.0)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import AllZero, ConvergenceError, NoCrossing, TooDim
 
 _SELF_CONVERGENCE_TOL = 1e-9
+_PSF_STEP = 1e-3  # z spacing of the sampled PSF curves; z = 1, the support edge, is a sample
 
 
 def _sinc_kernel(bandwidth: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -215,18 +216,15 @@ class PsfCurve:
             raise ValueError("z samples must start at 0 and increase strictly")
 
 
-def classical_psf_curve(bandwidth: float, *, step: float = 1e-3) -> PsfCurve:
+def classical_psf_curve(bandwidth: float) -> PsfCurve:
     """Classical PSF sampled from the peak to its first zero at pi / c."""
-    z_max = np.pi / bandwidth
-    z = np.arange(0.0, z_max + step, step)
+    z = np.arange(0.0, np.pi / bandwidth + _PSF_STEP, _PSF_STEP)
     return PsfCurve(z, classical_psf(bandwidth, z))
 
 
-def reconstruction_psf_curve(
-    basis: ProlateBasis, modes_kept: int, *, step: float = 1e-3, z_max: float = 1.05
-) -> PsfCurve:
-    """Reconstruction PSF sampled on [0, z_max]; zero beyond the support edge."""
-    z = np.arange(0.0, z_max + step, step)
+def reconstruction_psf_curve(basis: ProlateBasis, modes_kept: int) -> PsfCurve:
+    """Reconstruction PSF sampled on [0, 1.05]: the support [0, 1], then exact zeros."""
+    z = np.arange(0.0, 1.05 + _PSF_STEP, _PSF_STEP)
     return PsfCurve(z, reconstruction_psf(basis, modes_kept, z))
 
 
@@ -235,7 +233,11 @@ def half_width(curve: PsfCurve) -> float:
 
     Brackets the crossing on the sampled grid and solves the linear
     interpolant inside the bracketing cell (absolute tolerance well below
-    1e-6 for the <= 1e-3 grids produced here).
+    1e-6 for the 1e-3 grids produced here).  A curve that is exactly zero
+    from the first sample below half onward has left its support there: it
+    drops at the last sample before, the support edge, and is not
+    interpolated across the jump.  So a reconstruction PSF still above half
+    its peak at z = 1 (Q <= 2 at c = 1) has half-width exactly 1.
     """
     peak = curve.values[0]
     if peak <= 0.0:
@@ -247,6 +249,8 @@ def half_width(curve: PsfCurve) -> float:
     i = int(below[0])
     z_lo, z_hi = curve.z[i - 1], curve.z[i]
     v_lo, v_hi = curve.values[i - 1], curve.values[i]
+    if not curve.values[i:].any():
+        return float(z_lo)
     return float(z_lo + (target - v_lo) * (z_hi - z_lo) / (v_hi - v_lo))
 
 
@@ -326,12 +330,7 @@ def resolve_modes(
 
 
 def superres_factor(
-    basis: ProlateBasis,
-    budget: float,
-    epsilon: float,
-    *,
-    step: float = 1e-3,
-    forced_modes: int | None = None,
+    basis: ProlateBasis, budget: float, epsilon: float, *, forced_modes: int | None = None
 ) -> ReconstructionReport:
     """Super-resolution factor J = W / W_Q for a point object at the origin.
 
@@ -339,8 +338,8 @@ def superres_factor(
     :func:`~speckleq.ensemble.run_superres_sweep` resolves W once and W_Q once per Q.
     """
     modes_kept, snr_value = resolve_modes(basis, budget, epsilon, forced_modes)
-    classical_w = half_width(classical_psf_curve(basis.bandwidth, step=step))
-    recon_w = half_width(reconstruction_psf_curve(basis, modes_kept, step=step))
+    classical_w = half_width(classical_psf_curve(basis.bandwidth))
+    recon_w = half_width(reconstruction_psf_curve(basis, modes_kept))
     return ReconstructionReport(
         modes_kept=modes_kept,
         classical_width=classical_w,

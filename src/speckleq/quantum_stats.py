@@ -2,20 +2,23 @@
 
 The focus mode is a fixed linear combination of N squeezed-coherent inputs
 (amplitude weights |t|) plus vacuum from the remaining transmission channels
-and all reflection channels.  Mean and variance below keep every term of the
-exact second-moment expansion; the bright-beam approximations that drop the
-squeezing-only contributions are available behind ``bright_approximation``
-flags when the simplified asymptotic forms are wanted.
+and all reflection channels.  Mean and variance keep every term of the
+exact second-moment expansion and are evaluated in one place,
+:func:`focus_moments`, on arrays of per-trial coupling sums or on the scalar
+sums of one realization alike.
 
 The closed-form variance only holds for amplitude squeezing aligned with the
-coherent axis (alpha_phase = squeeze_phase = 0); any other phase combination
-must go through :mod:`speckleq.gaussian_oracle`.
+coherent axis (alpha_phase = squeeze_phase = 0); since mean and variance are
+evaluated together, every closed form here raises NonzeroPhase for any other
+phase combination, which must go through :mod:`speckleq.gaussian_oracle`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NonzeroPhase, ZeroMean, ZeroVariance
 from .random_media import CouplingSums, ScatteringRealization, coupling_sums
@@ -95,12 +98,7 @@ class LossChannel:
         return 1.0 - self.loss_rate
 
 
-def _require_full_fill(sums: CouplingSums, inp: SqueezedInput) -> None:
-    if inp.fed_modes != sums.channel_count:
-        raise ValueError(
-            f"fed_modes={inp.fed_modes} != channel_count={sums.channel_count}; "
-            "use the *_partial operations for partial mode filling"
-        )
+NO_LOSS = LossChannel(0.0)
 
 
 def _require_zero_phases(inp: SqueezedInput) -> None:
@@ -109,18 +107,6 @@ def _require_zero_phases(inp: SqueezedInput) -> None:
             "closed-form variance assumes alpha_phase = squeeze_phase = 0; "
             "use gaussian_oracle for arbitrary phases"
         )
-
-
-def mean_photon(sums: CouplingSums, inp: SqueezedInput, *, bright_approximation: bool = False) -> float:
-    """Mean photon number of the shaped focus mode for full mode filling.
-
-    sum_T * sinh^2(g) + |alpha|^2 * (sum |t|)^2; the double sum over channel
-    pairs collapses to (sum |t|)^2 since shaped amplitudes are real.
-    """
-    _require_full_fill(sums, inp)
-    if bright_approximation:
-        return inp.alpha2 * sums.sum_abs_t**2
-    return _mean_terms(sums.sum_T, sums.sum_abs_t, inp)
 
 
 def _mean_terms(tau, abs_sum, inp: SqueezedInput):
@@ -135,50 +121,33 @@ def _variance_terms(tau, abs_sum, sum_r, tau_rest, inp: SqueezedInput):
     return tau * tau * (2.0 * sh2 * ch2) + tau * sum_r * sh2 + tau * tau_rest * sh2 + coherent
 
 
-def variance_photon(sums: CouplingSums, inp: SqueezedInput, *, bright_approximation: bool = False) -> float:
-    """Exact photon-number variance of the shaped focus mode (full filling).
+def mean_photon(sums: CouplingSums, inp: SqueezedInput) -> float:
+    """Mean photon number of the shaped focus mode fed in its first ``inp.fed_modes`` channels.
 
-    (sum_T)^2 2 sinh^2 g cosh^2 g + sum_T sum_R sinh^2 g
-    + |alpha|^2 (sum|t|)^2 [1 - sum_T (1 - e^{-2g})], all terms kept.
+    tau_N sinh^2(g) + |alpha|^2 (sum_{a<=N} |t_a|)^2; the double sum over
+    channel pairs collapses to a square since shaped amplitudes are real.
     """
-    _require_full_fill(sums, inp)
-    _require_zero_phases(inp)
-    if bright_approximation:
-        w = 1.0 - math.exp(-2.0 * inp.squeeze_strength)
-        return inp.alpha2 * sums.sum_abs_t**2 * (1.0 - sums.sum_T * w)
-    return _variance_terms(sums.sum_T, sums.sum_abs_t, sums.sum_R, 0.0, inp)
+    return float(focus_moments(*sums.shaped_sums(inp.fed_modes), inp, NO_LOSS)[0])
+
+
+def variance_photon(sums: CouplingSums, inp: SqueezedInput) -> float:
+    """Exact photon-number variance of the shaped focus mode, all terms kept.
+
+    tau_N^2 2 sinh^2 g cosh^2 g + tau_N (sum_R + tau_rest) sinh^2 g
+    + |alpha|^2 (sum_{a<=N} |t_a|)^2 [1 - tau_N (1 - e^{-2g})]; tau_rest, the
+    transmission of the unfed channels, vanishes at full filling N = M.
+    """
+    return float(focus_moments(*sums.shaped_sums(inp.fed_modes), inp, NO_LOSS)[1])
 
 
 def mean_photon_partial(real: ScatteringRealization, inp: SqueezedInput) -> float:
-    """Mean photon number when only the first ``fed_modes`` channels are fed."""
-    n = inp.fed_modes
-    if n > real.channel_count:
-        raise ValueError(f"fed_modes={n} exceeds channel_count={real.channel_count}")
-    sums = coupling_sums(real)
-    return _mean_terms(sums.partial_sum_T(n), sums.partial_sum_abs_t(n), inp)
+    """:func:`mean_photon` on the coupling sums of a realization."""
+    return mean_photon(coupling_sums(real), inp)
 
 
 def variance_photon_partial(real: ScatteringRealization, inp: SqueezedInput) -> float:
-    """Exact variance for partial mode filling (N <= M).
-
-    Adds the squeezed/vacuum interference term sum_{a<=N} sum_{a'>N} T T'
-    sinh^2 g to the full-filling expression; reduces bitwise to
-    :func:`variance_photon` at N = M.
-    """
-    _require_zero_phases(inp)
-    n = inp.fed_modes
-    if n > real.channel_count:
-        raise ValueError(f"fed_modes={n} exceeds channel_count={real.channel_count}")
-    sums = coupling_sums(real)
-    tau_n = sums.partial_sum_T(n)
-    abs_n = sums.partial_sum_abs_t(n)
-    tau_rest = sums.sum_T - tau_n
-    return _variance_terms(tau_n, abs_n, sums.sum_R, tau_rest, inp)
-
-
-def photon_moments(sums: CouplingSums, inp: SqueezedInput) -> PhotonMoments:
-    """Convenience bundle of mean and exact variance (full filling)."""
-    return PhotonMoments(mean_photon(sums, inp), variance_photon(sums, inp))
+    """:func:`variance_photon` on the coupling sums of a realization."""
+    return variance_photon(coupling_sums(real), inp)
 
 
 def fano(moments: PhotonMoments) -> float:
@@ -222,16 +191,17 @@ def apply_loss(moments: PhotonMoments, loss: LossChannel) -> PhotonMoments:
 
 
 def focus_moments(tau, abs_sum, tau_rest, sum_r, inp: SqueezedInput, loss: LossChannel):
-    """Per-trial (mean, variance) arrays of the shaped focus after loss.
+    """(mean, variance) of the shaped focus after loss: the one closed-form evaluation.
 
-    The array form of mean/variance_photon_partial followed by apply_loss,
-    fed by :meth:`EnsembleDraws.shaped_sums` at N = ``inp.fed_modes``.
+    Fed by :meth:`EnsembleDraws.shaped_sums` (per-trial arrays) or
+    :meth:`CouplingSums.shaped_sums` (scalars) at N = ``inp.fed_modes``; loss
+    acts as in :func:`apply_loss`.
     """
     _require_zero_phases(inp)
     mean, variance = _loss_terms(
         _mean_terms(tau, abs_sum, inp), _variance_terms(tau, abs_sum, sum_r, tau_rest, inp), loss
     )
-    if (mean < 0.0).any() or (variance < 0.0).any():
+    if np.any(mean < 0.0) or np.any(variance < 0.0):
         raise ValueError("photon-number moments must be nonnegative")
     return mean, variance
 

@@ -9,14 +9,16 @@ conservation must be exact because the downstream Gaussian-oracle
 equivalence checks rely on it; the price is an O(1/M) distortion of the
 marginal means (see ``ensemble_coupling_stats``).
 
-Wavefront shaping is represented implicitly: shaped propagation always uses
-the transmission amplitude |t| and never its phase, so phases are retained
-only for unshaped diagnostics.
+Wavefront shaping is represented implicitly: shaped propagation and both
+oracles use only the amplitudes |t| and |r|, so channel phases are never
+formed.
 
 All operations are pure functions of their arguments; per-trial seeds for
 ensemble work are derived statelessly from (master seed, trial index), so
 any trial can be redrawn on its own.  ``draw_ensemble`` draws a whole
-ensemble once and keeps only what the shaped statistics need from it.
+ensemble once and keeps only what the shaped statistics need from it;
+``sample_realization`` draws one trial from the same stream layout and
+channel weights.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -54,22 +55,19 @@ class DisorderParams:
 
 @dataclass(frozen=True)
 class ScatteringRealization:
-    """Amplitudes and phases of one sampled focus-mode coupling vector."""
+    """Transmission and reflection amplitudes of one sampled focus-mode coupling vector."""
 
     t_amp: np.ndarray
-    t_phase: np.ndarray
     r_amp: np.ndarray
-    r_phase: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("t_amp", "t_phase", "r_amp", "r_phase"):
+        for name in ("t_amp", "r_amp"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         m = self.t_amp.shape[0]
         if m < 1:
             raise ValueError("at least one transmission channel is required")
-        shapes = {self.t_amp.shape, self.t_phase.shape, self.r_amp.shape, self.r_phase.shape}
-        if shapes != {(m,)}:
-            raise ValueError(f"all coefficient arrays must share shape ({m},)")
+        if {self.t_amp.shape, self.r_amp.shape} != {(m,)}:
+            raise ValueError(f"both amplitude arrays must share shape ({m},)")
         if np.any(self.t_amp < 0.0) or np.any(self.r_amp < 0.0):
             raise ValueError("amplitudes must be nonnegative")
         flux = float(np.sum(self.t_amp**2) + np.sum(self.r_amp**2))
@@ -100,17 +98,12 @@ class CouplingSums:
     def channel_count(self) -> int:
         return self.cum_T.shape[0] - 1
 
-    def _check_range(self, n: int) -> None:
-        if not 0 <= n <= self.channel_count:
-            raise ValueError(f"partial sum index {n} outside [0, {self.channel_count}]")
-
-    def partial_sum_T(self, n: int) -> float:
-        self._check_range(n)
-        return float(self.cum_T[n])
-
-    def partial_sum_abs_t(self, n: int) -> float:
-        self._check_range(n)
-        return float(self.cum_abs_t[n])
+    def shaped_sums(self, fed_modes: int):
+        """(tau_N, sum_{a<=N} |t_a|, tau_rest, sum_R) at N = ``fed_modes``, as in EnsembleDraws."""
+        if not 0 <= fed_modes <= self.channel_count:
+            raise ValueError(f"fed_modes={fed_modes} outside [0, {self.channel_count}]")
+        tau_n = float(self.cum_T[fed_modes])
+        return tau_n, float(self.cum_abs_t[fed_modes]), self.sum_T - tau_n, self.sum_R
 
 
 def mask_seed(seed: int) -> int:
@@ -130,26 +123,33 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _trial_intensity(channel_count: int, seed: int) -> np.ndarray:
+    """|z|^2 of one trial's 2M circular normals: row 0 transmission, row 1 reflection.
+
+    The one per-trial stream layout; every draw in the package goes through it.
+    """
+    rng = np.random.default_rng(mask_seed(seed))
+    return np.square(rng.standard_normal((2, channel_count, 2))).sum(axis=2)
+
+
+def _channel_weights(params: DisorderParams) -> tuple[float, float]:
+    """Per-quadrature variances 1/(2Ms) of raw t and (1-1/s)/(2M) of raw r."""
+    m = params.channel_count
+    s = params.disorder_strength
+    return 1.0 / (2.0 * m * s), (1.0 - 1.0 / s) / (2.0 * m)
+
+
 def sample_realization(params: DisorderParams, seed: int) -> ScatteringRealization:
     """Draw one scattering realization, exactly flux-normalized.
 
     Deterministic function of (params, seed): identical inputs give a
     bitwise-identical realization.
     """
-    m = params.channel_count
-    s = params.disorder_strength
-    rng = np.random.default_rng(mask_seed(seed))
-    draws = rng.standard_normal((2, m, 2))
-    t = (draws[0, :, 0] + 1j * draws[0, :, 1]) * np.sqrt(1.0 / (2.0 * m * s))
-    r = (draws[1, :, 0] + 1j * draws[1, :, 1]) * np.sqrt((1.0 - 1.0 / s) / (2.0 * m))
-    scale = 1.0 / np.sqrt(np.sum(np.abs(t) ** 2) + np.sum(np.abs(r) ** 2))
-    t *= scale
-    r *= scale
+    intensity = _trial_intensity(params.channel_count, seed)
+    t_weight, r_weight = _channel_weights(params)
+    norm = 1.0 / (t_weight * intensity[0].sum() + r_weight * intensity[1].sum())
     return ScatteringRealization(
-        t_amp=np.abs(t),
-        t_phase=np.mod(np.angle(t), TWO_PI),
-        r_amp=np.abs(r),
-        r_phase=np.mod(np.angle(r), TWO_PI),
+        np.sqrt(t_weight * norm * intensity[0]), np.sqrt(r_weight * norm * intensity[1])
     )
 
 
@@ -171,9 +171,9 @@ def coupling_sums(real: ScatteringRealization) -> CouplingSums:
 class EnsembleDraws:
     """A seeded ensemble's raw normals, reduced before any s-dependent scaling.
 
-    Row i comes from the stream that ``sample_realization(params,
-    derive_trial_seed(master_seed, i))`` uses: prefix sums of |z_t|^2 and
-    |z_t| over the transmission channels and the total |z_r|^2.
+    Row i holds the same draw as ``sample_realization(params,
+    derive_trial_seed(master_seed, i))``: prefix sums of |z_t|^2 and |z_t|
+    over the transmission channels and the total |z_r|^2.
     """
 
     cum_T: np.ndarray
@@ -185,9 +185,7 @@ class EnsembleDraws:
         m = params.channel_count
         if self.cum_T.shape[1] != m or not 1 <= fed_modes <= m:
             raise ValueError(f"M={m}, N={fed_modes} do not fit draws of shape {self.cum_T.shape}")
-        s = params.disorder_strength
-        t_weight = 1.0 / (2.0 * m * s)
-        r_weight = (1.0 - 1.0 / s) / (2.0 * m)
+        t_weight, r_weight = _channel_weights(params)
         norm = 1.0 / (t_weight * self.cum_T[:, -1] + r_weight * self.sum_R)
         t_scale = t_weight * norm
         tau_all = t_scale * self.cum_T[:, -1]
@@ -200,19 +198,18 @@ class EnsembleDraws:
 
 
 def draw_ensemble(channel_count: int, trials: int, master_seed: int) -> EnsembleDraws:
-    """Draw trials 0..trials-1 once, reducing each trial as it is drawn."""
+    """Draw trials 0..trials-1 once and reduce them to their prefix sums."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    cum_t = np.empty((trials, channel_count))
-    cum_a = np.empty((trials, channel_count))
-    sum_r = np.empty(trials)
+    intensities = np.empty((trials, 2, channel_count))
     for i in range(trials):
-        rng = np.random.default_rng(mask_seed(derive_trial_seed(master_seed, i)))
-        intensity = np.square(rng.standard_normal((2, channel_count, 2))).sum(axis=2)
-        np.cumsum(intensity[0], out=cum_t[i])
-        np.cumsum(np.sqrt(intensity[0]), out=cum_a[i])
-        sum_r[i] = intensity[1].sum()
-    return EnsembleDraws(cum_t, cum_a, sum_r)
+        intensities[i] = _trial_intensity(channel_count, derive_trial_seed(master_seed, i))
+    transmitted = intensities[:, 0]
+    return EnsembleDraws(
+        np.cumsum(transmitted, axis=1),
+        np.cumsum(np.sqrt(transmitted), axis=1),
+        intensities[:, 1].sum(axis=1),
+    )
 
 
 @dataclass(frozen=True)

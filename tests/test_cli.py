@@ -184,6 +184,15 @@ class TestCommands:
         assert len(rows) == 12  # coherent + two squeezed curves, 4 budgets each
         assert {r[0] for r in rows} == {"0", "2", "6"}
 
+    def test_superres_low_budgets_stay_inside_support(self, tmp_path):
+        # low budgets keep Q = 2, whose PSF halves only at the support edge z = 1
+        rc, out = run_cli(tmp_path, "superres", "--budgets", "1e3:1e7:log9", "--trials", "50")
+        assert rc == 0
+        _, rows = read_csv(out)
+        assert all(float(r[4]) <= 1.0 for r in rows)
+        low = [r for r in rows if r[2] == "2"]
+        assert low and all(r[4] == "1" and r[5] == r[3] for r in low)
+
     def test_superres_too_dim_exit_code(self, tmp_path, capsys):
         rc, _ = run_cli(tmp_path, "superres", "--budgets", "1,2", "--trials", "10")
         assert rc == 3

@@ -168,6 +168,13 @@ class TestHalfWidth:
         curve = PsfCurve(z, np.where(z <= 0.5, 1.0, 0.0))
         assert half_width(curve) == pytest.approx(0.5, abs=1e-3)
 
+    def test_drop_to_zero_halves_at_support_edge(self):
+        # a curve still above half where it jumps to exact zeros halves at its
+        # last nonzero sample; a line across the jump would overshoot the edge
+        z = np.arange(0.0, 1.05 + 1e-3, 1e-3)
+        curve = PsfCurve(z, np.where(z <= 1.0, 1.0 - 0.1 * z, 0.0))
+        assert half_width(curve) == 1.0
+
     def test_no_crossing(self):
         z = np.arange(0.0, 1.0 + 1e-3, 1e-3)
         with pytest.raises(NoCrossing):
@@ -205,6 +212,18 @@ class TestReconstructionPsf:
             reconstruction_psf(basis_c1, 0, 0.0)
         with pytest.raises(ValueError):
             reconstruction_psf(basis_c1, 8, 0.0)
+
+    @pytest.mark.parametrize("q", range(1, 8))
+    def test_half_width_within_support(self, basis_c1, q):
+        # at Q <= 2 (c = 1) the PSF is still above half its peak at z = 1, the
+        # support edge, so it halves exactly there
+        curve = reconstruction_psf_curve(basis_c1, q)
+        width = half_width(curve)
+        if q <= 2:
+            assert reconstruction_psf(basis_c1, q, 1.0) > curve.values[0] / 2.0
+            assert width == 1.0
+        else:
+            assert width < 1.0
 
     def test_reference_half_width_q7(self, basis_c1):
         width = half_width(reconstruction_psf_curve(basis_c1, 7))
@@ -287,6 +306,11 @@ class TestSuperresFactor:
         assert report.classical_width == pytest.approx(1.90, abs=0.01)
         assert report.recon_width == pytest.approx(0.25, abs=0.01)
         assert report.resolution_gain == pytest.approx(7.6, abs=0.3)
+
+    def test_two_mode_gain_is_classical_width(self, basis_c1):
+        report = superres_factor(basis_c1, 1e9, 0.01, forced_modes=2)
+        assert report.recon_width == 1.0
+        assert report.resolution_gain == report.classical_width
 
     def test_single_mode_gain_modestly_above_unity(self, basis_c1):
         report = superres_factor(basis_c1, 1e9, 0.01, forced_modes=1)

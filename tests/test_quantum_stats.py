@@ -59,17 +59,16 @@ class TestMeanPhoton:
         expected = 10_000.0 + math.sinh(1.5) ** 2
         assert mean_photon(coupling_sums(real), inp) == pytest.approx(expected, rel=1e-14)
 
-    def test_bright_approximation_drops_squeezing_term(self):
-        real = make_realization([1.0], [0.0])
-        inp = SqueezedInput.from_intensity(100.0, 1.0, fed_modes=1)
+    def test_coupling_sums_view_is_the_realization_view(self):
+        # one closed form: on CouplingSums it also feeds only the first N channels
+        real = sample_realization(DisorderParams(8, 3.0), 4)
         sums = coupling_sums(real)
-        assert mean_photon(sums, inp, bright_approximation=True) == pytest.approx(100.0, rel=1e-14)
-
-    def test_requires_full_filling(self):
-        real = make_realization([np.sqrt(0.5), np.sqrt(0.5)], [0.0, 0.0])
-        inp = SqueezedInput.from_intensity(1.0, 0.5, fed_modes=1)
+        for fed in (1, 5, 8):
+            inp = SqueezedInput.from_intensity(40.0, 0.7, fed_modes=fed)
+            assert mean_photon(sums, inp) == mean_photon_partial(real, inp)
+            assert variance_photon(sums, inp) == variance_photon_partial(real, inp)
         with pytest.raises(ValueError):
-            mean_photon(coupling_sums(real), inp)
+            mean_photon(sums, SqueezedInput.from_intensity(40.0, 0.7, fed_modes=9))
 
 
 class TestVariancePhoton:
@@ -106,16 +105,6 @@ class TestVariancePhoton:
             variance_photon(sums, SqueezedInput(1.0, 0.5, 1, alpha_phase=0.3))
         with pytest.raises(NonzeroPhase):
             variance_photon(sums, SqueezedInput(1.0, 0.5, 1, squeeze_phase=0.3))
-
-    def test_bright_approximation_keeps_reduction_factor(self):
-        real = make_realization([np.sqrt(0.5)], [np.sqrt(0.5)])
-        inp = SqueezedInput.from_intensity(10_000.0, 1.5, fed_modes=1)
-        sums = coupling_sums(real)
-        w = 1.0 - math.exp(-3.0)
-        expected = 10_000.0 * 0.5 * (1.0 - 0.5 * w)
-        assert variance_photon(sums, inp, bright_approximation=True) == pytest.approx(
-            expected, rel=1e-13
-        )
 
 
 class TestPartialFilling:
@@ -355,3 +344,17 @@ class TestEnsembleEngine:
             )
             assert means[i] == pytest.approx(oracle.mean, rel=1e-10, abs=1e-12)
             assert variances[i] == pytest.approx(oracle.variance, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("m,s,seed", [(2, 1.5, 3), (17, 4.0, 11), (50, 2.0, 2026)])
+    def test_ensemble_rows_equal_scalar_views(self, m, s, seed):
+        # row i of the batched path is the scalar view of realization i, directly
+        params = DisorderParams(m, s)
+        trials = 4
+        draws = draw_ensemble(m, trials, seed)
+        for n in sorted({1, m // 2, m}):
+            inp = SqueezedInput.from_intensity(2500.0, 1.1, fed_modes=n)
+            means, variances = focus_moments(*draws.shaped_sums(params, n), inp, LossChannel(0.0))
+            for i in range(trials):
+                real = sample_realization(params, derive_trial_seed(seed, i))
+                assert means[i] == pytest.approx(mean_photon_partial(real, inp), rel=1e-13)
+                assert variances[i] == pytest.approx(variance_photon_partial(real, inp), rel=1e-13)

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import stats
 
 from speckleq import (
     CouplingSums,
@@ -17,7 +16,7 @@ from speckleq.random_media import normalization_bias
 def make_realization(t_amp, r_amp):
     t_amp = np.asarray(t_amp, dtype=float)
     r_amp = np.asarray(r_amp, dtype=float)
-    return ScatteringRealization(t_amp, np.zeros_like(t_amp), r_amp, np.zeros_like(r_amp))
+    return ScatteringRealization(t_amp, r_amp)
 
 
 class TestValidation:
@@ -40,7 +39,7 @@ class TestValidation:
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
-            ScatteringRealization(np.array([1.0]), np.zeros(1), np.zeros(2), np.zeros(2))
+            ScatteringRealization(np.array([1.0]), np.zeros(2))
 
 
 class TestSampling:
@@ -62,9 +61,7 @@ class TestSampling:
         a = sample_realization(params, seed=42)
         b = sample_realization(params, seed=42)
         assert np.array_equal(a.t_amp, b.t_amp)
-        assert np.array_equal(a.t_phase, b.t_phase)
         assert np.array_equal(a.r_amp, b.r_amp)
-        assert np.array_equal(a.r_phase, b.r_phase)
 
     def test_seed_changes_realization(self):
         params = DisorderParams(13, 3.5)
@@ -75,21 +72,6 @@ class TestSampling:
     def test_negative_seed_accepted(self):
         real = sample_realization(DisorderParams(4, 2.0), seed=-17)
         assert real.channel_count == 4
-
-    def test_phases_in_range(self):
-        real = sample_realization(DisorderParams(50, 2.0), seed=5)
-        for phases in (real.t_phase, real.r_phase):
-            assert np.all(phases >= 0.0) and np.all(phases < 2.0 * np.pi)
-
-    def test_phase_marginal_uniform(self):
-        # KS test of 10^4 transmission phases against uniform[0, 2 pi)
-        params = DisorderParams(50, 2.0)
-        phases = np.concatenate(
-            [sample_realization(params, derive_trial_seed(7, i)).t_phase for i in range(200)]
-        )
-        assert phases.shape[0] == 10_000
-        result = stats.kstest(phases / (2.0 * np.pi), "uniform")
-        assert result.pvalue > 0.01
 
 
 class TestCouplingSums:
@@ -122,28 +104,29 @@ class TestCouplingSums:
 
     def test_partial_sums_monotone_and_consistent(self):
         sums = coupling_sums(sample_realization(DisorderParams(20, 2.0), 11))
-        partial_t = [sums.partial_sum_T(n) for n in range(21)]
-        partial_a = [sums.partial_sum_abs_t(n) for n in range(21)]
+        partial_t, partial_a, rest_t, sum_r = np.array([sums.shaped_sums(n) for n in range(21)]).T
         assert partial_t[0] == 0.0 and partial_a[0] == 0.0
         assert np.all(np.diff(partial_t) >= 0.0)
         assert np.all(np.diff(partial_a) >= 0.0)
-        # full sums are exactly the last cumulative entries
-        assert partial_t[-1] == sums.sum_T
+        # full sums are exactly the last cumulative entries; the unfed rest is the complement
+        assert partial_t[-1] == sums.sum_T and rest_t[-1] == 0.0
         assert partial_a[-1] == sums.sum_abs_t
+        assert np.array_equal(rest_t, sums.sum_T - partial_t)
+        assert np.all(sum_r == sums.sum_R)
 
     def test_partial_sum_range_checked(self):
         sums = coupling_sums(make_realization([1.0], [0.0]))
         with pytest.raises(ValueError):
-            sums.partial_sum_T(2)
+            sums.shaped_sums(2)
         with pytest.raises(ValueError):
-            sums.partial_sum_abs_t(-1)
+            sums.shaped_sums(-1)
 
     def test_direct_construction_partial_access(self):
         cum_t = np.array([0.0, 0.3, 0.5])
         cum_a = np.array([0.0, 0.6, 1.1])
         sums = CouplingSums(0.5, 1.1, 0.5, cum_t, cum_a)
         assert sums.channel_count == 2
-        assert sums.partial_sum_T(1) == 0.3
+        assert sums.shaped_sums(1) == (0.3, 0.6, 0.2, 0.5)
 
 
 class TestEnsembleStats:
