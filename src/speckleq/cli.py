@@ -395,20 +395,9 @@ def _run_oracle_check(config: RunConfig) -> tuple[list[str], list[tuple]]:
     report = gaussian_oracle.run_equivalence_check(opt["cases"], opt["seed"])
     config.options["_report"] = report
     header = ["case", "M", "N", "s", "g", "alpha2", "rel_err_mean", "rel_err_var"]
-    rows = [
-        (
-            i,
-            int(report.channel_counts[i]),
-            int(report.fed_modes[i]),
-            report.disorder_strengths[i],
-            report.squeeze_strengths[i],
-            report.alpha2[i],
-            report.rel_err_mean[i],
-            report.rel_err_var[i],
-        )
-        for i in range(report.cases)
-    ]
-    return header, rows
+    columns = (report.channel_counts, report.fed_modes, report.disorder_strengths)
+    columns += (report.squeeze_strengths, report.alpha2, report.rel_err_mean, report.rel_err_var)
+    return header, list(zip(range(report.cases), *(column.tolist() for column in columns)))
 
 
 def _run_photon_budget(config: RunConfig) -> tuple[list[str], list[tuple]]:

@@ -23,15 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationError
-from .quantum_stats import NO_LOSS, LossChannel, PhotonMoments, SqueezedInput, focus_moments
-from .random_media import (
-    DisorderParams,
-    ScatteringRealization,
-    coupling_sums,
-    derive_trial_seed,
-    mask_seed,
-    sample_realization,
-)
+from .quantum_stats import NO_LOSS, LossChannel, PhotonMoments, SqueezedCases, SqueezedInput
+from .quantum_stats import focus_moments
+from .random_media import ScatteringRealization, derive_trial_seed, mask_seed
+from .random_media import _amplitudes, _flux_normalized_sums, _require_physical, _trial_intensity
 
 _MAX_FOCK_MODES = 3
 _MAX_CUTOFF = 256
@@ -58,6 +53,37 @@ def vacuum_state() -> GaussianModeState:
     return GaussianModeState(np.zeros(2), np.eye(2) / 2.0)
 
 
+def _output_states(tau, abs_sum, g, alpha_mag, alpha_phase, squeeze_phase):
+    """Stacked means d (..., 2) and covariances V (..., 2, 2) over scalar or per-case arguments."""
+    a, b = np.exp(-2.0 * g) / 2.0, np.exp(2.0 * g) / 2.0
+    cos_p, sin_p = np.cos(squeeze_phase), np.sin(squeeze_phase)
+    vacuum = (1.0 - tau) / 2.0
+    cov = np.empty(np.broadcast_shapes(np.shape(tau), np.shape(a), np.shape(cos_p)) + (2, 2))
+    cov[..., 0, 0] = tau * (cos_p * cos_p * a + sin_p * sin_p * b) + vacuum
+    cov[..., 0, 1] = cov[..., 1, 0] = tau * (cos_p * sin_p * (a - b))
+    cov[..., 1, 1] = tau * (sin_p * sin_p * a + cos_p * cos_p * b) + vacuum
+    amp = np.sqrt(2.0) * alpha_mag * abs_sum
+    return np.stack((amp * np.cos(alpha_phase), amp * np.sin(alpha_phase)), -1), cov
+
+
+def _photon_moments(d, cov, physical_tol: float = 1e-9):
+    """Photon-number (mean, variance) of stacked states, as :func:`gaussian_photon_moments`."""
+    det = np.linalg.det(cov)
+    if np.any(det < 0.25 - physical_tol):
+        raise ValueError(f"unphysical covariance matrix: det V = {np.min(det)!r} < 1/4")
+    mean = (np.trace(cov, axis1=-2, axis2=-1) - 1.0) / 2.0 + np.einsum("...i,...i", d, d) / 2.0
+    var = (np.trace(cov @ cov, axis1=-2, axis2=-1) - 0.5) / 2.0 + np.einsum("...i,...ij,...j", d, cov, d)
+    # exact zeros (vacuum) may round to tiny negatives
+    return tuple(np.where((-1e-12 < x) & (x < 0.0), 0.0, x) for x in (mean, var))
+
+
+def _lossy_states(d, cov, loss_rate):
+    """Stacked states after beam-splitter vacuum channels of per-case (or one) loss rate."""
+    q2 = np.asarray(loss_rate)[..., None, None]
+    p2 = 1.0 - q2
+    return np.sqrt(p2[..., 0]) * d, p2 * cov + q2 * np.eye(2) / 2.0
+
+
 def output_gaussian_state(
     real: ScatteringRealization, inp: SqueezedInput, n_fed: int | None = None
 ) -> GaussianModeState:
@@ -72,17 +98,9 @@ def output_gaussian_state(
     if not 1 <= n <= real.channel_count:
         raise ValueError(f"fed mode count {n} inconsistent with {real.channel_count} channels")
     amps = real.t_amp[:n]
-    tau = float(np.sum(amps**2))
-    abs_sum = float(np.sum(amps))
-    g = inp.squeeze_strength
-    cos_p, sin_p = np.cos(inp.squeeze_phase), np.sin(inp.squeeze_phase)
-    rot = np.array([[cos_p, -sin_p], [sin_p, cos_p]])
-    squeezed = rot @ np.diag([np.exp(-2.0 * g) / 2.0, np.exp(2.0 * g) / 2.0]) @ rot.T
-    cov = tau * squeezed + (1.0 - tau) * np.eye(2) / 2.0
-    mean_vec = np.sqrt(2.0) * inp.alpha_mag * abs_sum * np.array(
-        [np.cos(inp.alpha_phase), np.sin(inp.alpha_phase)]
-    )
-    return GaussianModeState(mean_vec, cov)
+    phases = (inp.alpha_phase, inp.squeeze_phase)
+    state = _output_states(np.sum(amps**2), np.sum(amps), inp.squeeze_strength, inp.alpha_mag, *phases)
+    return GaussianModeState(*state)
 
 
 def gaussian_photon_moments(state: GaussianModeState, *, physical_tol: float = 1e-9) -> PhotonMoments:
@@ -91,23 +109,12 @@ def gaussian_photon_moments(state: GaussianModeState, *, physical_tol: float = 1
     mean = (V11 + V22 - 1)/2 + |d|^2/2 and
     var = (tr(V^2) - 1/2)/2 + d^T V d in the vacuum-variance-1/2 convention.
     """
-    cov, mean_vec = state.V, state.d
-    if np.linalg.det(cov) < 0.25 - physical_tol:
-        raise ValueError(f"unphysical covariance matrix: det V = {np.linalg.det(cov)!r} < 1/4")
-    mean = (cov[0, 0] + cov[1, 1] - 1.0) / 2.0 + (mean_vec @ mean_vec) / 2.0
-    var = (np.trace(cov @ cov) - 0.5) / 2.0 + mean_vec @ cov @ mean_vec
-    # exact zeros (vacuum) may round to tiny negatives
-    if -1e-12 < mean < 0.0:
-        mean = 0.0
-    if -1e-12 < var < 0.0:
-        var = 0.0
-    return PhotonMoments(float(mean), float(var))
+    return PhotonMoments(*map(float, _photon_moments(state.d, state.V, physical_tol)))
 
 
 def apply_loss_channel(state: GaussianModeState, loss: LossChannel) -> GaussianModeState:
     """Beam-splitter vacuum channel acting on the Gaussian state."""
-    p2 = loss.transmittance
-    return GaussianModeState(np.sqrt(p2) * state.d, p2 * state.V + loss.loss_rate * np.eye(2) / 2.0)
+    return GaussianModeState(*_lossy_states(state.d, state.V, loss.loss_rate))
 
 
 @dataclass(frozen=True)
@@ -298,35 +305,65 @@ class EquivalenceReport:
         }
 
 
-def _relative_error(value: float, reference: float) -> float:
-    if reference == 0.0:
-        return 0.0 if value == 0.0 else float("inf")
-    return abs(value - reference) / abs(reference)
+def _relative_error(value, reference):
+    """|value - reference| / |reference| per case; 0 if both are 0, inf if only the reference is."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.abs(value - reference) / np.abs(reference)
+    return np.where(reference == 0.0, np.where(value == 0.0, 0.0, np.inf), err)
+
+
+_BLOCK_CASES = 256  # cases evaluated at once; one block's arrays, not the run's, bound peak memory
+_MAX_CHANNELS = 64
+
+
+def _compare_block(m, n, s, g, alpha2, intensity):
+    """Relative errors, analytic against Gaussian oracle, of a block of cases.
+
+    ``intensity`` (cases, 2, _MAX_CHANNELS) holds raw |z|^2, zero past each
+    case's M.  The analytic side normalizes raw sums as the sweeps do; the
+    oracle side forms and checks amplitudes as ``sample_realization`` does.
+    """
+    fed = np.arange(_MAX_CHANNELS) < n[:, None]
+    transmitted = intensity[:, 0]
+    sums = _flux_normalized_sums(
+        transmitted.sum(axis=1), np.sum(transmitted, axis=1, where=fed),
+        np.sum(np.sqrt(transmitted), axis=1, where=fed), intensity[:, 1].sum(axis=1), m, s,
+    )
+    alpha_mag = np.sqrt(alpha2)
+    mean, variance = focus_moments(*sums, SqueezedCases(g, alpha_mag**2), NO_LOSS)
+
+    t_amp, r_amp = _amplitudes(intensity, m, s)
+    _require_physical(t_amp, r_amp)
+    tau, abs_sum = np.sum(t_amp**2, axis=1, where=fed), np.sum(t_amp, axis=1, where=fed)
+    oracle_mean, oracle_variance = _photon_moments(*_output_states(tau, abs_sum, g, alpha_mag, 0.0, 0.0))
+    return _relative_error(mean, oracle_mean), _relative_error(variance, oracle_variance)
 
 
 def run_equivalence_check(cases: int, seed: int, *, tolerance: float = 1e-10) -> EquivalenceReport:
     """Random analytic vs Gaussian-oracle comparison over the supported domain.
 
     Cases draw M in {1..64}, N <= M, s in (1, 10], g in [0, 2] and
-    |alpha|^2 in [0, 1e5] with both phases zero.  The analytic side is the
-    one closed-form evaluation the sweeps run, ``focus_moments``, fed at any
-    N <= M by the realization's ``CouplingSums.shaped_sums``.
+    |alpha|^2 in [0, 1e5] with both phases zero; case i's disorder is
+    ``sample_realization``'s draw at ``derive_trial_seed(seed, i)``.  The
+    analytic side is the one closed-form evaluation the sweeps run,
+    ``focus_moments`` on flux-normalized sums, and the oracle the stacked
+    Gaussian-state algebra; both run once per block of cases.
     """
     if cases < 1:
         raise ValueError("cases must be >= 1")
     rng = np.random.default_rng(mask_seed(seed))
-    rows = []
-    for i in range(cases):
-        m = int(rng.integers(1, 65))
-        n = int(rng.integers(1, m + 1))
-        s = 1.0 + 9.0 * (1.0 - rng.random())  # in (1, 10]
-        g = 2.0 * rng.random()
-        alpha2 = 1e5 * rng.random()
-        params = DisorderParams(m, s)
-        real = sample_realization(params, derive_trial_seed(seed, i))
-        inp = SqueezedInput.from_intensity(alpha2, g, fed_modes=n)
-        mean, variance = focus_moments(*coupling_sums(real).shaped_sums(n), inp, NO_LOSS)
-        oracle = gaussian_photon_moments(output_gaussian_state(real, inp))
-        errors = (_relative_error(mean, oracle.mean), _relative_error(variance, oracle.variance))
-        rows.append((m, n, s, g, alpha2, *errors))
-    return EquivalenceReport(*(np.array(column) for column in zip(*rows)), tolerance=tolerance)
+    blocks = []
+    for start in range(0, cases, _BLOCK_CASES):
+        intensity = np.zeros((min(_BLOCK_CASES, cases - start), 2, _MAX_CHANNELS))
+        drawn = []
+        for j in range(intensity.shape[0]):
+            m = int(rng.integers(1, _MAX_CHANNELS + 1))
+            n = int(rng.integers(1, m + 1))
+            s = 1.0 + 9.0 * (1.0 - rng.random())  # in (1, 10]
+            g = 2.0 * rng.random()
+            alpha2 = 1e5 * rng.random()
+            drawn.append((m, n, s, g, alpha2))
+            intensity[j, :, :m] = _trial_intensity(m, derive_trial_seed(seed, start + j))
+        params = [np.array(column) for column in zip(*drawn)]
+        blocks.append((*params, *_compare_block(*params, intensity)))
+    return EquivalenceReport(*(np.concatenate(column) for column in zip(*blocks)), tolerance=tolerance)

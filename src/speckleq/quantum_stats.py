@@ -70,6 +70,20 @@ class SqueezedInput:
 
 
 @dataclass(frozen=True)
+class SqueezedCases:
+    """Per-case g and |alpha|^2 (both phases zero): one :func:`focus_moments` call, many inputs."""
+
+    squeeze_strength: np.ndarray
+    alpha2: np.ndarray
+    alpha_phase = 0.0
+    squeeze_phase = 0.0
+
+    def __post_init__(self) -> None:
+        if np.any(self.squeeze_strength < 0.0) or np.any(self.alpha2 < 0.0):
+            raise ValueError("squeeze_strength and alpha2 must be nonnegative")
+
+
+@dataclass(frozen=True)
 class PhotonMoments:
     """First two moments of the focus-mode photon number."""
 
@@ -109,16 +123,16 @@ def _require_zero_phases(inp: SqueezedInput) -> None:
         )
 
 
-def _mean_terms(tau, abs_sum, inp: SqueezedInput):
-    return tau * math.sinh(inp.squeeze_strength) ** 2 + inp.alpha2 * abs_sum**2
+def _squeeze_factors(g):
+    """sinh^2 g, cosh^2 g and 1 - e^{-2g} of a scalar g, or per element of an array.
 
-
-def _variance_terms(tau, abs_sum, sum_r, tau_rest, inp: SqueezedInput):
-    g = inp.squeeze_strength
-    sh2 = math.sinh(g) ** 2
-    ch2 = math.cosh(g) ** 2
-    coherent = inp.alpha2 * abs_sum**2 * (1.0 - tau * (1.0 - math.exp(-2.0 * g)))
-    return tau * tau * (2.0 * sh2 * ch2) + tau * sum_r * sh2 + tau * tau_rest * sh2 + coherent
+    Always evaluated with ``math``: numpy's sinh and cosh differ from it in the
+    last bit for some inputs, and the sweep outputs are pinned to its values.
+    """
+    factors = [
+        (math.sinh(x) ** 2, math.cosh(x) ** 2, 1.0 - math.exp(-2.0 * x)) for x in np.ravel(g).tolist()
+    ]
+    return np.array(factors).T.reshape((3,) + np.shape(g))
 
 
 def mean_photon(sums: CouplingSums, inp: SqueezedInput) -> float:
@@ -190,17 +204,19 @@ def apply_loss(moments: PhotonMoments, loss: LossChannel) -> PhotonMoments:
     return PhotonMoments(*_loss_terms(moments.mean, moments.variance, loss))
 
 
-def focus_moments(tau, abs_sum, tau_rest, sum_r, inp: SqueezedInput, loss: LossChannel):
+def focus_moments(tau, abs_sum, tau_rest, sum_r, inp: SqueezedInput | SqueezedCases, loss: LossChannel):
     """(mean, variance) of the shaped focus after loss: the one closed-form evaluation.
 
     Fed by :meth:`EnsembleDraws.shaped_sums` (per-trial arrays) or
-    :meth:`CouplingSums.shaped_sums` (scalars) at N = ``inp.fed_modes``; loss
-    acts as in :func:`apply_loss`.
+    :meth:`CouplingSums.shaped_sums` (scalars) at N = ``inp.fed_modes``, or
+    by per-case sums with a :class:`SqueezedCases` of per-case g and
+    |alpha|^2; loss acts as in :func:`apply_loss`.
     """
     _require_zero_phases(inp)
-    mean, variance = _loss_terms(
-        _mean_terms(tau, abs_sum, inp), _variance_terms(tau, abs_sum, sum_r, tau_rest, inp), loss
-    )
+    sh2, ch2, damping = _squeeze_factors(inp.squeeze_strength)
+    coherent = inp.alpha2 * abs_sum**2
+    squeezed = tau * tau * (2.0 * sh2 * ch2) + tau * sum_r * sh2 + tau * tau_rest * sh2
+    mean, variance = _loss_terms(tau * sh2 + coherent, squeezed + coherent * (1.0 - tau * damping), loss)
     if np.any(mean < 0.0) or np.any(variance < 0.0):
         raise ValueError("photon-number moments must be nonnegative")
     return mean, variance

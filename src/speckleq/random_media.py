@@ -68,11 +68,7 @@ class ScatteringRealization:
             raise ValueError("at least one transmission channel is required")
         if {self.t_amp.shape, self.r_amp.shape} != {(m,)}:
             raise ValueError(f"both amplitude arrays must share shape ({m},)")
-        if np.any(self.t_amp < 0.0) or np.any(self.r_amp < 0.0):
-            raise ValueError("amplitudes must be nonnegative")
-        flux = float(np.sum(self.t_amp**2) + np.sum(self.r_amp**2))
-        if abs(flux - 1.0) > 1e-12:
-            raise ValueError(f"flux not conserved: sum|t|^2 + sum|r|^2 = {flux!r}")
+        _require_physical(self.t_amp, self.r_amp)
 
     @property
     def channel_count(self) -> int:
@@ -132,11 +128,36 @@ def _trial_intensity(channel_count: int, seed: int) -> np.ndarray:
     return np.square(rng.standard_normal((2, channel_count, 2))).sum(axis=2)
 
 
-def _channel_weights(params: DisorderParams) -> tuple[float, float]:
-    """Per-quadrature variances 1/(2Ms) of raw t and (1-1/s)/(2M) of raw r."""
-    m = params.channel_count
-    s = params.disorder_strength
+def _channel_weights(m, s):
+    """Per-quadrature variances 1/(2Ms) of raw t and (1-1/s)/(2M) of raw r, per row for arrays."""
     return 1.0 / (2.0 * m * s), (1.0 - 1.0 / s) / (2.0 * m)
+
+
+def _flux_scales(raw_T, raw_R, m, s):
+    """Per-row factors taking raw |z_t|^2 and |z_r|^2 to intensities that sum to exactly one."""
+    t_weight, r_weight = _channel_weights(m, s)
+    norm = 1.0 / (t_weight * raw_T + r_weight * raw_R)
+    return t_weight * norm, r_weight * norm
+
+
+def _require_flux(flux) -> None:
+    deviation = np.max(np.abs(flux - 1.0))  # a nan flux gives a nan deviation, which fails too
+    if not deviation <= 1e-12:
+        raise ValueError(f"flux not conserved: |sum|t|^2 + sum|r|^2 - 1| = {float(deviation)!r}")
+
+
+def _require_physical(t_amp: np.ndarray, r_amp: np.ndarray) -> None:
+    """Raise unless the amplitudes are nonnegative and each row (channels last) conserves flux."""
+    if np.any(t_amp < 0.0) or np.any(r_amp < 0.0):
+        raise ValueError("amplitudes must be nonnegative")
+    _require_flux(np.sum(t_amp**2, axis=-1) + np.sum(r_amp**2, axis=-1))
+
+
+def _amplitudes(intensity: np.ndarray, m, s) -> tuple[np.ndarray, np.ndarray]:
+    """Flux-normalized |t| and |r| of trial intensities shaped (..., 2, channels)."""
+    transmitted, reflected = intensity[..., 0, :], intensity[..., 1, :]
+    t_scale, r_scale = _flux_scales(transmitted.sum(axis=-1), reflected.sum(axis=-1), m, s)
+    return np.sqrt(t_scale[..., None] * transmitted), np.sqrt(r_scale[..., None] * reflected)
 
 
 def sample_realization(params: DisorderParams, seed: int) -> ScatteringRealization:
@@ -146,11 +167,8 @@ def sample_realization(params: DisorderParams, seed: int) -> ScatteringRealizati
     bitwise-identical realization.
     """
     intensity = _trial_intensity(params.channel_count, seed)
-    t_weight, r_weight = _channel_weights(params)
-    norm = 1.0 / (t_weight * intensity[0].sum() + r_weight * intensity[1].sum())
-    return ScatteringRealization(
-        np.sqrt(t_weight * norm * intensity[0]), np.sqrt(r_weight * norm * intensity[1])
-    )
+    amplitudes = _amplitudes(intensity, params.channel_count, params.disorder_strength)
+    return ScatteringRealization(*amplitudes)
 
 
 def coupling_sums(real: ScatteringRealization) -> CouplingSums:
@@ -185,16 +203,19 @@ class EnsembleDraws:
         m = params.channel_count
         if self.cum_T.shape[1] != m or not 1 <= fed_modes <= m:
             raise ValueError(f"M={m}, N={fed_modes} do not fit draws of shape {self.cum_T.shape}")
-        t_weight, r_weight = _channel_weights(params)
-        norm = 1.0 / (t_weight * self.cum_T[:, -1] + r_weight * self.sum_R)
-        t_scale = t_weight * norm
-        tau_all = t_scale * self.cum_T[:, -1]
-        tau_n = t_scale * self.cum_T[:, fed_modes - 1]
-        sum_r = r_weight * norm * self.sum_R
-        if np.any(np.abs(tau_all + sum_r - 1.0) > 1e-12):
-            raise ValueError("flux not conserved: sum|t|^2 + sum|r|^2 != 1")
-        abs_n = np.sqrt(t_scale) * self.cum_abs_t[:, fed_modes - 1]
-        return tau_n, abs_n, tau_all - tau_n, sum_r
+        fed = (self.cum_T[:, fed_modes - 1], self.cum_abs_t[:, fed_modes - 1])
+        return _flux_normalized_sums(self.cum_T[:, -1], *fed, self.sum_R, m, params.disorder_strength)
+
+
+def _flux_normalized_sums(raw_T, raw_T_n, raw_abs_n, raw_R, m, s):
+    """Per-row (tau_N, sum_{a<=N} |t_a|, tau_rest, sum_R), exactly flux-normalized.
+
+    From raw |z_t|^2 and |z_r|^2 totals, |z_t|^2 and |z_t| over the N fed channels, M and s.
+    """
+    t_scale, r_scale = _flux_scales(raw_T, raw_R, m, s)
+    tau_all, tau_n, sum_r = t_scale * raw_T, t_scale * raw_T_n, r_scale * raw_R
+    _require_flux(tau_all + sum_r)
+    return tau_n, np.sqrt(t_scale) * raw_abs_n, tau_all - tau_n, sum_r
 
 
 def draw_ensemble(channel_count: int, trials: int, master_seed: int) -> EnsembleDraws:

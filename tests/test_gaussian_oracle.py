@@ -14,8 +14,10 @@ from speckleq import (
     apply_loss_channel,
     complete_unitary,
     coupling_sums,
+    derive_trial_seed,
     fock_photon_moments,
     focus_mode_coefficients,
+    focus_moments,
     gaussian_photon_moments,
     mean_photon,
     output_gaussian_state,
@@ -24,6 +26,9 @@ from speckleq import (
     vacuum_state,
     variance_photon,
 )
+from speckleq import gaussian_oracle
+from speckleq.quantum_stats import NO_LOSS
+from speckleq.random_media import mask_seed
 from tests.test_random_media import make_realization
 
 
@@ -237,3 +242,146 @@ class TestEquivalenceSweep:
     def test_rejects_zero_cases(self):
         with pytest.raises(ValueError):
             run_equivalence_check(0, seed=1)
+
+
+class TestStackedAlgebra:
+    @pytest.mark.parametrize("lossy", [False, True])
+    def test_rows_equal_single_state_api(self, lossy):
+        # one stacked evaluation over random states, phases and loss rates, row by row
+        # against the single-state views built on the same algebra
+        rng = np.random.default_rng(5)
+        cases = 40
+        reals, inputs = [], []
+        for i in range(cases):
+            m = int(rng.integers(1, 12))
+            reals.append(sample_realization(DisorderParams(m, 1.0 + 9.0 * rng.random()), i))
+            inputs.append(
+                SqueezedInput(
+                    30.0 * rng.random(),
+                    2.0 * rng.random(),
+                    fed_modes=int(rng.integers(1, m + 1)),
+                    alpha_phase=rng.uniform(-np.pi, np.pi),
+                    squeeze_phase=rng.uniform(-np.pi, np.pi),
+                )
+            )
+        loss = rng.random(cases) if lossy else np.zeros(cases)
+        fed = [r.t_amp[: inp.fed_modes] for r, inp in zip(reals, inputs)]
+        fields = ("squeeze_strength", "alpha_mag", "alpha_phase", "squeeze_phase")
+        d, cov = gaussian_oracle._output_states(
+            np.array([np.sum(a**2) for a in fed]),
+            np.array([np.sum(a) for a in fed]),
+            *(np.array([getattr(inp, name) for inp in inputs]) for name in fields),
+        )
+        assert d.shape == (cases, 2) and cov.shape == (cases, 2, 2)
+        means, variances = gaussian_oracle._photon_moments(*gaussian_oracle._lossy_states(d, cov, loss))
+        for i, (real, inp) in enumerate(zip(reals, inputs)):
+            single = gaussian_photon_moments(
+                apply_loss_channel(output_gaussian_state(real, inp), LossChannel(float(loss[i])))
+            )
+            assert means[i] == pytest.approx(single.mean, rel=1e-13, abs=1e-300)
+            assert variances[i] == pytest.approx(single.variance, rel=1e-13, abs=1e-300)
+
+    def test_rejects_one_unphysical_state_in_a_stack(self):
+        cov = np.stack([np.eye(2) / 2.0, np.eye(2) / 4.0, np.eye(2)])
+        with pytest.raises(ValueError, match="unphysical"):
+            gaussian_oracle._photon_moments(np.zeros((3, 2)), cov)
+
+
+def _scalar_reference(cases, seed):
+    """Per-case rows of the equivalence check through the public single-case API."""
+    rng = np.random.default_rng(mask_seed(seed))
+    rows = []
+    for i in range(cases):
+        m = int(rng.integers(1, 65))
+        n = int(rng.integers(1, m + 1))
+        s = 1.0 + 9.0 * (1.0 - rng.random())
+        g = 2.0 * rng.random()
+        alpha2 = 1e5 * rng.random()
+        real = sample_realization(DisorderParams(m, s), derive_trial_seed(seed, i))
+        inp = SqueezedInput.from_intensity(alpha2, g, fed_modes=n)
+        mean, variance = focus_moments(*coupling_sums(real).shaped_sums(n), inp, NO_LOSS)
+        oracle = gaussian_photon_moments(output_gaussian_state(real, inp))
+        errors = (abs(mean - oracle.mean) / oracle.mean, abs(variance - oracle.variance) / oracle.variance)
+        rows.append((m, n, s, g, alpha2, *errors))
+    return [np.array(column) for column in zip(*rows)]
+
+
+_REPORT_COLUMNS = (
+    "channel_counts",
+    "fed_modes",
+    "disorder_strengths",
+    "squeeze_strengths",
+    "alpha2",
+    "rel_err_mean",
+    "rel_err_var",
+)
+
+
+class TestBatchedEquivalence:
+    @pytest.mark.parametrize("seed", [3, 20260810])
+    def test_equals_per_case_reference(self, seed):
+        report = run_equivalence_check(300, seed)
+        m, n, s, g, alpha2, ref_mean_err, ref_var_err = _scalar_reference(300, seed)
+        np.testing.assert_array_equal(report.channel_counts, m)
+        np.testing.assert_array_equal(report.fed_modes, n)
+        np.testing.assert_array_equal(report.disorder_strengths, s)
+        np.testing.assert_array_equal(report.squeeze_strengths, g)
+        np.testing.assert_array_equal(report.alpha2, alpha2)
+        assert np.max(ref_mean_err) < 1e-10 and np.max(ref_var_err) < 1e-10
+        assert np.max(report.rel_err_mean) < 1e-10 and np.max(report.rel_err_var) < 1e-10
+
+    def test_rows_do_not_depend_on_blocking(self, monkeypatch):
+        block = gaussian_oracle._BLOCK_CASES
+        exact = gaussian_oracle._trial_intensity
+        seeds = []
+
+        def recording(m, seed):
+            seeds.append(seed)
+            return exact(m, seed)
+
+        monkeypatch.setattr(gaussian_oracle, "_trial_intensity", recording)
+        longer = run_equivalence_check(2 * block + 1, 7)
+        # case i draws trial i of the master seed, in every block
+        assert seeds == [derive_trial_seed(7, i) for i in range(2 * block + 1)]
+        for cases in (block - 1, block, block + 1):
+            report = run_equivalence_check(cases, 7)
+            for name in _REPORT_COLUMNS:
+                np.testing.assert_array_equal(getattr(report, name), getattr(longer, name)[:cases])
+
+    def test_catches_a_perturbed_variance(self, monkeypatch):
+        # a 1e-8 relative error in every 7th case's analytic variance must fail the check
+        exact = gaussian_oracle.focus_moments
+
+        def perturbed(*args):
+            mean, variance = exact(*args)
+            variance = variance.copy()
+            variance[3::7] *= 1.0 + 1e-8
+            return mean, variance
+
+        monkeypatch.setattr(gaussian_oracle, "focus_moments", perturbed)
+        report = run_equivalence_check(200, 4)
+        assert not report.passed
+        assert report.worst_case()["case"] % 7 == 3
+        assert np.all(report.rel_err_var[3::7] > 5e-9)
+
+    @pytest.mark.parametrize("fault", ["amplitude scale", "overflowed draw"])
+    def test_flux_violating_block_raises(self, monkeypatch, fault):
+        if fault == "amplitude scale":
+            exact = gaussian_oracle._amplitudes
+
+            def broken(*args):
+                t_amp, r_amp = exact(*args)
+                return t_amp * (1.0 + 1e-9), r_amp
+
+            monkeypatch.setattr(gaussian_oracle, "_amplitudes", broken)
+        else:
+            exact = gaussian_oracle._trial_intensity
+
+            def broken(m, seed):
+                intensity = exact(m, seed)
+                intensity[0, 0] = np.inf
+                return intensity
+
+            monkeypatch.setattr(gaussian_oracle, "_trial_intensity", broken)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="flux not conserved"):
+            run_equivalence_check(50, 1)

@@ -10,6 +10,7 @@ from speckleq import (
     LossChannel,
     NonzeroPhase,
     PhotonMoments,
+    SqueezedCases,
     SqueezedInput,
     ZeroMean,
     ZeroVariance,
@@ -358,3 +359,27 @@ class TestEnsembleEngine:
                 real = sample_realization(params, derive_trial_seed(seed, i))
                 assert means[i] == pytest.approx(mean_photon_partial(real, inp), rel=1e-13)
                 assert variances[i] == pytest.approx(variance_photon_partial(real, inp), rel=1e-13)
+
+
+class TestPerCaseInputs:
+    def test_rows_equal_scalar_calls_bitwise(self):
+        # per-case g and |alpha|^2 in one call give each row the bits of its own scalar call
+        rng = np.random.default_rng(9)
+        cases = 50
+        tau = 0.5 * rng.random(cases)
+        sums = (tau, rng.random(cases), 0.3 * rng.random(cases), 1.0 - tau)
+        inputs = [SqueezedInput(300.0 * rng.random(), 2.0 * rng.random()) for _ in range(cases)]
+        batch = SqueezedCases(
+            np.array([inp.squeeze_strength for inp in inputs]), np.array([inp.alpha2 for inp in inputs])
+        )
+        channel = LossChannel(0.3)
+        means, variances = focus_moments(*sums, batch, channel)
+        for i, inp in enumerate(inputs):
+            mean, variance = focus_moments(*(float(x[i]) for x in sums), inp, channel)
+            assert means[i] == mean and variances[i] == variance
+
+    def test_rejects_negative_cases(self):
+        with pytest.raises(ValueError):
+            SqueezedCases(np.array([0.5, -0.1]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError):
+            SqueezedCases(np.array([0.5, 0.1]), np.array([1.0, -1.0]))
