@@ -19,7 +19,6 @@ from .errors import (
     ZeroVariance,
 )
 from .random_media import (
-    CouplingStats,
     CouplingSums,
     DisorderParams,
     EnsembleDraws,
@@ -27,7 +26,6 @@ from .random_media import (
     coupling_sums,
     derive_trial_seed,
     draw_ensemble,
-    ensemble_coupling_stats,
     sample_realization,
 )
 from .quantum_stats import (
@@ -52,13 +50,11 @@ from .gaussian_oracle import (
     GaussianModeState,
     ModeCoefficients,
     apply_loss_channel,
-    complete_unitary,
     fock_photon_moments,
     focus_mode_coefficients,
     gaussian_photon_moments,
     output_gaussian_state,
     run_equivalence_check,
-    vacuum_state,
 )
 from .prolate import (
     ProlateBasis,

@@ -1,14 +1,14 @@
 """Command-line surface: one subcommand per data product.
 
-Commands map 1:1 onto the study's data products: fano-scatter, snr-sweep,
-nm-sweep, universal-fano, loss-sweep, superres, psf, prolate-basis,
-oracle-check and photon-budget.  Results go to a single CSV or JSON file
-with fixed schemas; floats are written with 17 significant digits so every
-emitted file re-parses into the exact values written.  Output goes through a
-temporary file renamed into place, so a failed run never leaves a truncated
-file.  Exit codes: 0 on success, 2 on usage errors and unwritable output, 3
-on numerical/convergence errors.  The environment variable SPECKLE_SEED
-overrides --seed when set.
+Each command is declared once, in ``_COMMANDS``: its help text, its flags and
+its runner.  A flag's type enforces its domain (finite numbers inside the
+flag's own range), so a bad value is a usage error before anything runs.
+Results go to one CSV or JSON file with fixed schemas; floats are written
+with 17 significant digits so every file re-parses into the exact values
+written.  Output goes through a temporary file renamed into place, so a
+failed run never leaves a truncated file.  Exit codes: 0 on success, 2 on
+usage errors and unwritable output, 3 on numerical errors, overflow and
+exhausted memory included.  SPECKLE_SEED overrides --seed when set.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,28 +30,6 @@ from . import ensemble, gaussian_oracle, prolate, quantum_stats
 from .errors import SpeckleQError, UsageError
 from .quantum_stats import SqueezedInput
 from .random_media import DisorderParams
-
-DEFAULT_ALPHA2 = 10000.0
-DEFAULT_CHANNELS = 50
-DEFAULT_TRIALS = 1000
-DEFAULT_SEED = 1
-DEFAULT_BANDWIDTH = 1.0
-DEFAULT_EPSILON = 0.01
-DEFAULT_MODES = 7
-DEFAULT_QUAD_ORDER = 256
-
-COMMANDS = (
-    "fano-scatter",
-    "snr-sweep",
-    "nm-sweep",
-    "universal-fano",
-    "loss-sweep",
-    "superres",
-    "psf",
-    "prolate-basis",
-    "oracle-check",
-    "photon-budget",
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,215 +47,139 @@ class RunConfig:
     fmt: str
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
+def _value_list(text: str) -> list[float]:
+    """Finite values of `start:stop:step`, `start:stop:logN`, a comma list or a single value."""
+    parts = text.split(":")
+    if len(parts) == 1:
+        values = [_finite(v) for v in text.split(",") if v != ""]
+    elif len(parts) != 3:
+        raise ValueError("ranges need exactly start:stop:step")
+    elif parts[2].startswith("log"):
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2][3:])
+        if not (count >= 2 and 0.0 < start < math.inf and 0.0 < stop < math.inf):
+            raise ValueError("logN needs N >= 2 and finite positive endpoints")
+        values = [float(v) for v in np.geomspace(start, stop, count)]
+    else:
+        start, stop, step = map(float, parts)
+        if not (math.isfinite(start) and start <= stop < math.inf and 0.0 < step < math.inf):
+            raise ValueError("step must be finite and positive, and stop >= start finite")
+        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        values = [start + k * step for k in range(count)]
+    if not values:
+        raise ValueError("no values")
+    return values
+
+
 def parse_values(text: str, flag: str) -> list[float]:
     """Parse `start:stop:step`, `start:stop:logN`, comma lists or single values."""
     try:
-        if ":" in text:
-            parts = text.split(":")
-            if len(parts) != 3:
-                raise ValueError("ranges need exactly start:stop:step")
-            start, stop = float(parts[0]), float(parts[1])
-            if parts[2].startswith("log"):
-                count = int(parts[2][3:])
-                if count < 2 or start <= 0.0 or stop <= 0.0:
-                    raise ValueError("logN needs N >= 2 and positive endpoints")
-                return [float(v) for v in np.geomspace(start, stop, count)]
-            step = float(parts[2])
-            if step <= 0.0 or stop < start:
-                raise ValueError("step must be positive and stop >= start")
-            count = int(math.floor((stop - start) / step + 1e-9)) + 1
-            return [start + k * step for k in range(count)]
-        return [float(v) for v in text.split(",") if v != ""]
+        return _value_list(text)
     except ValueError as exc:
         raise UsageError(f"invalid value list for {flag}: {text!r} ({exc})") from exc
 
 
-def _add_common(sub, *, trials: bool = True, channels: bool = True, alpha2: bool = True) -> None:
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect")
-    sub.add_argument("--out", type=str, default=None)
-    sub.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    if trials:
-        sub.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    if channels:
-        sub.add_argument("--m", type=int, default=DEFAULT_CHANNELS)
-    if alpha2:
-        sub.add_argument("--alpha2", type=float, default=DEFAULT_ALPHA2)
+class _Domain(NamedTuple):
+    """A flag's type: ``parse`` reads its text, and every value read must satisfy ``ok``."""
+
+    parse: Callable
+    ok: Callable
+    rule: str
+
+    def __call__(self, flag: str, text: str):
+        try:
+            value = self.parse(text)
+        except ValueError as exc:
+            raise UsageError(f"{flag}: invalid value {text!r} ({exc})") from None
+        if not all(map(self.ok, value if isinstance(value, list) else [value])):
+            raise UsageError(f"{flag}: {self.rule}, got {text!r}")
+        return value
+
+
+_COUNT = _Domain(int, lambda n: n >= 1, "must be >= 1")
+_NONNEGATIVE = _Domain(_finite, lambda x: x >= 0.0, "must be >= 0")
+_POSITIVE = _Domain(_finite, lambda x: x > 0.0, "must be positive")
+_UNIT = _Domain(_finite, lambda x: 0.0 < x <= 1.0, "must lie in (0, 1]")
+_SQUEEZES = _Domain(_value_list, lambda g: g >= 0.0, "squeeze strengths must be >= 0")
+_DISORDERS = _Domain(_value_list, lambda s: s > 1.0, "disorder strengths must exceed 1")
+_FILLS = _Domain(_value_list, lambda f: 0.0 < f <= 1.0, "fill ratios must lie in (0, 1]")
+_FRACTIONS = _Domain(_value_list, lambda f: 0.0 <= f < 1.0, "fractions must lie in [0, 1)")
+_LOSSES = _Domain(_value_list, lambda q: 0.0 <= q <= 1.0, "loss rates must lie in [0, 1]")
+_BUDGETS = _Domain(_value_list, lambda b: b > 0.0, "budgets must be positive")
+_EPSILON = _Domain(_finite, lambda e: 0.0 < e < 1.0, "must lie in (0, 1)")
+
+
+class _Flag(NamedTuple):
+    name: str
+    domain: _Domain | None  # None keeps the text as given
+    default: object
+    help: str | None = None
+
+
+# Flag groups shared between commands; every command also takes _RUN.
+_RUN = (
+    _Flag("--seed", _Domain(int, lambda n: True, ""), 1),
+    _Flag("--workers", _COUNT, 1, "accepted for compatibility; no effect"),
+    _Flag("--out", None, None),
+    _Flag("--format", _Domain(str, ("csv", "json").__contains__, "must be csv or json"), "csv"),
+)
+_ENSEMBLE = (_Flag("--trials", _COUNT, 1000), _Flag("--m", _COUNT, 50))
+_MONTE_CARLO = (*_ENSEMBLE, _Flag("--alpha2", _NONNEGATIVE, 10000.0))
+_G = _Flag("--g", _NONNEGATIVE, 1.5)
+_S = _Flag("--s", _Domain(_finite, lambda s: s > 1.0, "disorder strength must exceed 1"), 2.0)
+_BASIS = (_Flag("--c", _POSITIVE, 1.0), _Flag("--modes", _COUNT, 7), _Flag("--quad-order", _COUNT, 256))
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="speckleq", description=__doc__)
     subs = parser.add_subparsers(dest="command")
-
-    sub = subs.add_parser("fano-scatter", help="per-trial Fano factors of the shaped focus")
-    sub.add_argument("--g", type=float, default=1.5)
-    sub.add_argument("--s", type=float, default=2.0)
-    _add_common(sub)
-
-    sub = subs.add_parser("snr-sweep", help="average SNR over mean photons vs squeezing or disorder")
-    sub.add_argument("--axis", choices=("g", "s"), default="g")
-    sub.add_argument("--values", type=str, default=None)
-    sub.add_argument("--g", type=float, default=1.5)
-    sub.add_argument("--s", type=float, default=2.0)
-    _add_common(sub)
-
-    sub = subs.add_parser("nm-sweep", help="average SNR ratio vs mode fill N/M")
-    sub.add_argument("--values", type=str, default="0.1:1.0:0.1")
-    sub.add_argument("--g", type=float, default=1.5)
-    sub.add_argument("--s", type=float, default=2.0)
-    _add_common(sub)
-
-    sub = subs.add_parser("universal-fano", help="average Fano factor vs coherent intensity fraction")
-    sub.add_argument("--values", type=str, default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,0.95,0.99")
-    sub.add_argument("--g", type=float, default=1.5)
-    sub.add_argument("--s", type=float, default=2.0)
-    _add_common(sub, alpha2=False)
-
-    sub = subs.add_parser("loss-sweep", help="average SNR ratio vs photon loss rate")
-    sub.add_argument("--g", type=str, default="0.5,1,1.5")
-    sub.add_argument("--s", type=float, default=2.0)
-    sub.add_argument("--loss-grid", type=str, default="0:0.9:0.1")
-    _add_common(sub)
-
-    sub = subs.add_parser("superres", help="super-resolution factor vs focus photon number")
-    sub.add_argument("--g", type=float, default=1.5)
-    sub.add_argument("--s", type=str, default="2,4,6,8")
-    sub.add_argument("--budgets", type=str, default="1e6:3.5e10:log25")
-    sub.add_argument("--c", type=float, default=DEFAULT_BANDWIDTH)
-    sub.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    sub.add_argument("--modes", type=int, default=DEFAULT_MODES)
-    sub.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER)
-    _add_common(sub)
-
-    sub = subs.add_parser("psf", help="classical and reconstruction PSF profiles")
-    sub.add_argument("--c", type=float, default=DEFAULT_BANDWIDTH)
-    sub.add_argument("--q", type=int, default=7)
-    sub.add_argument("--step", type=float, default=1e-3)
-    sub.add_argument("--modes", type=int, default=DEFAULT_MODES)
-    sub.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER)
-    _add_common(sub, trials=False, channels=False, alpha2=False)
-
-    sub = subs.add_parser("prolate-basis", help="export the Slepian basis as columnar text")
-    sub.add_argument("--c", type=float, default=DEFAULT_BANDWIDTH)
-    sub.add_argument("--modes", type=int, default=DEFAULT_MODES)
-    sub.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER)
-    _add_common(sub, trials=False, channels=False, alpha2=False)
-
-    sub = subs.add_parser("oracle-check", help="analytic vs Gaussian-oracle random sweep")
-    sub.add_argument("--cases", type=int, default=500)
-    _add_common(sub, trials=False, channels=False, alpha2=False)
-
-    sub = subs.add_parser("photon-budget", help="mean photon number of the focused beam")
-    sub.add_argument("--wavelength", type=float, default=694e-9)
-    sub.add_argument("--power", type=float, default=1e-3)
-    sub.add_argument("--duration", type=float, default=1e-3)
-    sub.add_argument("--fraction", type=float, default=0.01)
-    _add_common(sub, trials=False, channels=False, alpha2=False)
-
+    for name, command in _COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        for flag in command.flags + _RUN:
+            kind = flag.domain and partial(flag.domain, flag.name)
+            sub.add_argument(flag.name, type=kind, default=flag.default, help=flag.help)
     return parser
 
 
-def _require(condition: bool, flag: str, message: str) -> None:
-    if not condition:
-        raise UsageError(f"{flag}: {message}")
-
-
 def parse_args(argv) -> RunConfig:
-    """Parse and validate argv into a RunConfig; raises UsageError on bad input."""
+    """Parse argv into a RunConfig and check the rules that span flags (types check each flag)."""
     namespace = build_parser().parse_args(list(argv))
     if namespace.command is None:
-        raise UsageError(f"missing command; choose one of {', '.join(COMMANDS)}")
+        raise UsageError(f"missing command; choose one of {', '.join(_COMMANDS)}")
     options = vars(namespace).copy()
-    command = options.pop("command")
-    fmt = options.pop("fmt", "csv")
-    out = options.pop("out", None)
-
+    command, fmt, out = options.pop("command"), options.pop("format"), options.pop("out")
     env_seed = os.environ.get("SPECKLE_SEED")
-    if env_seed is not None and "seed" in options:
+    if env_seed is not None:
         try:
             options["seed"] = int(env_seed)
         except ValueError as exc:
             raise UsageError(f"SPECKLE_SEED: not an integer: {env_seed!r}") from exc
-
-    if "trials" in options:
-        _require(options["trials"] >= 1, "--trials", "must be >= 1")
-    if "m" in options:
-        _require(options["m"] >= 1, "--m", "must be >= 1")
-    if "alpha2" in options:
-        _require(options["alpha2"] >= 0.0, "--alpha2", "must be nonnegative")
-    if "workers" in options:
-        _require(options["workers"] >= 1, "--workers", "must be >= 1")
-    if "s" in options and command != "superres":
-        _require(float(options["s"]) > 1.0, "--s", "disorder strength must exceed 1")
-    if "c" in options:
-        _require(options["c"] > 0.0, "--c", "bandwidth must be positive")
-
-    if command == "fano-scatter":
-        _require(options["g"] >= 0.0, "--g", "must be nonnegative")
-    elif command == "snr-sweep":
+    if "axis" in options:  # snr-sweep: --values are points of the swept axis
+        g_axis = options["axis"] == "g"
         if options["values"] is None:
-            options["values"] = "0:1.5:0.1" if options["axis"] == "g" else "2:8:0.5"
-        values = parse_values(options["values"], "--values")
-        if options["axis"] == "s":
-            _require(all(v > 1.0 for v in values), "--values", "disorder strengths must exceed 1")
-        else:
-            _require(all(v >= 0.0 for v in values), "--values", "squeeze strengths must be >= 0")
-        options["values"] = values
-    elif command == "nm-sweep":
-        values = parse_values(options["values"], "--values")
-        _require(all(0.0 < v <= 1.0 for v in values), "--values", "fill ratios must lie in (0, 1]")
-        options["values"] = values
-    elif command == "universal-fano":
-        values = parse_values(options["values"], "--values")
-        _require(all(0.0 <= v < 1.0 for v in values), "--values", "fractions must lie in [0, 1)")
-        options["values"] = values
-    elif command == "loss-sweep":
-        g_list = parse_values(options["g"], "--g")
-        _require(all(g >= 0.0 for g in g_list), "--g", "squeeze strengths must be >= 0")
-        grid = parse_values(options["loss_grid"], "--loss-grid")
-        _require(all(0.0 <= q <= 1.0 for q in grid), "--loss-grid", "loss rates must lie in [0, 1]")
-        options["g"] = g_list
-        options["loss_grid"] = grid
-    elif command == "superres":
-        s_list = parse_values(options["s"], "--s")
-        _require(all(v > 1.0 for v in s_list), "--s", "disorder strengths must exceed 1")
-        budgets = parse_values(options["budgets"], "--budgets")
-        _require(all(b > 0.0 for b in budgets), "--budgets", "budgets must be positive")
-        _require(0.0 < options["epsilon"] < 1.0, "--epsilon", "must lie in (0, 1)")
-        _require(options["modes"] >= 1, "--modes", "must be >= 1")
-        options["s"] = s_list
-        options["budgets"] = budgets
-    elif command in ("psf", "prolate-basis"):
-        _require(options["modes"] >= 1, "--modes", "must be >= 1")
-        if command == "psf":
-            _require(1 <= options["q"] <= options["modes"], "--q", "must lie in [1, --modes]")
-            _require(options["step"] > 0.0, "--step", "must be positive")
-    elif command == "oracle-check":
-        _require(options["cases"] >= 1, "--cases", "must be >= 1")
-    elif command == "photon-budget":
-        for flag in ("wavelength", "power", "duration"):
-            _require(options[flag] > 0.0, f"--{flag}", "must be positive")
-        _require(0.0 < options["fraction"] <= 1.0, "--fraction", "must lie in (0, 1]")
-
-    if "g" in options:
-        # universal-fano has no --alpha2: its coherent intensity vanishes at g = 0
+            options["values"] = "0:1.5:0.1" if g_axis else "2:8:0.5"
+        options["values"] = (_SQUEEZES if g_axis else _DISORDERS)("--values", options["values"])
+    if "q" in options and options["q"] > options["modes"]:
+        raise UsageError("--q: must lie in [1, --modes]")
+    if "g" in options and options.get("alpha2", 0.0) == 0.0:  # universal-fano has no --alpha2
         squeeze = options["values"] if options.get("axis") == "g" else np.atleast_1d(options["g"])
-        _require(
-            options.get("alpha2", 0.0) > 0.0 or all(g != 0.0 for g in squeeze),
-            "--g",
-            "g = 0 with zero coherent intensity is a dark input: no photons reach the focus",
-        )
-
+        if 0.0 in squeeze:
+            raise UsageError(
+                "--g: g = 0 with zero coherent intensity is a dark input: no photons reach the focus"
+            )
     if out is None:
-        suffix = "txt" if command == "prolate-basis" else fmt
-        out = f"{command}.{suffix}"
+        out = f"{command}.{'txt' if command == 'prolate-basis' else fmt}"
     return RunConfig(command=command, options=options, out=Path(out), fmt=fmt)
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):
         return str(int(value))
     return format(float(value), ".17g")
 
@@ -311,157 +214,173 @@ def _write_table(path: Path, fmt: str, command: str, header: list[str], rows: li
         path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
-def _summary_rows(summary: ensemble.EnsembleSummary) -> list[tuple]:
-    columns = (
-        summary.axis_values, summary.mean_n, summary.fano_ratio, summary.snr_ratio, summary.stderr_snr
-    )
-    return [(*row, summary.trials) for row in zip(*columns)]
+class _Output(NamedTuple):
+    """A runner's result: its row count, a writer that fills a given path, and report lines."""
+
+    rows: int
+    write: Callable[[Path], object]
+    note: str | None = None  # printed after the summary line
+    failure: str | None = None  # a failed self-check: the file is kept and the exit status is 3
+
+
+def _table(config: RunConfig, header: list[str], rows: list[tuple], **report) -> _Output:
+    write = partial(_write_table, fmt=config.fmt, command=config.command, header=header, rows=rows)
+    return _Output(len(rows), write, **report)
 
 
 _SWEEP_HEADER = ["axis_value", "mean_n", "fano_ratio", "snr_ratio", "stderr_snr", "trials"]
 
 
-def _run_fano_scatter(config: RunConfig) -> tuple[list[str], list[tuple]]:
+def _run_fano_scatter(config: RunConfig) -> _Output:
+    keys = ("m", "s", "g", "alpha2", "trials", "seed")
+    fanos = ensemble.run_fano_scatter(*(config.options[key] for key in keys))
+    return _table(config, ["trial", "fano"], list(enumerate(fanos)))
+
+
+def _run_sweep(config: RunConfig, axis: str | None = None) -> _Output:
+    """One ensemble sweep; snr-sweep takes its axis from --axis."""
     opt = config.options
-    values = ensemble.run_fano_scatter(
-        opt["m"], opt["s"], opt["g"], opt["alpha2"], opt["trials"], opt["seed"]
-    )
-    return ["trial", "fano"], [(i, v) for i, v in enumerate(values)]
-
-
-_SWEEP_AXIS = {"nm-sweep": "mode_fill_ratio", "universal-fano": "coherent_fraction"}
-
-
-def _run_sweep(config: RunConfig) -> tuple[list[str], list[tuple]]:
-    opt = config.options
-    if config.command == "snr-sweep":
-        axis = "squeeze_g" if opt["axis"] == "g" else "disorder_s"
-    else:
-        axis = _SWEEP_AXIS[config.command]
     spec = ensemble.SweepSpec(
-        axis=axis,
-        axis_values=tuple(opt["values"]),
-        disorder=DisorderParams(opt["m"], opt["s"]),
+        axis or {"g": "squeeze_g", "s": "disorder_s"}[opt["axis"]], tuple(opt["values"]),
+        DisorderParams(opt["m"], opt["s"]),
         # universal-fano has no --alpha2: the fraction axis sets the coherent intensity
-        base_input=SqueezedInput.from_intensity(opt.get("alpha2", 0.0), opt["g"], fed_modes=opt["m"]),
-        trials=opt["trials"],
-        master_seed=opt["seed"],
+        SqueezedInput.from_intensity(opt.get("alpha2", 0.0), opt["g"], fed_modes=opt["m"]),
+        trials=opt["trials"], master_seed=opt["seed"],
     )
-    return _SWEEP_HEADER, _summary_rows(ensemble.run_sweep(spec))
+    t = ensemble.run_sweep(spec)
+    columns = (t.axis_values, t.mean_n, t.fano_ratio, t.snr_ratio, t.stderr_snr)
+    return _table(config, _SWEEP_HEADER, [(*row, t.trials) for row in zip(*columns)])
 
 
-def _run_loss_sweep(config: RunConfig) -> tuple[list[str], list[tuple]]:
+def _run_loss_sweep(config: RunConfig) -> _Output:
     opt = config.options
-    table = ensemble.run_loss_sweep(
+    t = ensemble.run_loss_sweep(
         opt["g"], opt["s"], opt["alpha2"], opt["loss_grid"], opt["trials"], opt["seed"],
         channel_count=opt["m"],
     )
-    header = ["g", "axis_value", "mean_n", "fano_ratio", "snr_ratio", "stderr_snr", "trials"]
-    columns = (
-        table.squeeze_strength, table.loss_rate, table.mean_n, table.fano_ratio, table.snr_ratio,
-        table.stderr_snr,
-    )
-    return header, [(*row, table.trials) for row in zip(*columns)]
+    columns = (t.squeeze_strength, t.loss_rate, t.mean_n, t.fano_ratio, t.snr_ratio, t.stderr_snr)
+    return _table(config, ["g", *_SWEEP_HEADER], [(*row, t.trials) for row in zip(*columns)])
 
 
-def _run_superres(config: RunConfig) -> tuple[list[str], list[tuple]]:
+def _run_superres(config: RunConfig) -> _Output:
     opt = config.options
-    table = ensemble.run_superres_sweep(
-        opt["g"], opt["s"], opt["budgets"], opt["c"], opt["epsilon"],
-        opt["trials"], opt["seed"],
+    t = ensemble.run_superres_sweep(
+        opt["g"], opt["s"], opt["budgets"], opt["c"], opt["epsilon"], opt["trials"], opt["seed"],
         channel_count=opt["m"], alpha2=opt["alpha2"], num_modes=opt["modes"],
         quad_order=opt["quad_order"],
     )
-    header = ["s", "mean_n", "Q", "W", "W_Q", "J"]
-    columns = (
-        table.disorder_strength, table.mean_n, table.modes_kept, table.classical_width,
-        table.recon_width, table.resolution_gain,
-    )
-    return header, list(zip(*columns))
+    rows = zip(t.disorder_strength, t.mean_n, t.modes_kept, t.classical_width, t.recon_width,
+               t.resolution_gain)
+    return _table(config, ["s", "mean_n", "Q", "W", "W_Q", "J"], list(rows))
 
 
-def _run_psf(config: RunConfig) -> tuple[list[str], list[tuple]]:
+def _run_psf(config: RunConfig) -> _Output:
     opt = config.options
     basis = prolate.build_basis(opt["c"], opt["modes"], opt["quad_order"])
     z = np.arange(0.0, np.pi / opt["c"] + opt["step"], opt["step"])
-    classical = prolate.classical_psf(opt["c"], z)
-    recon = prolate.reconstruction_psf(basis, opt["q"], z)
-    header = ["z", "classical", "reconstruction"]
-    return header, [(z[j], classical[j], recon[j]) for j in range(z.shape[0])]
+    rows = zip(z, prolate.classical_psf(opt["c"], z), prolate.reconstruction_psf(basis, opt["q"], z))
+    return _table(config, ["z", "classical", "reconstruction"], list(rows))
 
 
-def _run_oracle_check(config: RunConfig) -> tuple[list[str], list[tuple]]:
+def _run_prolate_basis(config: RunConfig) -> _Output:
     opt = config.options
-    report = gaussian_oracle.run_equivalence_check(opt["cases"], opt["seed"])
-    config.options["_report"] = report
+    basis = prolate.build_basis(opt["c"], opt["modes"], opt["quad_order"])
+    return _Output(basis.grid.shape[0], partial(prolate.export_basis, basis))
+
+
+def _run_oracle_check(config: RunConfig) -> _Output:
+    report = gaussian_oracle.run_equivalence_check(config.options["cases"], config.options["seed"])
+    worst = report.worst_case()
+    note = (
+        f"worst case: M={worst['channel_count']} N={worst['fed_modes']} "
+        f"s={worst['disorder_strength']:.4f} g={worst['squeeze_strength']:.4f} "
+        f"alpha2={worst['alpha2']:.4g} rel_err={max(worst['rel_err_mean'], worst['rel_err_var']):.3e}"
+    )
+    failure = None if report.passed else f"FAILED tolerance {report.tolerance:.1e}"
     header = ["case", "M", "N", "s", "g", "alpha2", "rel_err_mean", "rel_err_var"]
     columns = (report.channel_counts, report.fed_modes, report.disorder_strengths)
     columns += (report.squeeze_strengths, report.alpha2, report.rel_err_mean, report.rel_err_var)
-    return header, list(zip(range(report.cases), *(column.tolist() for column in columns)))
+    rows = list(zip(range(report.cases), *(column.tolist() for column in columns)))
+    return _table(config, header, rows, note=note, failure=failure)
 
 
-def _run_photon_budget(config: RunConfig) -> tuple[list[str], list[tuple]]:
-    opt = config.options
-    photons = quantum_stats.photon_budget(
-        opt["wavelength"], opt["power"], opt["duration"], opt["fraction"]
-    )
+def _run_photon_budget(config: RunConfig) -> _Output:
+    inputs = tuple(config.options[key] for key in ("wavelength", "power", "duration", "fraction"))
     header = ["wavelength_m", "power_w", "duration_s", "focus_fraction", "mean_photons"]
-    return header, [(opt["wavelength"], opt["power"], opt["duration"], opt["fraction"], photons)]
+    return _table(config, header, [(*inputs, quantum_stats.photon_budget(*inputs))])
 
 
-_DISPATCH = {
-    "fano-scatter": _run_fano_scatter,
-    "snr-sweep": _run_sweep,
-    "nm-sweep": _run_sweep,
-    "universal-fano": _run_sweep,
-    "loss-sweep": _run_loss_sweep,
-    "superres": _run_superres,
-    "psf": _run_psf,
-    "oracle-check": _run_oracle_check,
-    "photon-budget": _run_photon_budget,
+class _Command(NamedTuple):
+    help: str
+    run: Callable[[RunConfig], _Output]
+    flags: tuple  # of _Flag, besides _RUN
+
+
+_COMMANDS = {
+    "fano-scatter": _Command(
+        "per-trial Fano factors of the shaped focus", _run_fano_scatter, (_G, _S, *_MONTE_CARLO)),
+    "snr-sweep": _Command(  # parse_args defaults and checks --values by --axis
+        "average SNR over mean photons vs squeezing or disorder", _run_sweep,
+        (_Flag("--axis", _Domain(str, ("g", "s").__contains__, "must be g or s"), "g"),
+         _Flag("--values", None, None), _G, _S, *_MONTE_CARLO)),
+    "nm-sweep": _Command(
+        "average SNR ratio vs mode fill N/M", partial(_run_sweep, axis="mode_fill_ratio"),
+        (_Flag("--values", _FILLS, "0.1:1.0:0.1"), _G, _S, *_MONTE_CARLO)),
+    "universal-fano": _Command(
+        "average Fano factor vs coherent intensity fraction",
+        partial(_run_sweep, axis="coherent_fraction"),
+        (_Flag("--values", _FRACTIONS, "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,0.95,0.99"),
+         _G, _S, *_ENSEMBLE)),
+    "loss-sweep": _Command(
+        "average SNR ratio vs photon loss rate", _run_loss_sweep,
+        (_Flag("--g", _SQUEEZES, "0.5,1,1.5"), _S, _Flag("--loss-grid", _LOSSES, "0:0.9:0.1"),
+         *_MONTE_CARLO)),
+    "superres": _Command(
+        "super-resolution factor vs focus photon number", _run_superres,
+        (_G, _Flag("--s", _DISORDERS, "2,4,6,8"), _Flag("--budgets", _BUDGETS, "1e6:3.5e10:log25"),
+         _Flag("--epsilon", _EPSILON, 0.01), *_BASIS, *_MONTE_CARLO)),
+    "psf": _Command(
+        "classical and reconstruction PSF profiles", _run_psf,
+        (_Flag("--q", _COUNT, 7), _Flag("--step", _POSITIVE, 1e-3), *_BASIS)),
+    "prolate-basis": _Command("export the Slepian basis as columnar text", _run_prolate_basis, _BASIS),
+    "oracle-check": _Command(
+        "analytic vs Gaussian-oracle random sweep", _run_oracle_check, (_Flag("--cases", _COUNT, 500),)),
+    "photon-budget": _Command(
+        "mean photon number of the focused beam", _run_photon_budget,
+        (_Flag("--wavelength", _POSITIVE, 694e-9), _Flag("--power", _POSITIVE, 1e-3),
+         _Flag("--duration", _POSITIVE, 1e-3), _Flag("--fraction", _UNIT, 0.01))),
 }
 
 
+def _fail(config: RunConfig, reason, status: int) -> tuple[int, list[Path]]:
+    print(f"speckleq {config.command}: error: {reason}", file=sys.stderr)
+    return status, []
+
+
 def execute(config: RunConfig) -> tuple[int, list[Path]]:
-    """Run the configured command, write its output file, print a summary line."""
+    """Run the configured command, write its output file, print a summary line.
+
+    Numpy overflow raises in the run, so it exits 3 with no file, like any numerical error.
+    """
     start = time.perf_counter()
     try:
-        if config.command == "prolate-basis":
-            opt = config.options
-            basis = prolate.build_basis(opt["c"], opt["modes"], opt["quad_order"])
-            rows = basis.grid.shape[0]
-            write = partial(prolate.export_basis, basis)
-        else:
-            header, table_rows = _DISPATCH[config.command](config)
-            rows = len(table_rows)
-            write = partial(
-                _write_table, fmt=config.fmt, command=config.command, header=header, rows=table_rows
-            )
+        with np.errstate(over="raise", invalid="raise"):
+            output = _COMMANDS[config.command].run(config)
+    except (ArithmeticError, MemoryError) as exc:
+        return _fail(config, f"{type(exc).__name__}: {exc}", 3)
     except (SpeckleQError, ValueError) as exc:
-        print(f"speckleq {config.command}: error: {exc}", file=sys.stderr)
-        return 3, []
+        return _fail(config, exc, 3)
     try:
-        _write_atomic(config.out, write)
+        _write_atomic(config.out, output.write)
     except OSError as exc:
-        reason = f"cannot write {config.out}: {exc.strerror or exc}"
-        print(f"speckleq {config.command}: error: {reason}", file=sys.stderr)
-        return 2, []
+        return _fail(config, f"cannot write {config.out}: {exc.strerror or exc}", 2)
     elapsed = time.perf_counter() - start
-    print(f"speckleq {config.command}: wrote {rows} rows to {config.out} in {elapsed:.2f}s")
-
-    if config.command == "oracle-check":
-        report = config.options["_report"]
-        worst = report.worst_case()
-        print(
-            f"worst case: M={worst['channel_count']} N={worst['fed_modes']} "
-            f"s={worst['disorder_strength']:.4f} g={worst['squeeze_strength']:.4f} "
-            f"alpha2={worst['alpha2']:.4g} rel_err={max(worst['rel_err_mean'], worst['rel_err_var']):.3e}"
-        )
-        if not report.passed:
-            print(
-                f"speckleq oracle-check: FAILED tolerance {report.tolerance:.1e}", file=sys.stderr
-            )
-            return 3, [config.out]
+    print(f"speckleq {config.command}: wrote {output.rows} rows to {config.out} in {elapsed:.2f}s")
+    if output.note:
+        print(output.note)
+    if output.failure:
+        print(f"speckleq {config.command}: {output.failure}", file=sys.stderr)
+        return 3, [config.out]
     return 0, [config.out]
 
 

@@ -49,10 +49,6 @@ class GaussianModeState:
             raise ValueError("covariance matrix must be symmetric")
 
 
-def vacuum_state() -> GaussianModeState:
-    return GaussianModeState(np.zeros(2), np.eye(2) / 2.0)
-
-
 def _output_states(tau, abs_sum, g, alpha_mag, alpha_phase, squeeze_phase):
     """Stacked means d (..., 2) and covariances V (..., 2, 2) over scalar or per-case arguments."""
     a, b = np.exp(-2.0 * g) / 2.0, np.exp(2.0 * g) / 2.0
@@ -149,31 +145,6 @@ def focus_mode_coefficients(real: ScatteringRealization, n_fed: int) -> ModeCoef
     amps = real.t_amp[:n_fed]
     vac_weight = np.sqrt(max(1.0 - float(np.sum(amps**2)), 0.0))
     return ModeCoefficients(np.concatenate([amps, [vac_weight]]).astype(complex))
-
-
-def complete_unitary(coeffs: ModeCoefficients) -> np.ndarray:
-    """Gram-Schmidt completion of the coefficient row to a K x K unitary.
-
-    The completed rows span the orthogonal complement of the focus mode;
-    they are arbitrary and do not affect its marginal statistics.
-    """
-    vec = coeffs.c
-    k = coeffs.n_modes
-    rows = [vec / np.linalg.norm(vec)]
-    for j in range(k):
-        cand = np.zeros(k, dtype=complex)
-        cand[j] = 1.0
-        for row in rows:
-            cand = cand - np.vdot(row, cand) * row
-        norm = np.linalg.norm(cand)
-        if norm > 1e-10:
-            rows.append(cand / norm)
-        if len(rows) == k:
-            break
-    unitary = np.array(rows)
-    if not np.allclose(unitary @ unitary.conj().T, np.eye(k), atol=1e-10):
-        raise ValueError("Gram-Schmidt completion failed to produce a unitary")
-    return unitary
 
 
 def _ladder(dim: int) -> np.ndarray:

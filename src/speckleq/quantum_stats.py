@@ -217,8 +217,8 @@ def focus_moments(tau, abs_sum, tau_rest, sum_r, inp: SqueezedInput | SqueezedCa
     coherent = inp.alpha2 * abs_sum**2
     squeezed = tau * tau * (2.0 * sh2 * ch2) + tau * sum_r * sh2 + tau * tau_rest * sh2
     mean, variance = _loss_terms(tau * sh2 + coherent, squeezed + coherent * (1.0 - tau * damping), loss)
-    if np.any(mean < 0.0) or np.any(variance < 0.0):
-        raise ValueError("photon-number moments must be nonnegative")
+    if not (np.all(mean >= 0.0) and np.all(variance >= 0.0)):
+        raise ValueError("photon-number moments must be nonnegative, not nan")
     return mean, variance
 
 

@@ -7,7 +7,7 @@ circular complex Gaussians with E|t|^2 = 1/(M s) and E|r|^2 = (1 - 1/s)/M
 by one common factor so that sum|t|^2 + sum|r|^2 = 1 holds exactly.  Flux
 conservation must be exact because the downstream Gaussian-oracle
 equivalence checks rely on it; the price is an O(1/M) distortion of the
-marginal means (see ``ensemble_coupling_stats``).
+marginal means (see ``normalization_bias``).
 
 Wavefront shaping is represented implicitly: shaped propagation and both
 oracles use only the amplitudes |t| and |r|, so channel phases are never
@@ -230,38 +230,6 @@ def draw_ensemble(channel_count: int, trials: int, master_seed: int) -> Ensemble
         np.cumsum(transmitted, axis=1),
         np.cumsum(np.sqrt(transmitted), axis=1),
         intensities[:, 1].sum(axis=1),
-    )
-
-
-@dataclass(frozen=True)
-class CouplingStats:
-    """Monte Carlo summary of the coupling sums over a disorder ensemble."""
-
-    mean_sum_T: float
-    stderr_sum_T: float
-    mean_sum_R: float
-    stderr_sum_R: float
-    trials: int
-
-
-def ensemble_coupling_stats(params: DisorderParams, trials: int, seed: int) -> CouplingStats:
-    """Average sum_T and sum_R over independent realizations.
-
-    mean_sum_T converges to 1/s up to the O(1/M) distortion introduced by
-    the exact flux normalization; the leading correction is
-    (1 - 1/s)(1 - 2/s)/(M s).  mean_sum_R is reported as 1 - mean_sum_T,
-    which is exact because every realization conserves flux.
-    """
-    draws = draw_ensemble(params.channel_count, trials, seed)
-    sums = draws.shaped_sums(params, params.channel_count)[0]
-    mean_t = float(np.mean(sums))
-    stderr = float(np.std(sums, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return CouplingStats(
-        mean_sum_T=mean_t,
-        stderr_sum_T=stderr,
-        mean_sum_R=1.0 - mean_t,
-        stderr_sum_R=stderr,
-        trials=trials,
     )
 
 

@@ -345,3 +345,176 @@ def test_cli_import_does_not_load_scipy_linalg():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+# parse_args([command]).options of every command, captured from the CLI before
+# its flags were declared in one table: names, defaults and types must not move.
+DEFAULT_OPTIONS = {
+    "fano-scatter": {
+        "g": 1.5, "s": 2.0, "seed": 1, "workers": 1, "trials": 1000, "m": 50, "alpha2": 10000.0,
+    },
+    "snr-sweep": {
+        "axis": "g",
+        "values": [
+            0.0, 0.1, 0.2, 0.30000000000000004, 0.4, 0.5, 0.6000000000000001, 0.7000000000000001,
+            0.8, 0.9, 1.0, 1.1, 1.2000000000000002, 1.3, 1.4000000000000001, 1.5,
+        ],
+        "g": 1.5, "s": 2.0, "seed": 1, "workers": 1, "trials": 1000, "m": 50, "alpha2": 10000.0,
+    },
+    "nm-sweep": {
+        "values": [0.1, 0.2, 0.30000000000000004, 0.4, 0.5, 0.6, 0.7000000000000001, 0.8, 0.9, 1.0],
+        "g": 1.5, "s": 2.0, "seed": 1, "workers": 1, "trials": 1000, "m": 50, "alpha2": 10000.0,
+    },
+    "universal-fano": {
+        "values": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99],
+        "g": 1.5, "s": 2.0, "seed": 1, "workers": 1, "trials": 1000, "m": 50,
+    },
+    "loss-sweep": {
+        "g": [0.5, 1.0, 1.5],
+        "s": 2.0,
+        "loss_grid": [
+            0.0, 0.1, 0.2, 0.30000000000000004, 0.4, 0.5, 0.6000000000000001, 0.7000000000000001,
+            0.8, 0.9,
+        ],
+        "seed": 1, "workers": 1, "trials": 1000, "m": 50, "alpha2": 10000.0,
+    },
+    "superres": {
+        "g": 1.5,
+        "s": [2.0, 4.0, 6.0, 8.0],
+        "budgets": [
+            1000000.0, 1546451.0170017537, 2391510.747985753, 3698354.2283931924,
+            5719323.657731388, 8844653.887060877, 13677823.998673804, 21152084.833120096,
+            32710663.101885874, 50585438.220713146, 78227902.38190107, 120975619.1964048,
+            187082869.33869708, 289314493.55243427, 447410692.78750926, 691898720.8787,
+            1069987480.5650781, 1654683227.4990091, 2558886559.9815865, 3957192723.0756435,
+            6119604711.072243, 9463668929.08643, 14635100439.953547, 22632465959.288975,
+            35000000000.0,
+        ],
+        "c": 1.0, "epsilon": 0.01, "modes": 7, "quad_order": 256,
+        "seed": 1, "workers": 1, "trials": 1000, "m": 50, "alpha2": 10000.0,
+    },
+    "psf": {"c": 1.0, "q": 7, "step": 0.001, "modes": 7, "quad_order": 256, "seed": 1, "workers": 1},
+    "prolate-basis": {"c": 1.0, "modes": 7, "quad_order": 256, "seed": 1, "workers": 1},
+    "oracle-check": {"cases": 500, "seed": 1, "workers": 1},
+    "photon-budget": {
+        "wavelength": 6.94e-07, "power": 0.001, "duration": 0.001, "fraction": 0.01,
+        "seed": 1, "workers": 1,
+    },
+}
+
+# Every float flag and value-list flag of every command.
+FLOAT_FLAGS = [
+    ("fano-scatter", "--g"), ("fano-scatter", "--s"), ("fano-scatter", "--alpha2"),
+    ("snr-sweep", "--values"), ("snr-sweep --axis s", "--values"), ("snr-sweep", "--g"),
+    ("snr-sweep", "--s"), ("snr-sweep", "--alpha2"),
+    ("nm-sweep", "--values"), ("nm-sweep", "--g"), ("nm-sweep", "--s"), ("nm-sweep", "--alpha2"),
+    ("universal-fano", "--values"), ("universal-fano", "--g"), ("universal-fano", "--s"),
+    ("loss-sweep", "--g"), ("loss-sweep", "--s"), ("loss-sweep", "--loss-grid"),
+    ("loss-sweep", "--alpha2"),
+    ("superres", "--g"), ("superres", "--s"), ("superres", "--budgets"), ("superres", "--c"),
+    ("superres", "--epsilon"), ("superres", "--alpha2"),
+    ("psf", "--c"), ("psf", "--step"),
+    ("prolate-basis", "--c"),
+    ("photon-budget", "--wavelength"), ("photon-budget", "--power"), ("photon-budget", "--duration"),
+    ("photon-budget", "--fraction"),
+]
+LIST_FLAGS = [
+    ("snr-sweep", "--values"), ("snr-sweep --axis s", "--values"), ("nm-sweep", "--values"),
+    ("universal-fano", "--values"), ("loss-sweep", "--g"), ("loss-sweep", "--loss-grid"),
+    ("superres", "--s"), ("superres", "--budgets"),
+]
+
+
+def assert_usage_error(tmp_path, capsys, args):
+    out = tmp_path / "out.dat"
+    assert main([*args, "--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("speckleq: usage error:")
+
+
+class TestOptionDomains:
+    @pytest.mark.parametrize("command", sorted(DEFAULT_OPTIONS))
+    def test_defaults_unchanged(self, monkeypatch, command):
+        monkeypatch.delenv("SPECKLE_SEED", raising=False)
+        options = parse_args([command]).options
+        expected = DEFAULT_OPTIONS[command]
+        assert options == expected
+        assert {k: type(v) for k, v in options.items()} == {k: type(v) for k, v in expected.items()}
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+    @pytest.mark.parametrize("command,flag", FLOAT_FLAGS)
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, command, flag, value):
+        assert_usage_error(tmp_path, capsys, [*command.split(), f"{flag}={value}"])
+
+    @pytest.mark.parametrize("value", ["2,nan", "2,inf", "0.5:inf:0.5", "1:1e400:log3", ""])
+    @pytest.mark.parametrize("command,flag", LIST_FLAGS)
+    def test_non_finite_or_empty_list_exits_2(self, tmp_path, capsys, command, flag, value):
+        assert_usage_error(tmp_path, capsys, [*command.split(), f"{flag}={value}"])
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["fano-scatter", "--trials", "0"], ["fano-scatter", "--m", "0"],
+            ["fano-scatter", "--workers", "0"], ["fano-scatter", "--alpha2=-1"],
+            ["fano-scatter", "--g=-0.5"], ["nm-sweep", "--s", "1"], ["snr-sweep", "--g=-1"],
+            ["snr-sweep", "--values=-0.1,1"], ["snr-sweep", "--axis", "s", "--values", "1,2"],
+            ["snr-sweep", "--axis", "q"], ["nm-sweep", "--values", "0,0.5"],
+            ["nm-sweep", "--values", "0.5,1.5"], ["universal-fano", "--values", "0.5,1"],
+            ["loss-sweep", "--loss-grid", "0,1.5"], ["loss-sweep", "--g=-1,1"],
+            ["superres", "--budgets", "0,10"], ["superres", "--epsilon", "1"],
+            ["superres", "--modes", "0"], ["superres", "--quad-order", "0"],
+            ["psf", "--c", "0"], ["psf", "--step", "0"], ["psf", "--q", "0"], ["psf", "--q", "8"],
+            ["psf", "--modes", "3", "--q", "4"], ["oracle-check", "--cases", "0"],
+            ["photon-budget", "--fraction", "0"], ["photon-budget", "--fraction", "1.5"],
+            ["photon-budget", "--wavelength", "0"], ["photon-budget", "--format", "xml"],
+            ["fano-scatter", "--trials", "1.5"], ["fano-scatter", "--seed", "x"],
+        ],
+    )
+    def test_out_of_range_exits_2(self, tmp_path, capsys, args):
+        assert_usage_error(tmp_path, capsys, args)
+
+    def test_parse_values_rejects_non_finite(self):
+        for bad in ["0:inf:1", "nan:1:0.1", "0:1:inf", "1:inf:log3", "1,nan", ""]:
+            with pytest.raises(UsageError):
+                parse_values(bad, "--x")
+
+
+class TestNumericalFailures:
+    @pytest.mark.parametrize("args", [["--g", "200"], ["--g", "400", "--trials", "5"]])
+    def test_overflowing_squeeze_exits_3(self, tmp_path, capsys, args):
+        # g = 200 overflows sinh^2 cosh^2 in numpy, g = 400 overflows math.sinh itself
+        out = tmp_path / "f.csv"
+        assert main(["fano-scatter", *args, "--out", str(out)]) == 3
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("speckleq fano-scatter: error:")
+        assert "Overflow" in err[0] or "overflow" in err[0]
+
+    def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 22.9 TiB")
+
+        monkeypatch.setitem(cli._COMMANDS, "psf", cli._COMMANDS["psf"]._replace(run=exhausted))
+        out = tmp_path / "p.csv"
+        assert main(["psf", "--out", str(out)]) == 3
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["speckleq psf: error: MemoryError: Unable to allocate 22.9 TiB"]
+
+    def test_failed_oracle_check_keeps_file_and_exits_3(self, tmp_path, capsys, monkeypatch):
+        check = cli.gaussian_oracle.run_equivalence_check
+        strict = lambda cases, seed: check(cases, seed, tolerance=0.0)  # noqa: E731
+        monkeypatch.setattr(cli.gaussian_oracle, "run_equivalence_check", strict)
+        out = tmp_path / "o.csv"
+        assert main(["oracle-check", "--cases", "20", "--out", str(out)]) == 3
+        assert len(read_csv(out)[1]) == 20
+        captured = capsys.readouterr()
+        assert "worst case" in captured.out
+        assert captured.err.splitlines() == ["speckleq oracle-check: FAILED tolerance 0.0e+00"]
+
+    def test_prolate_basis_unwritable_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "basis.txt"
+        assert main(["prolate-basis", "--modes", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("speckleq prolate-basis: error: cannot write")

@@ -12,7 +12,6 @@ from speckleq import (
     TruncationError,
     apply_loss,
     apply_loss_channel,
-    complete_unitary,
     coupling_sums,
     derive_trial_seed,
     fock_photon_moments,
@@ -23,7 +22,6 @@ from speckleq import (
     output_gaussian_state,
     run_equivalence_check,
     sample_realization,
-    vacuum_state,
     variance_photon,
 )
 from speckleq import gaussian_oracle
@@ -34,7 +32,7 @@ from tests.test_random_media import make_realization
 
 class TestGaussianMoments:
     def test_vacuum(self):
-        moments = gaussian_photon_moments(vacuum_state())
+        moments = gaussian_photon_moments(GaussianModeState(np.zeros(2), np.eye(2) / 2.0))
         assert moments.mean == 0.0
         assert moments.variance == 0.0
 
@@ -141,13 +139,6 @@ class TestModeCoefficients:
         assert coeffs.n_modes == 3
         assert np.allclose(np.abs(coeffs.c[:2]), real.t_amp)
         assert np.sum(np.abs(coeffs.c) ** 2) == pytest.approx(1.0, abs=1e-12)
-
-    def test_complete_unitary(self):
-        coeffs = ModeCoefficients(np.array([0.6, 0.8j, 0.0]) / np.sqrt(1.0))
-        unitary = complete_unitary(coeffs)
-        assert unitary.shape == (3, 3)
-        assert np.allclose(unitary[0], coeffs.c)
-        assert np.allclose(unitary @ unitary.conj().T, np.eye(3), atol=1e-12)
 
 
 class TestFockOracle:

@@ -383,3 +383,13 @@ class TestPerCaseInputs:
             SqueezedCases(np.array([0.5, -0.1]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             SqueezedCases(np.array([0.5, 0.1]), np.array([1.0, -1.0]))
+
+    def test_rejects_nan_moments(self):
+        # a nan sum gives nan moments, which are not data
+        tau = np.array([0.4, np.nan])
+        sums = (tau, np.array([1.0, 1.0]), np.zeros(2), np.array([0.6, 0.6]))
+        inp = SqueezedInput.from_intensity(100.0, 0.5)
+        with pytest.raises(ValueError, match="nan"):
+            focus_moments(*sums, inp, LossChannel(0.0))
+        mean, variance = focus_moments(*(x[:1] for x in sums), inp, LossChannel(0.0))
+        assert mean[0] > 0.0 and variance[0] > 0.0
