@@ -12,6 +12,7 @@ from .errors import (
     NoCrossing,
     NonzeroPhase,
     SpeckleQError,
+    StreamMismatch,
     TooDim,
     TruncationError,
     UsageError,

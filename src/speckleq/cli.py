@@ -54,6 +54,9 @@ def _finite(text: str) -> float:
     return value
 
 
+_MAX_POINTS = 10_000  # a range is counted before it is built
+
+
 def _value_list(text: str) -> list[float]:
     """Finite values of `start:stop:step`, `start:stop:logN`, a comma list or a single value."""
     parts = text.split(":")
@@ -63,15 +66,17 @@ def _value_list(text: str) -> list[float]:
         raise ValueError("ranges need exactly start:stop:step")
     elif parts[2].startswith("log"):
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2][3:])
-        if not (count >= 2 and 0.0 < start < math.inf and 0.0 < stop < math.inf):
-            raise ValueError("logN needs N >= 2 and finite positive endpoints")
+        if not (2 <= count <= _MAX_POINTS and 0.0 < start < math.inf and 0.0 < stop < math.inf):
+            raise ValueError(f"logN needs 2 <= N <= {_MAX_POINTS} and finite positive endpoints")
         values = [float(v) for v in np.geomspace(start, stop, count)]
     else:
         start, stop, step = map(float, parts)
         if not (math.isfinite(start) and start <= stop < math.inf and 0.0 < step < math.inf):
             raise ValueError("step must be finite and positive, and stop >= start finite")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        values = [start + k * step for k in range(count)]
+        span = (stop - start) / step + 1e-9
+        if not span < _MAX_POINTS:  # an overflowed span is inf, and fails too
+            raise ValueError(f"the range has more than {_MAX_POINTS} points")
+        values = [start + k * step for k in range(int(span) + 1)]
     if not values:
         raise ValueError("no values")
     return values
@@ -184,11 +189,21 @@ def _format_cell(value) -> str:
     return format(float(value), ".17g")
 
 
-def _json_cell(value):
-    """Ints stay ints; non-finite floats become null, since JSON has no inf or nan."""
+def _json_cell(value) -> str:
+    """One cell as ``json.dumps`` writes it: ints stay ints, and non-finite floats become null."""
     if isinstance(value, (int, np.integer)):
-        return int(value)
-    return float(value) if math.isfinite(value) else None
+        return str(int(value))
+    value = float(value)
+    return repr(value) if math.isfinite(value) else "null"
+
+
+def _json_table(command: str, header: list[str], rows: list[tuple]) -> str:
+    """Bytes of ``json.dumps({"command": ..., "rows": [{header: cells}]}, indent=2)``, by template."""
+    fields = ",\n".join(f"      {json.dumps(key).replace('%', '%%')}: %s" for key in header)
+    row_template = "    {\n" + fields + "\n    }"
+    body = ",\n".join(row_template % tuple(map(_json_cell, row)) for row in rows)
+    rows_text = f"[\n{body}\n  ]" if rows else "[]"
+    return f'{{\n  "command": {json.dumps(command)},\n  "rows": {rows_text}\n}}'
 
 
 def _write_atomic(path: Path, write) -> None:
@@ -207,11 +222,7 @@ def _write_table(path: Path, fmt: str, command: str, header: list[str], rows: li
         lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
-        payload = {
-            "command": command,
-            "rows": [{key: _json_cell(v) for key, v in zip(header, row)} for row in rows],
-        }
-        path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+        path.write_text(_json_table(command, header, rows) + "\n", encoding="utf-8")
 
 
 class _Output(NamedTuple):

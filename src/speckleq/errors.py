@@ -39,3 +39,7 @@ class TooDim(SpeckleQError):
 
 class UsageError(SpeckleQError):
     """Invalid command line arguments."""
+
+
+class StreamMismatch(SpeckleQError, RuntimeError):
+    """The batched trial seeding no longer reproduces numpy's SeedSequence/PCG64 stream."""

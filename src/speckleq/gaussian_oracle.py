@@ -25,8 +25,9 @@ import numpy as np
 from .errors import TruncationError
 from .quantum_stats import NO_LOSS, LossChannel, PhotonMoments, SqueezedCases, SqueezedInput
 from .quantum_stats import focus_moments
-from .random_media import ScatteringRealization, derive_trial_seed, mask_seed
-from .random_media import _amplitudes, _flux_normalized_sums, _require_physical, _trial_intensity
+from .random_media import ScatteringRealization, mask_seed
+from .random_media import _amplitudes, _check_stream, _draw_trials, _flux_normalized_sums
+from .random_media import _require_physical, _trial_seeds
 
 _MAX_FOCK_MODES = 3
 _MAX_CUTOFF = 256
@@ -322,19 +323,21 @@ def run_equivalence_check(cases: int, seed: int, *, tolerance: float = 1e-10) ->
     """
     if cases < 1:
         raise ValueError("cases must be >= 1")
+    _check_stream(seed)
     rng = np.random.default_rng(mask_seed(seed))
     blocks = []
     for start in range(0, cases, _BLOCK_CASES):
-        intensity = np.zeros((min(_BLOCK_CASES, cases - start), 2, _MAX_CHANNELS))
         drawn = []
-        for j in range(intensity.shape[0]):
+        for _ in range(min(_BLOCK_CASES, cases - start)):
             m = int(rng.integers(1, _MAX_CHANNELS + 1))
             n = int(rng.integers(1, m + 1))
             s = 1.0 + 9.0 * (1.0 - rng.random())  # in (1, 10]
             g = 2.0 * rng.random()
             alpha2 = 1e5 * rng.random()
             drawn.append((m, n, s, g, alpha2))
-            intensity[j, :, :m] = _trial_intensity(m, derive_trial_seed(seed, start + j))
         params = [np.array(column) for column in zip(*drawn)]
+        intensity = np.zeros((len(drawn), 2, _MAX_CHANNELS))
+        seeds = _trial_seeds(seed, np.arange(start, start + len(drawn), dtype=np.uint64))
+        _draw_trials(intensity, seeds, params[0].tolist())
         blocks.append((*params, *_compare_block(*params, intensity)))
     return EquivalenceReport(*(np.concatenate(column) for column in zip(*blocks)), tolerance=tolerance)

@@ -232,4 +232,7 @@ def photon_budget(wavelength: float, power: float, duration: float, focus_fracti
         raise ValueError("wavelength, power and duration must be positive")
     if not 0.0 < focus_fraction <= 1.0:
         raise ValueError(f"focus_fraction must lie in (0, 1], got {focus_fraction}")
-    return power * duration * focus_fraction * wavelength / (PLANCK_CONSTANT * LIGHT_SPEED)
+    photons = power * duration * focus_fraction * wavelength / (PLANCK_CONSTANT * LIGHT_SPEED)
+    if not math.isfinite(photons):  # float products overflow to inf without raising
+        raise OverflowError(f"photon budget is not finite: {photons!r}")
+    return photons

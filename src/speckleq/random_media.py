@@ -19,15 +19,33 @@ any trial can be redrawn on its own.  ``draw_ensemble`` draws a whole
 ensemble once and keeps only what the shaped statistics need from it;
 ``sample_realization`` draws one trial from the same stream layout and
 channel weights.
+
+The stream is numpy's: trial i's seed is
+``SeedSequence((master, i)).generate_state(1, uint64)``, and its normals are
+``default_rng(seed).standard_normal((2, M, 2))``.  Both seedings are fixed
+algorithms (O'Neill's seed_seq hash, PCG64's ``srandom``), so they are
+computed here for a whole batch of trials at once as uint32 array
+arithmetic, and one PCG64 generator is set to each trial's state in turn.
+Every draw checks the first trial against numpy's own seeding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
+from .errors import StreamMismatch
+
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
+_U32_MASK = 0xFFFFFFFF
+_U128_MASK = (1 << 128) - 1
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_STATE_BLOCK = 1024  # trials whose PCG64 states are held as Python ints at once
 
 
 @dataclass(frozen=True)
@@ -107,25 +125,121 @@ def mask_seed(seed: int) -> int:
     return int(seed) & _U64_MASK
 
 
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k < count, as a (count, 1) column of uint32."""
+    constants = [init]
+    for _ in range(count - 1):
+        constants.append(constants[-1] * mult & _U32_MASK)
+    return np.array(constants, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values, xors, mults):
+    """SeedSequence's hashmix, with the hash constant before and after its update given."""
+    values = (values ^ xors) * mults
+    return values ^ (values >> np.uint32(16))
+
+
+def _seed_sequence_words(entropy: np.ndarray, words: int) -> np.ndarray:
+    """``SeedSequence(e).generate_state(words, uint32)`` for each column e of ``entropy``.
+
+    ``entropy`` is (4, n) uint32, each column one entropy of at most four words,
+    zero-padded: with no spawn key, SeedSequence hashes a missing word exactly like
+    an explicit 0.  Returns (words, n) uint32.  All arithmetic is on arrays, which
+    wrap modulo 2**32 as the C code does.
+    """
+    mix = _hash_constants(_INIT_A, _MULT_A, 17)  # 4 fills + 12 mixes use 16 hashmix steps
+    pool = _hashmix(entropy, mix[0:4], mix[1:5])
+    step = 4
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        hashed = _hashmix(pool[src], mix[step : step + 3], mix[step + 1 : step + 4])
+        mixed = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * hashed
+        pool[dst] = mixed ^ (mixed >> np.uint32(16))
+        step += 3
+    out = _hash_constants(_INIT_B, _MULT_B, words + 1)
+    return _hashmix(pool[np.arange(words) % 4], out[:-1], out[1:])
+
+
+def _split_words(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high uint32 words of uint64 values."""
+    return (values & np.uint64(_U32_MASK)).astype(np.uint32), (values >> np.uint64(32)).astype(np.uint32)
+
+
+def _join_words(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    return low.astype(np.uint64) | (high.astype(np.uint64) << np.uint64(32))
+
+
+def _trial_seeds(master_seed: int, indices: np.ndarray) -> np.ndarray:
+    """``derive_trial_seed(master_seed, i)`` for each uint64 trial index i, at once."""
+    master = mask_seed(master_seed)
+    low, high = _split_words(indices)
+    entropy = np.zeros((4, indices.shape[0]), dtype=np.uint32)
+    if master >> 32:  # the master takes two words, the index the other two
+        entropy[0], entropy[1], entropy[2], entropy[3] = master & _U32_MASK, master >> 32, low, high
+    else:
+        entropy[0], entropy[1], entropy[2] = master, low, high
+    return _join_words(*_seed_sequence_words(entropy, 2))
+
+
+def _pcg64_states(seeds: np.ndarray):
+    """Yield (state, inc) of ``np.random.default_rng(seed)``'s PCG64 for each uint64 seed.
+
+    The 4 x uint64 SeedSequence state is (initstate high, low, initseq high, low);
+    pcg_setseq_128_srandom_r sets inc = 2 initseq + 1 and state = (inc + initstate)
+    * MULT + inc, mod 2**128.
+    """
+    for start in range(0, seeds.shape[0], _STATE_BLOCK):
+        entropy = np.zeros((4, min(_STATE_BLOCK, seeds.shape[0] - start)), dtype=np.uint32)
+        entropy[0], entropy[1] = _split_words(seeds[start : start + _STATE_BLOCK])
+        words = _seed_sequence_words(entropy, 8)
+        for s_high, s_low, i_high, i_low in zip(*_join_words(words[0::2], words[1::2]).tolist()):
+            inc = ((i_high << 64 | i_low) << 1 | 1) & _U128_MASK
+            yield ((s_high << 64 | s_low) + inc) * _PCG_MULT + inc & _U128_MASK, inc
+
+
+def _draw_trials(out: np.ndarray, seeds: np.ndarray, channel_counts) -> None:
+    """Write trial j's |z|^2 into ``out[j, :, :M]``, M = ``channel_counts[j]``, seeded by ``seeds[j]``.
+
+    The one per-trial stream layout; every draw in the package goes through it.
+    Row 0 is transmission, row 1 reflection, and each entry is bitwise
+    ``np.square(default_rng(seed).standard_normal((2, M, 2))).sum(axis=2)``:
+    one PCG64 generator is set to each trial's state in turn.
+    """
+    generator = np.random.Generator(np.random.PCG64(0))
+    bit_generator = generator.bit_generator
+    flat = np.empty(4 * out.shape[-1])
+    for row, (state, inc), m in zip(out, _pcg64_states(seeds), channel_counts):
+        bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        normals = generator.standard_normal(out=flat[: 4 * m].reshape(2, m, 2))
+        np.square(normals, out=normals)
+        np.add(normals[..., 0], normals[..., 1], out=row[:, :m])
+
+
+def _check_stream(master_seed: int) -> None:
+    """Raise StreamMismatch unless trial 0's seed and PCG64 state match numpy's own seeding."""
+    seed = int(_trial_seeds(master_seed, np.zeros(1, dtype=np.uint64))[0])
+    state, inc = next(_pcg64_states(np.array([seed], dtype=np.uint64)))
+    expected_seed = np.random.SeedSequence((mask_seed(master_seed), 0)).generate_state(1, np.uint64)
+    expected_state = np.random.default_rng(seed).bit_generator.state["state"]
+    if seed != int(expected_seed[0]) or {"state": state, "inc": inc} != expected_state:
+        raise StreamMismatch(
+            f"batched seeding of master seed {master_seed} departs from numpy {np.__version__}'s "
+            "SeedSequence/PCG64; the disorder stream would change"
+        )
+
+
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     """Stateless (master seed, trial index) -> child seed mix.
 
-    Uses a SeedSequence keyed on both integers, so any execution order or
-    worker count reproduces the same per-trial streams.
+    ``SeedSequence((mask_seed(master_seed), trial_index)).generate_state(1, uint64)``,
+    so any execution order or worker count reproduces the same per-trial streams.
     """
-    if trial_index < 0:
-        raise ValueError("trial_index must be nonnegative")
-    ss = np.random.SeedSequence((mask_seed(master_seed), int(trial_index)))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _trial_intensity(channel_count: int, seed: int) -> np.ndarray:
-    """|z|^2 of one trial's 2M circular normals: row 0 transmission, row 1 reflection.
-
-    The one per-trial stream layout; every draw in the package goes through it.
-    """
-    rng = np.random.default_rng(mask_seed(seed))
-    return np.square(rng.standard_normal((2, channel_count, 2))).sum(axis=2)
+    if not 0 <= trial_index <= _U64_MASK:
+        raise ValueError("trial_index must lie in [0, 2**64)")
+    return int(_trial_seeds(master_seed, np.array([trial_index], dtype=np.uint64))[0])
 
 
 def _channel_weights(m, s):
@@ -166,8 +280,10 @@ def sample_realization(params: DisorderParams, seed: int) -> ScatteringRealizati
     Deterministic function of (params, seed): identical inputs give a
     bitwise-identical realization.
     """
-    intensity = _trial_intensity(params.channel_count, seed)
-    amplitudes = _amplitudes(intensity, params.channel_count, params.disorder_strength)
+    m = params.channel_count
+    intensity = np.empty((1, 2, m))
+    _draw_trials(intensity, np.array([mask_seed(seed)], dtype=np.uint64), [m])
+    amplitudes = _amplitudes(intensity[0], m, params.disorder_strength)
     return ScatteringRealization(*amplitudes)
 
 
@@ -222,9 +338,10 @@ def draw_ensemble(channel_count: int, trials: int, master_seed: int) -> Ensemble
     """Draw trials 0..trials-1 once and reduce them to their prefix sums."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_stream(master_seed)
     intensities = np.empty((trials, 2, channel_count))
-    for i in range(trials):
-        intensities[i] = _trial_intensity(channel_count, derive_trial_seed(master_seed, i))
+    seeds = _trial_seeds(master_seed, np.arange(trials, dtype=np.uint64))
+    _draw_trials(intensities, seeds, repeat(channel_count))
     transmitted = intensities[:, 0]
     return EnsembleDraws(
         np.cumsum(transmitted, axis=1),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import speckleq
-from speckleq import UsageError, cli
+from speckleq import UsageError, cli, random_media
 from speckleq.cli import RunConfig, execute, main, parse_args, parse_values
 
 
@@ -320,6 +320,33 @@ class TestExecuteSurface:
         assert paths == []
 
 
+def json_dumps_reference(command, header, rows):
+    """The JSON writer's former body: ``json.dumps(indent=2)`` of the same cells."""
+
+    def cell(value):
+        if isinstance(value, (int, np.integer)):
+            return int(value)
+        return float(value) if math.isfinite(value) else None
+
+    payload = {"command": command, "rows": [{k: cell(v) for k, v in zip(header, row)} for row in rows]}
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+# Every command with a table output, at sizes that run quickly.
+JSON_COMMANDS = [
+    ["fano-scatter", "--trials", "20"],
+    ["snr-sweep", "--values", "0:1:0.5", "--trials", "20"],
+    ["snr-sweep", "--axis", "s", "--values", "2,3", "--trials", "20"],
+    ["nm-sweep", "--values", "0.5,1", "--trials", "20"],
+    ["universal-fano", "--values", "0,0.5", "--trials", "20"],
+    ["loss-sweep", "--g", "0.5,1", "--loss-grid", "0,1", "--trials", "20"],
+    ["superres", "--s", "2", "--budgets", "1e7,1e9", "--trials", "20"],
+    ["psf", "--step", "0.05"],
+    ["oracle-check", "--cases", "40"],
+    ["photon-budget"],
+]
+
+
 class TestJsonEncoding:
     def test_non_finite_cells_are_null(self, tmp_path):
         def reject(token):
@@ -335,6 +362,33 @@ class TestJsonEncoding:
             {"case": 1, "rel_err_mean": None, "rel_err_var": 0.0},
         ]
 
+    @pytest.mark.parametrize("args", JSON_COMMANDS, ids=lambda args: " ".join(args[:3]))
+    def test_command_output_equals_json_dumps(self, tmp_path, monkeypatch, args):
+        written = []
+        exact = cli._write_table
+
+        def recording(path, fmt, command, header, rows):
+            written.append((command, header, rows))
+            exact(path, fmt, command, header, rows)
+
+        monkeypatch.setattr(cli, "_write_table", recording)
+        rc, out = run_cli(tmp_path, *args, "--format", "json")
+        assert rc == 0 and len(written) == 1
+        assert out.read_text() == json_dumps_reference(*written[0])
+
+    def test_edge_cells_equal_json_dumps(self, tmp_path):
+        header = ["case", "M", "x", "y"]
+        rows = [
+            (0, np.int64(3), -0.0, 1e300),
+            (1, 2**70, math.nan, -math.inf),
+            (np.int32(2), True, 5e-324, np.float64(-1.5e-300)),
+            (3, 0, np.float32(0.1), 1e16),
+        ]
+        for table in (rows, []):
+            out = tmp_path / "t.json"
+            cli._write_table(out, "json", "oracle-check", header, table)
+            assert out.read_text() == json_dumps_reference("oracle-check", header, table)
+
 
 def test_cli_import_does_not_load_scipy_linalg():
     # scipy.linalg is needed only by the truncated-Fock oracle, which no command uses
@@ -345,6 +399,20 @@ def test_cli_import_does_not_load_scipy_linalg():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_numpy_random():
+    # numpy.random is loaded by the first draw; psf and prolate-basis never need it
+    src = str(Path(speckleq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, numpy; eager = 'numpy.random' in sys.modules; import speckleq.cli; "
+        "print(eager or 'numpy.random' not in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "True"
 
 
 # parse_args([command]).options of every command, captured from the CLI before
@@ -474,6 +542,19 @@ class TestOptionDomains:
     def test_out_of_range_exits_2(self, tmp_path, capsys, args):
         assert_usage_error(tmp_path, capsys, args)
 
+    @pytest.mark.parametrize("text", ["0:1:1e-5", "0:1e300:1e-300", "1:2:log10001"])
+    def test_parse_values_bounds_the_point_count(self, text):
+        # counted before anything is built: 100001 points, an overflowing span, 10001 log points
+        with pytest.raises(UsageError, match="10000"):
+            parse_values(text, "--x")
+
+    def test_parse_values_accepts_the_cap(self):
+        assert len(parse_values("0:9999:1", "--x")) == 10_000
+        assert len(parse_values("1:2:log10000", "--x")) == 10_000
+
+    def test_tiny_step_exits_2(self, tmp_path, capsys):
+        assert_usage_error(tmp_path, capsys, ["snr-sweep", "--values", "0:1:1e-9"])
+
     def test_parse_values_rejects_non_finite(self):
         for bad in ["0:inf:1", "nan:1:0.1", "0:1:inf", "1:inf:log3", "1,nan", ""]:
             with pytest.raises(UsageError):
@@ -490,6 +571,26 @@ class TestNumericalFailures:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("speckleq fano-scatter: error:")
         assert "Overflow" in err[0] or "overflow" in err[0]
+
+    def test_photon_budget_overflow_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "pb.csv"
+        assert main(["photon-budget", "--power", "1e300", "--duration", "1e300", "--out", str(out)]) == 3
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("speckleq photon-budget: error: OverflowError:")
+
+    @pytest.mark.parametrize(
+        "command", [["fano-scatter", "--trials", "5"], ["oracle-check", "--cases", "5"]]
+    )
+    def test_stream_mismatch_exits_3(self, tmp_path, capsys, monkeypatch, command):
+        exact = random_media._pcg64_states
+        perturbed = lambda seeds: ((s ^ 1, i) for s, i in exact(seeds))  # noqa: E731
+        monkeypatch.setattr(random_media, "_pcg64_states", perturbed)
+        out = tmp_path / "o.csv"
+        assert main([*command, "--out", str(out)]) == 3
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "departs from numpy" in err[0]
 
     def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def exhausted(config):

@@ -323,14 +323,14 @@ class TestBatchedEquivalence:
 
     def test_rows_do_not_depend_on_blocking(self, monkeypatch):
         block = gaussian_oracle._BLOCK_CASES
-        exact = gaussian_oracle._trial_intensity
+        exact = gaussian_oracle._draw_trials
         seeds = []
 
-        def recording(m, seed):
-            seeds.append(seed)
-            return exact(m, seed)
+        def recording(out, block_seeds, channel_counts):
+            seeds.extend(int(seed) for seed in block_seeds)
+            return exact(out, block_seeds, channel_counts)
 
-        monkeypatch.setattr(gaussian_oracle, "_trial_intensity", recording)
+        monkeypatch.setattr(gaussian_oracle, "_draw_trials", recording)
         longer = run_equivalence_check(2 * block + 1, 7)
         # case i draws trial i of the master seed, in every block
         assert seeds == [derive_trial_seed(7, i) for i in range(2 * block + 1)]
@@ -366,13 +366,12 @@ class TestBatchedEquivalence:
 
             monkeypatch.setattr(gaussian_oracle, "_amplitudes", broken)
         else:
-            exact = gaussian_oracle._trial_intensity
+            exact = gaussian_oracle._draw_trials
 
-            def broken(m, seed):
-                intensity = exact(m, seed)
-                intensity[0, 0] = np.inf
-                return intensity
+            def broken(out, seeds, channel_counts):
+                exact(out, seeds, channel_counts)
+                out[:, 0, 0] = np.inf
 
-            monkeypatch.setattr(gaussian_oracle, "_trial_intensity", broken)
+            monkeypatch.setattr(gaussian_oracle, "_draw_trials", broken)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="flux not conserved"):
             run_equivalence_check(50, 1)

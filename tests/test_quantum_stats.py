@@ -292,6 +292,11 @@ class TestPhotonBudget:
         with pytest.raises(ValueError):
             photon_budget(**kwargs)
 
+    def test_rejects_an_overflowing_product(self):
+        # every input is finite, but the product overflows to inf
+        with pytest.raises(ArithmeticError):
+            photon_budget(694e-9, 1e300, 1e300, 1.0)
+
 
 class TestInputValidation:
     def test_squeezed_input_rejects_bad_values(self):

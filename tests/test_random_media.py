@@ -10,7 +10,8 @@ from speckleq import (
     draw_ensemble,
     sample_realization,
 )
-from speckleq.random_media import normalization_bias
+from speckleq import random_media
+from speckleq.random_media import mask_seed, normalization_bias
 
 
 def ensemble_sum_t(params, trials, seed):
@@ -187,3 +188,90 @@ class TestEnsembleStats:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             draw_ensemble(5, 0, 1)
+
+
+def reference_seed(master, index):
+    """numpy's own SeedSequence: the trial seed the batched hash must reproduce."""
+    return int(np.random.SeedSequence((mask_seed(master), index)).generate_state(1, np.uint64)[0])
+
+
+def reference_intensities(channel_count, trials, master):
+    """The per-trial draw loop the batched path replaced: one default_rng per trial."""
+    return np.array([
+        np.square(
+            np.random.default_rng(reference_seed(master, i)).standard_normal((2, channel_count, 2))
+        ).sum(axis=2)
+        for i in range(trials)
+    ])
+
+
+MASTERS = [0, 1, 6, 2**32 - 1, 2**32, 2**64 - 1, -5]
+
+
+class TestBatchedStream:
+    @pytest.mark.parametrize("master", MASTERS)
+    def test_trial_seeds_match_seed_sequence(self, master):
+        indices = [*range(1000), *range(2**32 - 3, 2**32 + 3), 2**64 - 1]
+        seeds = random_media._trial_seeds(master, np.array(indices, dtype=np.uint64))
+        assert seeds.tolist() == [reference_seed(master, i) for i in indices]
+        assert derive_trial_seed(master, 2**32) == reference_seed(master, 2**32)
+
+    def test_pcg64_states_match_default_rng(self):
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+        states = random_media._pcg64_states(np.array(seeds, dtype=np.uint64))
+        for seed, (state, inc) in zip(seeds, states, strict=True):
+            expected = np.random.default_rng(seed).bit_generator.state["state"]
+            assert {"state": state, "inc": inc} == expected
+
+    @pytest.mark.parametrize("m", [1, 7, 50])
+    def test_draws_equal_per_trial_default_rng(self, m):
+        expected = reference_intensities(m, 200, 11)
+        intensity = np.empty((200, 2, m))
+        seeds = random_media._trial_seeds(11, np.arange(200, dtype=np.uint64))
+        random_media._draw_trials(intensity, seeds, [m] * 200)
+        assert np.array_equal(intensity, expected)
+        draws = draw_ensemble(m, 200, 11)
+        assert np.array_equal(draws.cum_T, np.cumsum(expected[:, 0], axis=1))
+        assert np.array_equal(draws.cum_abs_t, np.cumsum(np.sqrt(expected[:, 0]), axis=1))
+        assert np.array_equal(draws.sum_R, expected[:, 1].sum(axis=1))
+
+    def test_mixed_channel_counts_leave_padding(self):
+        # the oracle's layout: case j fills out[j, :, :M_j] and leaves the rest alone
+        counts = [3, 1, 5]
+        out = np.zeros((3, 2, 5))
+        seeds = np.array([derive_trial_seed(4, i) for i in range(3)], dtype=np.uint64)
+        random_media._draw_trials(out, seeds, counts)
+        for j, m in enumerate(counts):
+            normals = np.random.default_rng(int(seeds[j])).standard_normal((2, m, 2))
+            single = np.square(normals).sum(axis=2)
+            assert np.array_equal(out[j, :, :m], single)
+            assert np.all(out[j, :, m:] == 0.0)
+
+    def test_rows_are_prefix_stable(self):
+        short, long = draw_ensemble(50, 300, 9), draw_ensemble(50, 1000, 9)
+        for name in ("cum_T", "cum_abs_t", "sum_R"):
+            assert np.array_equal(getattr(short, name), getattr(long, name)[:300])
+
+    def test_sample_realization_is_one_trial_of_the_stream(self):
+        seed = derive_trial_seed(3, 17)
+        real = sample_realization(DisorderParams(6, 2.0), seed)
+        expected = np.square(np.random.default_rng(seed).standard_normal((2, 6, 2))).sum(axis=2)
+        t_amp, r_amp = random_media._amplitudes(expected, 6, 2.0)
+        assert np.array_equal(real.t_amp, t_amp) and np.array_equal(real.r_amp, r_amp)
+
+    def test_trial_index_must_fit_64_bits(self):
+        with pytest.raises(ValueError):
+            derive_trial_seed(1, 2**64)
+
+    @pytest.mark.parametrize("part", ["seed", "state"])
+    def test_guard_fires_when_the_hash_departs_from_numpy(self, monkeypatch, part):
+        if part == "seed":
+            exact = random_media._trial_seeds
+            monkeypatch.setattr(random_media, "_trial_seeds", lambda *a: exact(*a) ^ np.uint64(1))
+        else:
+            exact = random_media._pcg64_states
+            monkeypatch.setattr(
+                random_media, "_pcg64_states", lambda seeds: ((s ^ 1, i) for s, i in exact(seeds))
+            )
+        with pytest.raises(RuntimeError, match="departs from numpy"):
+            draw_ensemble(5, 10, 1)
