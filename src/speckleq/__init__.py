@@ -32,7 +32,6 @@ from .random_media import (
 from .quantum_stats import (
     LossChannel,
     PhotonMoments,
-    SqueezedCases,
     SqueezedInput,
     apply_loss,
     asymptotic_avg_fano,

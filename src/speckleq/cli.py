@@ -82,14 +82,6 @@ def _value_list(text: str) -> list[float]:
     return values
 
 
-def parse_values(text: str, flag: str) -> list[float]:
-    """Parse `start:stop:step`, `start:stop:logN`, comma lists or single values."""
-    try:
-        return _value_list(text)
-    except ValueError as exc:
-        raise UsageError(f"invalid value list for {flag}: {text!r} ({exc})") from exc
-
-
 class _Domain(NamedTuple):
     """A flag's type: ``parse`` reads its text, and every value read must satisfy ``ok``."""
 

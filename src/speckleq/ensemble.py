@@ -30,25 +30,17 @@ from . import prolate
 from .quantum_stats import NO_LOSS, LossChannel, SqueezedInput, focus_moments
 from .random_media import DisorderParams, EnsembleDraws, draw_ensemble
 
-SWEEP_AXES = (
-    "squeeze_g",
-    "disorder_s",
-    "mode_fill_ratio",
-    "loss_rate",
-    "coherent_fraction",
-    "photon_budget",
-)
+SWEEP_AXES = ("squeeze_g", "disorder_s", "mode_fill_ratio", "loss_rate", "coherent_fraction")
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One parameter axis swept over a fixed disorder/input/loss baseline."""
+    """One parameter axis swept over a fixed disorder/input baseline; lossless but on the loss_rate axis."""
 
     axis: str
     axis_values: tuple
     disorder: DisorderParams
     base_input: SqueezedInput
-    loss: LossChannel = NO_LOSS
     trials: int = 1000
     master_seed: int = 1
 
@@ -79,26 +71,9 @@ class EnsembleSummary:
     trials: int
 
 
-def expected_shaped_intensity(disorder: DisorderParams) -> float:
-    """Ensemble mean of (sum |t|)^2 for the raw Rayleigh draws.
-
-    M E|t|^2 + M (M - 1) (E|t|)^2 = [2 + (M - 1) pi / 2] / (2 s); used to
-    translate a photon budget into a coherent intensity.
-    """
-    m = disorder.channel_count
-    return (2.0 + (m - 1) * math.pi / 2.0) / (2.0 * disorder.disorder_strength)
-
-
-def _alpha2_for_budget(budget: float, disorder: DisorderParams, squeeze_strength: float) -> float:
-    if budget < 0.0:
-        raise ValueError("photon budget must be nonnegative")
-    squeezed_part = math.sinh(squeeze_strength) ** 2 / disorder.disorder_strength
-    return max(budget - squeezed_part, 0.0) / expected_shaped_intensity(disorder)
-
-
 def _effective_point(spec: SweepSpec, value: float):
     """Disorder, input and loss parameters at one axis value."""
-    disorder, inp, loss = spec.disorder, spec.base_input, spec.loss
+    disorder, inp, loss = spec.disorder, spec.base_input, NO_LOSS
     if spec.axis == "squeeze_g":
         inp = replace(inp, squeeze_strength=value)
     elif spec.axis == "disorder_s":
@@ -114,9 +89,6 @@ def _effective_point(spec: SweepSpec, value: float):
         if not 0.0 <= value < 1.0:
             raise ValueError(f"coherent_fraction must lie in [0, 1), got {value}")
         alpha2 = value * math.sinh(inp.squeeze_strength) ** 2 / (1.0 - value)
-        inp = replace(inp, alpha_mag=math.sqrt(alpha2))
-    elif spec.axis == "photon_budget":
-        alpha2 = _alpha2_for_budget(value, disorder, inp.squeeze_strength)
         inp = replace(inp, alpha_mag=math.sqrt(alpha2))
     return disorder, inp, loss
 
@@ -199,7 +171,6 @@ def run_superres_sweep(
     alpha2: float = 1e4,
     num_modes: int = 7,
     quad_order: int = 256,
-    basis: prolate.ProlateBasis | None = None,
 ) -> SuperresTable:
     """Super-resolution factor vs focus photon number, per disorder strength.
 
@@ -207,21 +178,21 @@ def run_superres_sweep(
     equals the mean photon number itself, while squeezed light with disorder
     s boosts it to budget / F-bar(s), with F-bar estimated from the seeded
     disorder ensemble at the reference intensity (the bright-regime Fano
-    ratio is insensitive to the exact intensity).
+    ratio is insensitive to the exact intensity) by a ``disorder_s``
+    :func:`run_sweep`.
 
     Each row equals :func:`~speckleq.prolate.superres_factor` at its budget, but W
     is resolved once per sweep and W_Q once per distinct Q, from one PSF per Q.
     """
-    if basis is None:
-        basis = prolate.build_basis(bandwidth, num_modes, quad_order)
+    basis = prolate.build_basis(bandwidth, num_modes, quad_order)
     budgets = [float(b) for b in budgets]
-    curves = [(0.0, 1.0)]  # coherent baseline: F = 1 exactly
+    strengths = tuple(float(s) for s in disorder_strengths)
+    if not strengths:
+        raise ValueError("disorder_strengths must be nonempty")
     inp = SqueezedInput.from_intensity(alpha2, squeeze_strength, fed_modes=channel_count)
-    draws = draw_ensemble(channel_count, trials, master_seed)
-    for s in disorder_strengths:
-        disorder = DisorderParams(channel_count, float(s))
-        means, variances = focus_moments(*draws.shaped_sums(disorder, channel_count), inp, NO_LOSS)
-        curves.append((float(s), float(np.mean(variances)) / float(np.mean(means))))
+    disorder = DisorderParams(channel_count, strengths[0])
+    fano = run_sweep(SweepSpec("disorder_s", strengths, disorder, inp, trials, master_seed)).fano_ratio
+    curves = [(0.0, 1.0), *zip(strengths, fano.tolist())]  # coherent baseline: F = 1 exactly
 
     rows_s, rows_n, rows_q = [], [], []
     for s, fano_bar in curves:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationError
-from .quantum_stats import NO_LOSS, LossChannel, PhotonMoments, SqueezedCases, SqueezedInput
+from .quantum_stats import NO_LOSS, LossChannel, PhotonMoments, SqueezedInput
 from .quantum_stats import focus_moments
 from .random_media import ScatteringRealization, mask_seed
 from .random_media import _amplitudes, _check_stream, _draw_trials, _flux_normalized_sums
@@ -32,6 +32,8 @@ from .random_media import _require_physical, _trial_seeds
 _MAX_FOCK_MODES = 3
 _MAX_CUTOFF = 256
 _FOCK_PAD = 8
+_PHYSICAL_TOL = 1e-9  # det V may undershoot the vacuum bound 1/4 by this much
+_NORM_TOL = 1e-10  # probability the Fock oracle may lose past its cutoff
 
 
 @dataclass(frozen=True)
@@ -63,10 +65,10 @@ def _output_states(tau, abs_sum, g, alpha_mag, alpha_phase, squeeze_phase):
     return np.stack((amp * np.cos(alpha_phase), amp * np.sin(alpha_phase)), -1), cov
 
 
-def _photon_moments(d, cov, physical_tol: float = 1e-9):
+def _photon_moments(d, cov):
     """Photon-number (mean, variance) of stacked states, as :func:`gaussian_photon_moments`."""
     det = np.linalg.det(cov)
-    if np.any(det < 0.25 - physical_tol):
+    if np.any(det < 0.25 - _PHYSICAL_TOL):
         raise ValueError(f"unphysical covariance matrix: det V = {np.min(det)!r} < 1/4")
     mean = (np.trace(cov, axis1=-2, axis2=-1) - 1.0) / 2.0 + np.einsum("...i,...i", d, d) / 2.0
     var = (np.trace(cov @ cov, axis1=-2, axis2=-1) - 0.5) / 2.0 + np.einsum("...i,...ij,...j", d, cov, d)
@@ -81,18 +83,16 @@ def _lossy_states(d, cov, loss_rate):
     return np.sqrt(p2[..., 0]) * d, p2 * cov + q2 * np.eye(2) / 2.0
 
 
-def output_gaussian_state(
-    real: ScatteringRealization, inp: SqueezedInput, n_fed: int | None = None
-) -> GaussianModeState:
+def output_gaussian_state(real: ScatteringRealization, inp: SqueezedInput) -> GaussianModeState:
     """Exact Gaussian state of the shaped focus mode.
 
-    The first ``n_fed`` transmission channels carry the squeezed-coherent
-    input; the remaining transmission channels and every reflection channel
-    contribute vacuum (vacuum is phase invariant, so the reflection phases
-    drop out of the focus mode).
+    The first ``inp.fed_modes`` transmission channels carry the
+    squeezed-coherent input; the remaining transmission channels and every
+    reflection channel contribute vacuum (vacuum is phase invariant, so the
+    reflection phases drop out of the focus mode).
     """
-    n = inp.fed_modes if n_fed is None else n_fed
-    if not 1 <= n <= real.channel_count:
+    n = inp.fed_modes
+    if n > real.channel_count:
         raise ValueError(f"fed mode count {n} inconsistent with {real.channel_count} channels")
     amps = real.t_amp[:n]
     phases = (inp.alpha_phase, inp.squeeze_phase)
@@ -100,13 +100,13 @@ def output_gaussian_state(
     return GaussianModeState(*state)
 
 
-def gaussian_photon_moments(state: GaussianModeState, *, physical_tol: float = 1e-9) -> PhotonMoments:
+def gaussian_photon_moments(state: GaussianModeState) -> PhotonMoments:
     """Photon-number mean and variance of a single-mode Gaussian state.
 
     mean = (V11 + V22 - 1)/2 + |d|^2/2 and
     var = (tr(V^2) - 1/2)/2 + d^T V d in the vacuum-variance-1/2 convention.
     """
-    return PhotonMoments(*map(float, _photon_moments(state.d, state.V, physical_tol)))
+    return PhotonMoments(*map(float, _photon_moments(state.d, state.V)))
 
 
 def apply_loss_channel(state: GaussianModeState, loss: LossChannel) -> GaussianModeState:
@@ -180,13 +180,7 @@ def _apply_raising(tensor: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def fock_photon_moments(
-    coeffs: ModeCoefficients,
-    inp: SqueezedInput,
-    cutoff: int,
-    *,
-    norm_tol: float = 1e-10,
-) -> PhotonMoments:
+def fock_photon_moments(coeffs: ModeCoefficients, inp: SqueezedInput, cutoff: int) -> PhotonMoments:
     """Brute-force focus-mode photon moments in a truncated Fock space.
 
     The first ``inp.fed_modes`` of the K coefficient modes carry the
@@ -194,7 +188,7 @@ def fock_photon_moments(
     operator is evaluated in the Heisenberg picture through
     b = sum_k c_k a_k, which is the only part of the completed mode unitary
     that reaches the focus marginal.  Raises TruncationError when the state
-    leaks more than ``norm_tol`` probability past the cutoff.
+    leaks more than 1e-10 probability past the cutoff.
     """
     k = coeffs.n_modes
     if k > _MAX_FOCK_MODES:
@@ -209,9 +203,9 @@ def fock_photon_moments(
     padded = _single_mode_state(alpha, zeta, cutoff + _FOCK_PAD)
     tail = float(np.sum(np.abs(padded[cutoff:]) ** 2))
     deficit = inp.fed_modes * tail
-    if deficit > norm_tol:
+    if deficit > _NORM_TOL:
         raise TruncationError(
-            f"truncated-norm deficit {deficit:.3e} exceeds {norm_tol:.1e}; increase cutoff"
+            f"truncated-norm deficit {deficit:.3e} exceeds {_NORM_TOL:.1e}; increase cutoff"
         )
     fed = padded[:cutoff]
     vac = np.zeros(cutoff, dtype=complex)
@@ -302,7 +296,7 @@ def _compare_block(m, n, s, g, alpha2, intensity):
         np.sum(np.sqrt(transmitted), axis=1, where=fed), intensity[:, 1].sum(axis=1), m, s,
     )
     alpha_mag = np.sqrt(alpha2)
-    mean, variance = focus_moments(*sums, SqueezedCases(g, alpha_mag**2), NO_LOSS)
+    mean, variance = focus_moments(*sums, SqueezedInput(alpha_mag, g), NO_LOSS)
 
     t_amp, r_amp = _amplitudes(intensity, m, s)
     _require_physical(t_amp, r_amp)

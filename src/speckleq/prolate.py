@@ -83,44 +83,28 @@ class ProlateBasis:
         return values
 
 
-def _solve_parity_block(
-    bandwidth: float, nodes_pos: np.ndarray, weights_pos: np.ndarray, sign: float
-):
-    """Eigen-decomposition of the kernel restricted to one parity subspace."""
-    kern = _sinc_kernel(bandwidth, nodes_pos, nodes_pos) + sign * _sinc_kernel(
-        bandwidth, nodes_pos, -nodes_pos
-    )
-    sqrt_w = np.sqrt(weights_pos)
-    sym = sqrt_w[:, None] * kern * sqrt_w[None, :]
-    sym = 0.5 * (sym + sym.T)
-    lam, vec = np.linalg.eigh(sym)
-    order = np.argsort(lam)[::-1]
-    return lam[order], vec[:, order]
-
-
 def _solve_spectrum(bandwidth: float, quad_order: int, num_modes: int):
+    """The num_modes leading eigenpairs, from one eigh per parity block of the half grid."""
     nodes, weights = np.polynomial.legendre.leggauss(quad_order)
     half = quad_order // 2
     nodes_pos = nodes[half:]
-    weights_pos = weights[half:]
-    merged = []
+    sqrt_w = np.sqrt(weights[half:])
+    lams, vecs = [], []
     for sign in (+1.0, -1.0):
-        lam_block, vec_block = _solve_parity_block(bandwidth, nodes_pos, weights_pos, sign)
-        for j in range(lam_block.shape[0]):
-            merged.append((float(lam_block[j]), sign, vec_block[:, j]))
-    merged.sort(key=lambda item: -item[0])
-    merged = merged[:num_modes]
-
-    lam = np.array([item[0] for item in merged])
-    phi = np.empty((quad_order, num_modes))
-    parity = np.empty(num_modes)
-    sqrt_w = np.sqrt(weights_pos)
-    for k, (_, sign, vec) in enumerate(merged):
-        half_samples = vec / sqrt_w / np.sqrt(2.0)  # unit L2 norm over the full interval
-        phi[half:, k] = half_samples
-        phi[:half, k] = sign * half_samples[::-1]
-        parity[k] = sign
-    return nodes, weights, lam, phi, parity
+        kern = _sinc_kernel(bandwidth, nodes_pos, nodes_pos) + sign * _sinc_kernel(
+            bandwidth, nodes_pos, -nodes_pos
+        )
+        sym = sqrt_w[:, None] * kern * sqrt_w[None, :]
+        lam, vec = np.linalg.eigh(0.5 * (sym + sym.T))
+        lams.append(lam[::-1])  # descending within the block
+        vecs.append(vec[:, ::-1])
+    lam = np.concatenate(lams)
+    order = np.argsort(-lam, kind="stable")[:num_modes]  # an even-odd tie keeps the even mode first
+    parity = np.where(order < half, 1.0, -1.0)
+    half_samples = np.hstack(vecs)[:, order] / sqrt_w[:, None] / np.sqrt(2.0)  # unit L2 norm on [-1, 1]
+    # C order: the layout of phi changes the bits of the matmul in ProlateBasis.evaluate
+    phi = np.ascontiguousarray(np.concatenate([parity * half_samples[::-1], half_samples]))
+    return nodes, weights, lam[order], phi, parity
 
 
 def build_basis(bandwidth: float, num_modes: int, quad_order: int = 256) -> ProlateBasis:

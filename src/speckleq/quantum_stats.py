@@ -16,6 +16,7 @@ phase combination, which must go through :mod:`speckleq.gaussian_oracle`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,9 @@ class SqueezedInput:
     ``squeeze_phase`` is the orientation angle of the squeezed quadrature
     axis; in terms of the squeezing-operator argument zeta = g e^{i phi} it
     corresponds to phi = 2 * squeeze_phase.  With both phases zero the state
-    is amplitude squeezed along the coherent displacement.
+    is amplitude squeezed along the coherent displacement.  ``alpha_mag`` and
+    ``squeeze_strength`` may also be per-case arrays, one
+    :func:`focus_moments` call evaluating many inputs.
     """
 
     alpha_mag: float
@@ -44,9 +47,9 @@ class SqueezedInput:
     squeeze_phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.alpha_mag < 0.0:
+        if np.any(self.alpha_mag < 0.0):
             raise ValueError("alpha_mag must be nonnegative")
-        if self.squeeze_strength < 0.0:
+        if np.any(self.squeeze_strength < 0.0):
             raise ValueError("squeeze_strength must be nonnegative")
         if int(self.fed_modes) != self.fed_modes or self.fed_modes < 1:
             raise ValueError(f"fed_modes must be a positive integer, got {self.fed_modes}")
@@ -67,20 +70,6 @@ class SqueezedInput:
         if alpha2 < 0.0:
             raise ValueError("alpha2 must be nonnegative")
         return cls(math.sqrt(alpha2), squeeze_strength, fed_modes, alpha_phase, squeeze_phase)
-
-
-@dataclass(frozen=True)
-class SqueezedCases:
-    """Per-case g and |alpha|^2 (both phases zero): one :func:`focus_moments` call, many inputs."""
-
-    squeeze_strength: np.ndarray
-    alpha2: np.ndarray
-    alpha_phase = 0.0
-    squeeze_phase = 0.0
-
-    def __post_init__(self) -> None:
-        if np.any(self.squeeze_strength < 0.0) or np.any(self.alpha2 < 0.0):
-            raise ValueError("squeeze_strength and alpha2 must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -204,13 +193,13 @@ def apply_loss(moments: PhotonMoments, loss: LossChannel) -> PhotonMoments:
     return PhotonMoments(*_loss_terms(moments.mean, moments.variance, loss))
 
 
-def focus_moments(tau, abs_sum, tau_rest, sum_r, inp: SqueezedInput | SqueezedCases, loss: LossChannel):
+def focus_moments(tau, abs_sum, tau_rest, sum_r, inp: SqueezedInput, loss: LossChannel):
     """(mean, variance) of the shaped focus after loss: the one closed-form evaluation.
 
     Fed by :meth:`EnsembleDraws.shaped_sums` (per-trial arrays) or
     :meth:`CouplingSums.shaped_sums` (scalars) at N = ``inp.fed_modes``, or
-    by per-case sums with a :class:`SqueezedCases` of per-case g and
-    |alpha|^2; loss acts as in :func:`apply_loss`.
+    by per-case sums with an ``inp`` of per-case g and |alpha|; loss acts as
+    in :func:`apply_loss`.
     """
     _require_zero_phases(inp)
     sh2, ch2, damping = _squeeze_factors(inp.squeeze_strength)
@@ -233,6 +222,9 @@ def photon_budget(wavelength: float, power: float, duration: float, focus_fracti
     if not 0.0 < focus_fraction <= 1.0:
         raise ValueError(f"focus_fraction must lie in (0, 1], got {focus_fraction}")
     photons = power * duration * focus_fraction * wavelength / (PLANCK_CONSTANT * LIGHT_SPEED)
-    if not math.isfinite(photons):  # float products overflow to inf without raising
+    # float products overflow to inf and underflow to 0 or a subnormal without raising
+    if not math.isfinite(photons):
         raise OverflowError(f"photon budget is not finite: {photons!r}")
+    if photons < sys.float_info.min:
+        raise ArithmeticError(f"photon budget underflows: {photons!r}")
     return photons

@@ -10,7 +10,10 @@ import pytest
 
 import speckleq
 from speckleq import UsageError, cli, random_media
-from speckleq.cli import RunConfig, execute, main, parse_args, parse_values
+from speckleq.cli import RunConfig, execute, main, parse_args
+
+# A value-list flag type with no range rule: list flags (--values, --s, --budgets ...) parse through it.
+VALUES = cli._Domain(cli._value_list, lambda value: True, "")
 
 
 def run_cli(tmp_path, *args):
@@ -21,25 +24,25 @@ def run_cli(tmp_path, *args):
 
 class TestParseValues:
     def test_linear_range(self):
-        values = parse_values("0:1.5:0.1", "--values")
+        values = VALUES("--values", "0:1.5:0.1")
         assert len(values) == 16
         assert values[0] == 0.0
         assert values[-1] == pytest.approx(1.5, abs=1e-12)
 
     def test_log_range(self):
-        values = parse_values("1e6:3.5e10:log25", "--budgets")
+        values = VALUES("--budgets", "1e6:3.5e10:log25")
         assert len(values) == 25
         assert values[0] == pytest.approx(1e6, rel=1e-12)
         assert values[-1] == pytest.approx(3.5e10, rel=1e-12)
 
     def test_comma_list_and_scalar(self):
-        assert parse_values("2,4,6,8", "--s") == [2.0, 4.0, 6.0, 8.0]
-        assert parse_values("2", "--s") == [2.0]
+        assert VALUES("--s", "2,4,6,8") == [2.0, 4.0, 6.0, 8.0]
+        assert VALUES("--s", "2") == [2.0]
 
     @pytest.mark.parametrize("bad", ["1:2", "1:2:0", "a,b", "1:2:log1", "-1:4:log5"])
     def test_malformed(self, bad):
         with pytest.raises(UsageError):
-            parse_values(bad, "--x")
+            VALUES("--x", bad)
 
 
 class TestParseArgs:
@@ -546,11 +549,11 @@ class TestOptionDomains:
     def test_parse_values_bounds_the_point_count(self, text):
         # counted before anything is built: 100001 points, an overflowing span, 10001 log points
         with pytest.raises(UsageError, match="10000"):
-            parse_values(text, "--x")
+            VALUES("--x", text)
 
     def test_parse_values_accepts_the_cap(self):
-        assert len(parse_values("0:9999:1", "--x")) == 10_000
-        assert len(parse_values("1:2:log10000", "--x")) == 10_000
+        assert len(VALUES("--x", "0:9999:1")) == 10_000
+        assert len(VALUES("--x", "1:2:log10000")) == 10_000
 
     def test_tiny_step_exits_2(self, tmp_path, capsys):
         assert_usage_error(tmp_path, capsys, ["snr-sweep", "--values", "0:1:1e-9"])
@@ -558,7 +561,7 @@ class TestOptionDomains:
     def test_parse_values_rejects_non_finite(self):
         for bad in ["0:inf:1", "nan:1:0.1", "0:1:inf", "1:inf:log3", "1,nan", ""]:
             with pytest.raises(UsageError):
-                parse_values(bad, "--x")
+                VALUES("--x", bad)
 
 
 class TestNumericalFailures:
@@ -578,6 +581,15 @@ class TestNumericalFailures:
         assert list(tmp_path.iterdir()) == []
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("speckleq photon-budget: error: OverflowError:")
+
+    @pytest.mark.parametrize("tiny", ["1e-300", "1e-160"])
+    def test_photon_budget_underflow_exits_3(self, tmp_path, capsys, tiny):
+        # the product of positive inputs rounds to 0 photons, which is not a budget
+        out = tmp_path / "pb.csv"
+        assert main(["photon-budget", "--power", tiny, "--duration", tiny, "--out", str(out)]) == 3
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("speckleq photon-budget: error: ArithmeticError:")
 
     @pytest.mark.parametrize(
         "command", [["fano-scatter", "--trials", "5"], ["oracle-check", "--cases", "5"]]

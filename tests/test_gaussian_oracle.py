@@ -111,7 +111,7 @@ class TestOutputState:
     def test_inconsistent_mode_count(self):
         real = make_realization([1.0], [0.0])
         with pytest.raises(ValueError):
-            output_gaussian_state(real, SqueezedInput(1.0, 0.0, fed_modes=1), n_fed=2)
+            output_gaussian_state(real, SqueezedInput(1.0, 0.0, fed_modes=2))
 
 
 class TestLossConsistency:

@@ -10,7 +10,6 @@ from speckleq import (
     LossChannel,
     NonzeroPhase,
     PhotonMoments,
-    SqueezedCases,
     SqueezedInput,
     ZeroMean,
     ZeroVariance,
@@ -297,6 +296,15 @@ class TestPhotonBudget:
         with pytest.raises(ArithmeticError):
             photon_budget(694e-9, 1e300, 1e300, 1.0)
 
+    @pytest.mark.parametrize("power,duration", [(1e-300, 1e-300), (1e-160, 1e-160)])
+    def test_rejects_an_underflowing_product(self, power, duration):
+        # positive inputs whose product rounds to 0 or a subnormal carry no photon count
+        with pytest.raises(ArithmeticError, match="underflows"):
+            photon_budget(694e-9, power, duration, 0.01)
+
+    def test_accepts_the_smallest_normal_budget(self):
+        assert photon_budget(694e-9, 1e-100, 1e-100, 1.0) > 0.0
+
 
 class TestInputValidation:
     def test_squeezed_input_rejects_bad_values(self):
@@ -374,8 +382,8 @@ class TestPerCaseInputs:
         tau = 0.5 * rng.random(cases)
         sums = (tau, rng.random(cases), 0.3 * rng.random(cases), 1.0 - tau)
         inputs = [SqueezedInput(300.0 * rng.random(), 2.0 * rng.random()) for _ in range(cases)]
-        batch = SqueezedCases(
-            np.array([inp.squeeze_strength for inp in inputs]), np.array([inp.alpha2 for inp in inputs])
+        batch = SqueezedInput(
+            np.array([inp.alpha_mag for inp in inputs]), np.array([inp.squeeze_strength for inp in inputs])
         )
         channel = LossChannel(0.3)
         means, variances = focus_moments(*sums, batch, channel)
@@ -385,9 +393,9 @@ class TestPerCaseInputs:
 
     def test_rejects_negative_cases(self):
         with pytest.raises(ValueError):
-            SqueezedCases(np.array([0.5, -0.1]), np.array([1.0, 1.0]))
+            SqueezedInput(np.array([1.0, 1.0]), np.array([0.5, -0.1]))
         with pytest.raises(ValueError):
-            SqueezedCases(np.array([0.5, 0.1]), np.array([1.0, -1.0]))
+            SqueezedInput(np.array([1.0, -1.0]), np.array([0.5, 0.1]))
 
     def test_rejects_nan_moments(self):
         # a nan sum gives nan moments, which are not data
