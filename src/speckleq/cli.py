@@ -100,6 +100,7 @@ class _Domain(NamedTuple):
 
 
 _COUNT = _Domain(int, lambda n: n >= 1, "must be >= 1")
+_EVEN = _Domain(int, lambda n: n >= 2 and n % 2 == 0, "must be an even integer >= 2")
 _NONNEGATIVE = _Domain(_finite, lambda x: x >= 0.0, "must be >= 0")
 _POSITIVE = _Domain(_finite, lambda x: x > 0.0, "must be positive")
 _UNIT = _Domain(_finite, lambda x: 0.0 < x <= 1.0, "must lie in (0, 1]")
@@ -130,7 +131,7 @@ _ENSEMBLE = (_Flag("--trials", _COUNT, 1000), _Flag("--m", _COUNT, 50))
 _MONTE_CARLO = (*_ENSEMBLE, _Flag("--alpha2", _NONNEGATIVE, 10000.0))
 _G = _Flag("--g", _NONNEGATIVE, 1.5)
 _S = _Flag("--s", _Domain(_finite, lambda s: s > 1.0, "disorder strength must exceed 1"), 2.0)
-_BASIS = (_Flag("--c", _POSITIVE, 1.0), _Flag("--modes", _COUNT, 7), _Flag("--quad-order", _COUNT, 256))
+_BASIS = (_Flag("--c", _POSITIVE, 1.0), _Flag("--modes", _COUNT, 7), _Flag("--quad-order", _EVEN, 256))
 
 
 def build_parser() -> _Parser:
@@ -164,6 +165,8 @@ def parse_args(argv) -> RunConfig:
         options["values"] = (_SQUEEZES if g_axis else _DISORDERS)("--values", options["values"])
     if "q" in options and options["q"] > options["modes"]:
         raise UsageError("--q: must lie in [1, --modes]")
+    if "quad_order" in options and options["modes"] > options["quad_order"] // 4:
+        raise UsageError("--modes: must not exceed --quad-order / 4")
     if "g" in options and options.get("alpha2", 0.0) == 0.0:  # universal-fano has no --alpha2
         squeeze = options["values"] if options.get("axis") == "g" else np.atleast_1d(options["g"])
         if 0.0 in squeeze:

@@ -118,9 +118,9 @@ def _point_summary(spec: SweepSpec, value: float, draws: EnsembleDraws) -> tuple
         # q^2 -> 1 limit of the affine Fano law)
         return mean_n, mean_v, 1.0, 1.0, 0.0, 0.0, 1.0
     se_n = se_v = 0.0
-    if spec.trials > 1:
-        se_n = float(np.std(means, ddof=1)) / math.sqrt(spec.trials)
-        se_v = float(np.std(variances, ddof=1)) / math.sqrt(spec.trials)
+    if spec.trials > 1:  # std of x / mean, not of x: squaring x itself overflows near 1e154
+        se_n = float(np.std(means / mean_n, ddof=1)) * mean_n / math.sqrt(spec.trials)
+        se_v = float(np.std(variances / mean_v, ddof=1)) * mean_v / math.sqrt(spec.trials)
     ratio = mean_n / mean_v
     # quadrature-combined standard error of snr_ratio = mean(n) / mean(var)
     stderr_snr = ratio * math.sqrt((se_n / mean_n) ** 2 + (se_v / mean_v) ** 2)

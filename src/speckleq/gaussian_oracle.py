@@ -25,9 +25,7 @@ import numpy as np
 from .errors import TruncationError
 from .quantum_stats import NO_LOSS, LossChannel, PhotonMoments, SqueezedInput
 from .quantum_stats import focus_moments
-from .random_media import ScatteringRealization, mask_seed
-from .random_media import _amplitudes, _check_stream, _draw_trials, _flux_normalized_sums
-from .random_media import _require_physical, _trial_seeds
+from .random_media import DisorderParams, EnsembleDraws, ScatteringRealization, draw_ensemble, mask_seed
 
 _MAX_FOCK_MODES = 3
 _MAX_CUTOFF = 256
@@ -282,24 +280,13 @@ _BLOCK_CASES = 256  # cases evaluated at once; one block's arrays, not the run's
 _MAX_CHANNELS = 64
 
 
-def _compare_block(m, n, s, g, alpha2, intensity):
-    """Relative errors, analytic against Gaussian oracle, of a block of cases.
-
-    ``intensity`` (cases, 2, _MAX_CHANNELS) holds raw |z|^2, zero past each
-    case's M.  The analytic side normalizes raw sums as the sweeps do; the
-    oracle side forms and checks amplitudes as ``sample_realization`` does.
-    """
-    fed = np.arange(_MAX_CHANNELS) < n[:, None]
-    transmitted = intensity[:, 0]
-    sums = _flux_normalized_sums(
-        transmitted.sum(axis=1), np.sum(transmitted, axis=1, where=fed),
-        np.sum(np.sqrt(transmitted), axis=1, where=fed), intensity[:, 1].sum(axis=1), m, s,
-    )
+def _compare_block(draws: EnsembleDraws, params: DisorderParams, n, g, alpha2):
+    """Relative errors, analytic against Gaussian oracle, of a block of cases."""
     alpha_mag = np.sqrt(alpha2)
-    mean, variance = focus_moments(*sums, SqueezedInput(alpha_mag, g), NO_LOSS)
+    mean, variance = focus_moments(*draws.shaped_sums(params, n), SqueezedInput(alpha_mag, g), NO_LOSS)
 
-    t_amp, r_amp = _amplitudes(intensity, m, s)
-    _require_physical(t_amp, r_amp)
+    t_amp, _ = draws.amplitudes(params.disorder_strength)
+    fed = np.arange(t_amp.shape[1]) < n[:, None]
     tau, abs_sum = np.sum(t_amp**2, axis=1, where=fed), np.sum(t_amp, axis=1, where=fed)
     oracle_mean, oracle_variance = _photon_moments(*_output_states(tau, abs_sum, g, alpha_mag, 0.0, 0.0))
     return _relative_error(mean, oracle_mean), _relative_error(variance, oracle_variance)
@@ -309,15 +296,14 @@ def run_equivalence_check(cases: int, seed: int, *, tolerance: float = 1e-10) ->
     """Random analytic vs Gaussian-oracle comparison over the supported domain.
 
     Cases draw M in {1..64}, N <= M, s in (1, 10], g in [0, 2] and
-    |alpha|^2 in [0, 1e5] with both phases zero; case i's disorder is
-    ``sample_realization``'s draw at ``derive_trial_seed(seed, i)``.  The
-    analytic side is the one closed-form evaluation the sweeps run,
-    ``focus_moments`` on flux-normalized sums, and the oracle the stacked
-    Gaussian-state algebra; both run once per block of cases.
+    |alpha|^2 in [0, 1e5] with both phases zero.  Each block of cases is one
+    ``draw_ensemble`` call with one M per case, so case i's disorder is trial
+    i of master seed ``seed``.  The analytic side is the sweeps' own
+    evaluation, ``focus_moments`` on ``EnsembleDraws.shaped_sums``; the oracle
+    side is the stacked Gaussian-state algebra on ``EnsembleDraws.amplitudes``.
     """
     if cases < 1:
         raise ValueError("cases must be >= 1")
-    _check_stream(seed)
     rng = np.random.default_rng(mask_seed(seed))
     blocks = []
     for start in range(0, cases, _BLOCK_CASES):
@@ -329,9 +315,7 @@ def run_equivalence_check(cases: int, seed: int, *, tolerance: float = 1e-10) ->
             g = 2.0 * rng.random()
             alpha2 = 1e5 * rng.random()
             drawn.append((m, n, s, g, alpha2))
-        params = [np.array(column) for column in zip(*drawn)]
-        intensity = np.zeros((len(drawn), 2, _MAX_CHANNELS))
-        seeds = _trial_seeds(seed, np.arange(start, start + len(drawn), dtype=np.uint64))
-        _draw_trials(intensity, seeds, params[0].tolist())
-        blocks.append((*params, *_compare_block(*params, intensity)))
+        m, n, s, g, alpha2 = (np.array(column) for column in zip(*drawn))
+        draws = draw_ensemble(m, range(start, start + len(drawn)), seed)
+        blocks.append((m, n, s, g, alpha2, *_compare_block(draws, DisorderParams(m, s), n, g, alpha2)))
     return EquivalenceReport(*(np.concatenate(column) for column in zip(*blocks)), tolerance=tolerance)

@@ -136,7 +136,7 @@ def build_basis(bandwidth: float, num_modes: int, quad_order: int = 256) -> Prol
     if lam[0] >= 1.0 or lam[-1] <= 0.0 or np.any(np.diff(lam) >= 0.0):
         raise ConvergenceError(
             "retained eigenvalues must lie in (0, 1) and decrease strictly; "
-            f"got lam[0]={lam[0]!r}, lam[-1]={lam[-1]!r} - reduce num_modes"
+            f"got lam[0]={float(lam[0])!r}, lam[-1]={float(lam[-1])!r} - reduce num_modes"
         )
 
     # sign conventions: phi_k(0) > 0 (even k), phi_k'(0) > 0 (odd k); parity is

@@ -15,10 +15,9 @@ formed.
 
 All operations are pure functions of their arguments; per-trial seeds for
 ensemble work are derived statelessly from (master seed, trial index), so
-any trial can be redrawn on its own.  ``draw_ensemble`` draws a whole
-ensemble once and keeps only what the shaped statistics need from it;
-``sample_realization`` draws one trial from the same stream layout and
-channel weights.
+any trial can be redrawn on its own.  ``draw_ensemble`` is the one way to
+draw an ensemble (the sweeps' and ``oracle-check``'s); ``sample_realization``
+draws one trial from a given seed with the same layout and channel weights.
 
 The stream is numpy's: trial i's seed is
 ``SeedSequence((master, i)).generate_state(1, uint64)``, and its normals are
@@ -26,13 +25,12 @@ The stream is numpy's: trial i's seed is
 algorithms (O'Neill's seed_seq hash, PCG64's ``srandom``), so they are
 computed here for a whole batch of trials at once as uint32 array
 arithmetic, and one PCG64 generator is set to each trial's state in turn.
-Every draw checks the first trial against numpy's own seeding.
+Every ``draw_ensemble`` call checks trial 0 against numpy's own seeding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -56,15 +54,17 @@ class DisorderParams:
         modeled with the same number of channels).
     disorder_strength: s = thickness / transport mean free path; must exceed
         1 so the mean reflected intensity (1 - 1/s)/M stays nonnegative.
+    Either may hold one value per trial, for :meth:`EnsembleDraws.shaped_sums`.
     """
 
     channel_count: int
     disorder_strength: float
 
     def __post_init__(self) -> None:
-        if int(self.channel_count) != self.channel_count or self.channel_count < 1:
+        m = np.asarray(self.channel_count)
+        if not np.all(np.isfinite(m) & (m >= 1) & (m == np.floor(m))):
             raise ValueError(f"channel_count must be a positive integer, got {self.channel_count}")
-        if not self.disorder_strength > 1.0:
+        if not np.all(np.asarray(self.disorder_strength) > 1.0):
             raise ValueError(
                 f"disorder_strength must exceed 1, got {self.disorder_strength} "
                 "(the reflected intensity (1-1/s)/M would be negative)"
@@ -200,7 +200,7 @@ def _pcg64_states(seeds: np.ndarray):
 def _draw_trials(out: np.ndarray, seeds: np.ndarray, channel_counts) -> None:
     """Write trial j's |z|^2 into ``out[j, :, :M]``, M = ``channel_counts[j]``, seeded by ``seeds[j]``.
 
-    The one per-trial stream layout; every draw in the package goes through it.
+    The one per-trial stream layout, behind ``draw_ensemble`` and ``sample_realization``.
     Row 0 is transmission, row 1 reflection, and each entry is bitwise
     ``np.square(default_rng(seed).standard_normal((2, M, 2))).sum(axis=2)``:
     one PCG64 generator is set to each trial's state in turn.
@@ -242,14 +242,12 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     return int(_trial_seeds(master_seed, np.array([trial_index], dtype=np.uint64))[0])
 
 
-def _channel_weights(m, s):
-    """Per-quadrature variances 1/(2Ms) of raw t and (1-1/s)/(2M) of raw r, per row for arrays."""
-    return 1.0 / (2.0 * m * s), (1.0 - 1.0 / s) / (2.0 * m)
-
-
 def _flux_scales(raw_T, raw_R, m, s):
-    """Per-row factors taking raw |z_t|^2 and |z_r|^2 to intensities that sum to exactly one."""
-    t_weight, r_weight = _channel_weights(m, s)
+    """Per-row factors taking raw |z_t|^2 and |z_r|^2 to intensities that sum to exactly one.
+
+    The channel weights are the raw per-quadrature variances, 1/(2Ms) for t and (1-1/s)/(2M) for r.
+    """
+    t_weight, r_weight = 1.0 / (2.0 * m * s), (1.0 - 1.0 / s) / (2.0 * m)
     norm = 1.0 / (t_weight * raw_T + r_weight * raw_R)
     return t_weight * norm, r_weight * norm
 
@@ -268,7 +266,7 @@ def _require_physical(t_amp: np.ndarray, r_amp: np.ndarray) -> None:
 
 
 def _amplitudes(intensity: np.ndarray, m, s) -> tuple[np.ndarray, np.ndarray]:
-    """Flux-normalized |t| and |r| of trial intensities shaped (..., 2, channels)."""
+    """Flux-normalized |t| and |r| of intensities shaped (..., 2, channels); callers check them."""
     transmitted, reflected = intensity[..., 0, :], intensity[..., 1, :]
     t_scale, r_scale = _flux_scales(transmitted.sum(axis=-1), reflected.sum(axis=-1), m, s)
     return np.sqrt(t_scale[..., None] * transmitted), np.sqrt(r_scale[..., None] * reflected)
@@ -303,50 +301,62 @@ def coupling_sums(real: ScatteringRealization) -> CouplingSums:
 
 @dataclass(frozen=True)
 class EnsembleDraws:
-    """A seeded ensemble's raw normals, reduced before any s-dependent scaling.
+    """A seeded ensemble's raw draws, before any s-dependent scaling.
 
-    Row i holds the same draw as ``sample_realization(params,
-    derive_trial_seed(master_seed, i))``: prefix sums of |z_t|^2 and |z_t|
-    over the transmission channels and the total |z_r|^2.
+    Row j is trial ``trials[j]`` of :func:`draw_ensemble`, the draw of
+    ``sample_realization(params, derive_trial_seed(master_seed, trials[j]))``:
+    raw |z_t|^2 and |z_r|^2 (``intensity``, zero past the row's M), prefix
+    sums of |z_t|^2 and |z_t| over the transmission channels, and the total |z_r|^2.
     """
 
+    intensity: np.ndarray
+    channel_counts: np.ndarray
     cum_T: np.ndarray
     cum_abs_t: np.ndarray
     sum_R: np.ndarray
 
-    def shaped_sums(self, params: DisorderParams, fed_modes: int):
-        """Per-trial (tau_N, sum_{a<=N} |t_a|, tau_rest, sum_R), exactly flux-normalized."""
-        m = params.channel_count
-        if self.cum_T.shape[1] != m or not 1 <= fed_modes <= m:
-            raise ValueError(f"M={m}, N={fed_modes} do not fit draws of shape {self.cum_T.shape}")
-        fed = (self.cum_T[:, fed_modes - 1], self.cum_abs_t[:, fed_modes - 1])
-        return _flux_normalized_sums(self.cum_T[:, -1], *fed, self.sum_R, m, params.disorder_strength)
+    def shaped_sums(self, params: DisorderParams, fed_modes):
+        """Per-trial (tau_N, sum_{a<=N} |t_a|, tau_rest, sum_R), exactly flux-normalized.
+
+        M and s (``params``) and N = ``fed_modes`` are each one value or one per row.
+        """
+        m, rows = params.channel_count, np.arange(self.sum_R.shape[0])
+        if np.any(self.channel_counts != m) or not np.all((1 <= fed_modes) & (fed_modes <= m)):
+            drawn = np.unique(self.channel_counts)
+            raise ValueError(f"M={m}, N={fed_modes} do not fit draws of M in {drawn}")
+        raw_T, raw_T_n = self.cum_T[rows, m - 1], self.cum_T[rows, fed_modes - 1]
+        t_scale, r_scale = _flux_scales(raw_T, self.sum_R, m, params.disorder_strength)
+        tau_all, tau_n, sum_r = t_scale * raw_T, t_scale * raw_T_n, r_scale * self.sum_R
+        _require_flux(tau_all + sum_r)
+        return tau_n, np.sqrt(t_scale) * self.cum_abs_t[rows, fed_modes - 1], tau_all - tau_n, sum_r
+
+    def amplitudes(self, disorder_strength) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row |t| and |r|, zero past the row's M, formed and checked as ``sample_realization`` does."""
+        t_amp, r_amp = _amplitudes(self.intensity, self.channel_counts, disorder_strength)
+        _require_physical(t_amp, r_amp)
+        return t_amp, r_amp
 
 
-def _flux_normalized_sums(raw_T, raw_T_n, raw_abs_n, raw_R, m, s):
-    """Per-row (tau_N, sum_{a<=N} |t_a|, tau_rest, sum_R), exactly flux-normalized.
+def draw_ensemble(channel_count, trials, master_seed: int) -> EnsembleDraws:
+    """Draw each trial once and keep its raw intensities and prefix sums.
 
-    From raw |z_t|^2 and |z_r|^2 totals, |z_t|^2 and |z_t| over the N fed channels, M and s.
+    ``trials`` is a count n, meaning ``range(n)``, or a range of trial indices;
+    ``channel_count`` is one M or one per trial, and rows are zero-padded to the largest M.
     """
-    t_scale, r_scale = _flux_scales(raw_T, raw_R, m, s)
-    tau_all, tau_n, sum_r = t_scale * raw_T, t_scale * raw_T_n, r_scale * raw_R
-    _require_flux(tau_all + sum_r)
-    return tau_n, np.sqrt(t_scale) * raw_abs_n, tau_all - tau_n, sum_r
-
-
-def draw_ensemble(channel_count: int, trials: int, master_seed: int) -> EnsembleDraws:
-    """Draw trials 0..trials-1 once and reduce them to their prefix sums."""
-    if trials < 1:
+    indices = trials if isinstance(trials, range) else range(trials)
+    if len(indices) < 1:
         raise ValueError("trials must be >= 1")
+    counts = np.broadcast_to(channel_count, (len(indices),))
     _check_stream(master_seed)
-    intensities = np.empty((trials, 2, channel_count))
-    seeds = _trial_seeds(master_seed, np.arange(trials, dtype=np.uint64))
-    _draw_trials(intensities, seeds, repeat(channel_count))
-    transmitted = intensities[:, 0]
+    intensity = np.zeros((len(indices), 2, int(counts.max())))
+    _draw_trials(intensity, _trial_seeds(master_seed, np.array(indices, dtype=np.uint64)), counts.tolist())
+    transmitted = intensity[:, 0]
     return EnsembleDraws(
+        intensity,
+        counts,
         np.cumsum(transmitted, axis=1),
         np.cumsum(np.sqrt(transmitted), axis=1),
-        intensities[:, 1].sum(axis=1),
+        intensity[:, 1].sum(axis=1),
     )
 
 

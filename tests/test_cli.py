@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -545,6 +546,22 @@ class TestOptionDomains:
     def test_out_of_range_exits_2(self, tmp_path, capsys, args):
         assert_usage_error(tmp_path, capsys, args)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["prolate-basis", "--quad-order", "255"], ["prolate-basis", "--quad-order", "1"],
+            ["prolate-basis", "--quad-order", "2"], ["prolate-basis", "--modes", "70"],
+            ["psf", "--quad-order", "24", "--modes", "7"], ["superres", "--quad-order", "28", "--modes", "8"],
+        ],
+    )
+    def test_bad_basis_flags_exit_2(self, tmp_path, capsys, args):
+        # the library would raise ValueError (exit 3); the CLI rejects these before running
+        assert_usage_error(tmp_path, capsys, args)
+
+    def test_modes_may_reach_a_quarter_of_quad_order(self, tmp_path):
+        rc, out = run_cli(tmp_path, "prolate-basis", "--modes", "5", "--quad-order", "20")
+        assert rc == 0 and out.exists()
+
     @pytest.mark.parametrize("text", ["0:1:1e-5", "0:1e300:1e-300", "1:2:log10001"])
     def test_parse_values_bounds_the_point_count(self, text):
         # counted before anything is built: 100001 points, an overflowing span, 10001 log points
@@ -574,6 +591,25 @@ class TestNumericalFailures:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("speckleq fano-scatter: error:")
         assert "Overflow" in err[0] or "overflow" in err[0]
+
+    @pytest.mark.parametrize(
+        "args",
+        [["superres", "--alpha2", "1e153"], ["superres", "--alpha2", "1e300"],
+         ["snr-sweep", "--axis", "s", "--alpha2", "1e160"]],
+    )
+    def test_bright_sweeps_write_finite_rows(self, tmp_path, args):
+        # the standard errors are formed from x / mean, so squaring x ~ 1e154 cannot overflow
+        rc, out = run_cli(tmp_path, *args, "--trials", "200")
+        assert rc == 0
+        header, rows = read_csv(out)
+        assert rows and np.all(np.isfinite(np.array(rows, dtype=float)))
+        if "stderr_snr" in header:
+            assert np.all(np.array(rows, dtype=float)[:, header.index("stderr_snr")] > 0.0)
+
+    def test_convergence_error_prints_plain_floats(self, tmp_path, capsys):
+        assert main(["prolate-basis", "--c", "40", "--out", str(tmp_path / "b.txt")]) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"lam\[0\]=[0-9.]+(e[+-][0-9]+)?, lam\[-1\]=[0-9.]+(e[+-][0-9]+)? ", err), err
 
     def test_photon_budget_overflow_exits_3(self, tmp_path, capsys):
         out = tmp_path / "pb.csv"

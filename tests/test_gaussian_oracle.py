@@ -24,7 +24,7 @@ from speckleq import (
     sample_realization,
     variance_photon,
 )
-from speckleq import gaussian_oracle
+from speckleq import gaussian_oracle, random_media
 from speckleq.quantum_stats import NO_LOSS
 from speckleq.random_media import mask_seed
 from tests.test_random_media import make_realization
@@ -323,14 +323,14 @@ class TestBatchedEquivalence:
 
     def test_rows_do_not_depend_on_blocking(self, monkeypatch):
         block = gaussian_oracle._BLOCK_CASES
-        exact = gaussian_oracle._draw_trials
+        exact = random_media._draw_trials
         seeds = []
 
         def recording(out, block_seeds, channel_counts):
             seeds.extend(int(seed) for seed in block_seeds)
             return exact(out, block_seeds, channel_counts)
 
-        monkeypatch.setattr(gaussian_oracle, "_draw_trials", recording)
+        monkeypatch.setattr(random_media, "_draw_trials", recording)
         longer = run_equivalence_check(2 * block + 1, 7)
         # case i draws trial i of the master seed, in every block
         assert seeds == [derive_trial_seed(7, i) for i in range(2 * block + 1)]
@@ -358,20 +358,20 @@ class TestBatchedEquivalence:
     @pytest.mark.parametrize("fault", ["amplitude scale", "overflowed draw"])
     def test_flux_violating_block_raises(self, monkeypatch, fault):
         if fault == "amplitude scale":
-            exact = gaussian_oracle._amplitudes
+            exact = random_media._amplitudes
 
             def broken(*args):
                 t_amp, r_amp = exact(*args)
                 return t_amp * (1.0 + 1e-9), r_amp
 
-            monkeypatch.setattr(gaussian_oracle, "_amplitudes", broken)
+            monkeypatch.setattr(random_media, "_amplitudes", broken)
         else:
-            exact = gaussian_oracle._draw_trials
+            exact = random_media._draw_trials
 
             def broken(out, seeds, channel_counts):
                 exact(out, seeds, channel_counts)
                 out[:, 0, 0] = np.inf
 
-            monkeypatch.setattr(gaussian_oracle, "_draw_trials", broken)
+            monkeypatch.setattr(random_media, "_draw_trials", broken)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="flux not conserved"):
             run_equivalence_check(50, 1)

@@ -49,6 +49,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             ScatteringRealization(np.array([1.0]), np.zeros(2))
 
+    @pytest.mark.parametrize("m,s", [([3, 0, 5], [2.0, 2.0, 2.0]), ([3, 4, 5], [2.0, 1.0, 3.0]),
+                                     ([3, 4, 5], [2.0, 3.0, 0.5]), ([3, -1, 5], 2.0)])
+    def test_per_case_params_check_every_case(self, m, s):
+        with pytest.raises(ValueError):
+            DisorderParams(np.array(m), np.array(s))
+
+    def test_per_case_params_accept_valid_arrays(self):
+        params = DisorderParams(np.array([1, 64]), np.array([1.5, 10.0]))
+        assert params.channel_count.shape == (2,)
+
 
 class TestSampling:
     def test_weak_disorder_transmits_everything(self):
@@ -188,6 +198,73 @@ class TestEnsembleStats:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             draw_ensemble(5, 0, 1)
+        with pytest.raises(ValueError):
+            draw_ensemble(5, range(3, 3), 1)
+
+
+class TestDrawEntryPoint:
+    """draw_ensemble with one M per trial and with a range of trial indices."""
+
+    @staticmethod
+    def assert_rows_match(draws, j, fixed, i, m):
+        """Row j of ``draws`` is row i of the fixed-M draw ``fixed`` in its first m channels, zero after."""
+        assert np.array_equal(draws.intensity[j, :, :m], fixed.intensity[i])
+        assert np.all(draws.intensity[j, :, m:] == 0.0)
+        assert np.array_equal(draws.cum_T[j, :m], fixed.cum_T[i])
+        assert np.array_equal(draws.cum_abs_t[j, :m], fixed.cum_abs_t[i])
+
+    def test_ragged_rows_equal_fixed_m_rows(self):
+        counts = [3, 1, 64, 7, 7, 20]
+        draws = draw_ensemble(np.array(counts), len(counts), 5)
+        assert draws.intensity.shape == (6, 2, 64)
+        assert draws.channel_counts.tolist() == counts
+        for j, m in enumerate(counts):
+            self.assert_rows_match(draws, j, draw_ensemble(m, len(counts), 5), j, m)
+
+    def test_range_rows_equal_fixed_m_rows(self):
+        fixed = draw_ensemble(9, 40, 3)
+        draws = draw_ensemble(9, range(17, 40), 3)
+        for j, i in enumerate(range(17, 40)):
+            self.assert_rows_match(draws, j, fixed, i, 9)
+        assert np.array_equal(draws.sum_R, fixed.sum_R[17:])
+
+    def test_ragged_range_rows(self):
+        counts = [2, 5, 4]
+        draws = draw_ensemble(counts, range(100, 103), 8)
+        for j, m in enumerate(counts):
+            self.assert_rows_match(draws, j, draw_ensemble(m, range(100, 103), 8), j, m)
+
+    def test_count_means_range_from_zero(self):
+        count, span = draw_ensemble(6, 12, 2), draw_ensemble(6, range(12), 2)
+        for name in ("intensity", "cum_T", "cum_abs_t", "sum_R"):
+            assert np.array_equal(getattr(count, name), getattr(span, name))
+
+    def test_per_row_shaped_sums_and_amplitudes_match_single_trials(self):
+        counts, strengths, fed = np.array([4, 1, 9]), np.array([1.5, 3.0, 8.0]), np.array([2, 1, 9])
+        draws = draw_ensemble(counts, range(30, 33), 6)
+        params = DisorderParams(counts, strengths)
+        sums = np.array(draws.shaped_sums(params, fed))
+        t_amp, r_amp = draws.amplitudes(strengths)
+        for j, (m, s, n) in enumerate(zip(counts, strengths, fed)):
+            real = sample_realization(DisorderParams(m, s), derive_trial_seed(6, 30 + j))
+            # padded rows are summed over more (zero) terms, so only rounding may differ
+            np.testing.assert_allclose(sums[:, j], coupling_sums(real).shaped_sums(n), rtol=1e-14, atol=1e-16)
+            np.testing.assert_allclose(t_amp[j, :m], real.t_amp, rtol=1e-14)
+            np.testing.assert_allclose(r_amp[j, :m], real.r_amp, rtol=1e-14)
+            assert np.all(t_amp[j, m:] == 0.0) and np.all(r_amp[j, m:] == 0.0)
+
+    def test_params_must_fit_each_row(self):
+        draws = draw_ensemble([3, 5], 2, 1)
+        with pytest.raises(ValueError, match="do not fit"):
+            draws.shaped_sums(DisorderParams(np.array([3, 4]), 2.0), 1)
+        with pytest.raises(ValueError, match="do not fit"):
+            draws.shaped_sums(DisorderParams(5, 2.0), 1)
+        with pytest.raises(ValueError, match="do not fit"):
+            draws.shaped_sums(DisorderParams(np.array([3, 5]), 2.0), np.array([1, 6]))
+
+    def test_rejects_channel_counts_of_another_length(self):
+        with pytest.raises(ValueError):
+            draw_ensemble([3, 4, 5], 2, 1)
 
 
 def reference_seed(master, index):
