@@ -14,8 +14,12 @@ the numerical floor (eigenvalues decay superexponentially, reaching ~1e-13
 by k = 6 for c = 1).  Eigenfunctions vanish identically outside [-1, 1];
 off-grid values inside the interval come from Nystrom interpolation.
 
-Accuracy is certified by self-convergence: the builder re-solves at twice
-the quadrature order and requires every retained eigenvalue to be stable.
+Accuracy is certified against an independent eigenvalue source: the prolate
+differential operator, which commutes with the kernel, is a symmetric
+tridiagonal matrix in normalized Legendre polynomials (Bouwkamp 1947), and
+the ratio formula of Xiao, Rokhlin & Yarvin (Inverse Problems 17, 2001)
+turns its eigenvectors into the kernel's eigenvalues to relative accuracy.
+Every retained Nystrom eigenvalue must agree with the series one.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ import numpy as np
 
 from .errors import AllZero, ConvergenceError, NoCrossing, TooDim
 
-_SELF_CONVERGENCE_TOL = 1e-9
+_CERTIFICATE_TOL = 1e-9  # largest distance of a retained Nystrom eigenvalue from its series value
+_SERIES_TAIL_TOL = 1e-12  # largest trailing Legendre coefficient of a retained series mode
 _PSF_STEP = 1e-3  # z spacing of the sampled PSF curves; z = 1, the support edge, is a sample
 
 
@@ -52,7 +57,8 @@ class ProlateBasis:
     columns ordered by descending eigenvalue; ``phi_at_zero`` stores the
     center values (exactly zero for odd modes).  Signs follow
     phi_k(0) > 0 for even k and phi_k'(0) > 0 for odd k.
-    ``convergence_shift``: eigenvalue move certified under quadrature doubling (nan if none).
+    ``convergence_shift``: largest distance of ``lam`` from the Legendre-series
+    eigenvalues, certified <= 1e-9 (nan if none).
     """
 
     bandwidth: float
@@ -107,11 +113,63 @@ def _solve_spectrum(bandwidth: float, quad_order: int, num_modes: int):
     return nodes, weights, lam[order], phi, parity
 
 
-def build_basis(bandwidth: float, num_modes: int, quad_order: int = 256) -> ProlateBasis:
-    """Nystrom-discretized Slepian basis with self-convergence certification.
+def _series_eigenvalues(bandwidth: float, num_modes: int, quad_order: int) -> np.ndarray:
+    """The num_modes leading kernel eigenvalues from the Legendre series, in descending order.
 
-    Raises ConvergenceError when doubling the quadrature order moves any
-    retained eigenvalue by more than 1e-9, or when the requested modes dig
+    The prolate operator -(d/dz)(1 - z^2)(d/dz) + c^2 z^2 in the normalized
+    Legendre polynomials sqrt(l + 1/2) P_l of one parity (l = parity, parity + 2, ...)
+    is symmetric tridiagonal; its eigenvectors beta, by ascending eigenvalue,
+    are the Legendre coefficients of that parity's modes in descending lam.
+    With unit-norm beta and beta_l the coefficient of degree l,
+    lam = c beta_0^2 / (pi phi(0)^2) for even modes and
+    lam = c^3 beta_1^2 / (3 pi phi'(0)^2) for odd ones; even and odd modes
+    interleave (lam_0 even, lam_1 odd, ...).  The series has
+    num_modes + ceil(c) + 16 terms per parity, capped at quad_order;
+    ConvergenceError if the retained modes' trailing coefficients have not
+    fallen below 1e-12 within it.
+    """
+    lam, tail = np.empty(num_modes), np.inf
+    # quad_order terms per parity reach degree 2 quad_order - 1, and the
+    # coefficients of a mode of bandwidth c only start to fall past degree ~c;
+    # uncapped, the length below leaves tails below 1e-30 for c <= 300, K <= 128
+    if bandwidth < 2 * quad_order:
+        terms = min(quad_order, num_modes + int(np.ceil(bandwidth)) + 16)
+        c2 = bandwidth * bandwidth
+        # P_2m(0) = -(2m - 1) / (2m) P_2m-2(0), and P_l'(0) = l P_l-1(0) for odd l
+        m = np.arange(1, terms)
+        p_even = np.cumprod(np.concatenate([[1.0], (1.0 - 2.0 * m) / (2.0 * m)]))
+        tail = 0.0
+        for parity in (0, 1):
+            degree = parity + 2.0 * np.arange(terms)
+            diag = degree * (degree + 1.0) + c2 * (2.0 * degree * (degree + 1.0) - 1.0) / (
+                (2.0 * degree + 3.0) * (2.0 * degree - 1.0)
+            )
+            low = degree[:-1]
+            off = c2 * (low + 1.0) * (low + 2.0) / (
+                (2.0 * low + 3.0) * np.sqrt((2.0 * low + 1.0) * (2.0 * low + 5.0))
+            )
+            matrix = np.diag(diag)  # one terms x terms array: the cap bounds the memory
+            i = np.arange(terms - 1)
+            matrix[i, i + 1] = matrix[i + 1, i] = off
+            beta = np.linalg.eigh(matrix)[1][:, : (num_modes + 1 - parity) // 2]
+            center = (np.sqrt(degree + 0.5) * p_even * (degree if parity else 1.0)) @ beta
+            scale = bandwidth / np.pi if parity == 0 else bandwidth**3 / (3.0 * np.pi)
+            lam[parity::2] = scale * beta[0] ** 2 / center**2
+            tail = max(tail, float(np.abs(beta[-1]).max(initial=0.0)))
+    if tail > _SERIES_TAIL_TOL:
+        raise ConvergenceError(
+            f"the Legendre series for c={bandwidth:g} needs more than quad_order={quad_order} "
+            "terms per parity to resolve the retained modes; raise quad_order"
+        )
+    return lam
+
+
+def build_basis(bandwidth: float, num_modes: int, quad_order: int = 256) -> ProlateBasis:
+    """Nystrom-discretized Slepian basis, certified against Legendre-series eigenvalues.
+
+    Raises ConvergenceError when the series does not converge within
+    quad_order terms per parity, when any retained Nystrom eigenvalue lies
+    more than 1e-9 from its series value, or when the requested modes dig
     into the numerical noise floor (non-positive or non-decreasing tail).
     """
     if bandwidth <= 0.0:
@@ -125,18 +183,23 @@ def build_basis(bandwidth: float, num_modes: int, quad_order: int = 256) -> Prol
             f"num_modes={num_modes} exceeds quad_order/4={quad_order // 4}; raise quad_order"
         )
 
+    lam_series = _series_eigenvalues(bandwidth, num_modes, quad_order)
     nodes, weights, lam, phi, parity = _solve_spectrum(bandwidth, quad_order, num_modes)
-    _, _, lam_fine, _, _ = _solve_spectrum(bandwidth, 2 * quad_order, num_modes)
-    shift = float(np.max(np.abs(lam - lam_fine)))
-    if shift > _SELF_CONVERGENCE_TOL:
+    shift = float(np.max(np.abs(lam - lam_series)))
+    if shift > _CERTIFICATE_TOL:
         raise ConvergenceError(
-            f"eigenvalues moved by {shift:.3e} under quadrature doubling "
-            f"(tolerance {_SELF_CONVERGENCE_TOL:.1e}); raise quad_order"
+            f"Nystrom eigenvalues lie {shift:.3e} from the Legendre-series ones "
+            f"(tolerance {_CERTIFICATE_TOL:.1e}); raise quad_order"
         )
     if lam[0] >= 1.0 or lam[-1] <= 0.0 or np.any(np.diff(lam) >= 0.0):
+        advice = (
+            f"bandwidth c={bandwidth:g} is too large to resolve lam_0 below 1 in double precision"
+            if lam[0] >= 1.0
+            else "reduce num_modes"
+        )
         raise ConvergenceError(
             "retained eigenvalues must lie in (0, 1) and decrease strictly; "
-            f"got lam[0]={float(lam[0])!r}, lam[-1]={float(lam[-1])!r} - reduce num_modes"
+            f"got lam[0]={float(lam[0])!r}, lam[-1]={float(lam[-1])!r} - {advice}"
         )
 
     # sign conventions: phi_k(0) > 0 (even k), phi_k'(0) > 0 (odd k); parity is

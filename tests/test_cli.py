@@ -606,6 +606,11 @@ class TestNumericalFailures:
         if "stderr_snr" in header:
             assert np.all(np.array(rows, dtype=float)[:, header.index("stderr_snr")] > 0.0)
 
+    def test_unresolvable_bandwidth_exits_3(self, tmp_path, capsys):
+        assert main(["prolate-basis", "--c", "1e6", "--out", str(tmp_path / "b.txt")]) == 3
+        assert list(tmp_path.iterdir()) == []
+        assert "raise quad_order" in capsys.readouterr().err
+
     def test_convergence_error_prints_plain_floats(self, tmp_path, capsys):
         assert main(["prolate-basis", "--c", "40", "--out", str(tmp_path / "b.txt")]) == 3
         err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -23,8 +24,22 @@ from speckleq import (
     resolve_modes,
     superres_factor,
 )
+from speckleq import prolate
 from speckleq.errors import ConvergenceError
-from speckleq.prolate import _sinc_kernel
+from speckleq.prolate import _series_eigenvalues, _sinc_kernel, _solve_spectrum
+
+# Sinc-kernel eigenvalues at c = 1, k < 7, to 50 digits: Rayleigh-Ritz on the integral
+# operator in Legendre polynomials up to degree 60, with the spherical-Bessel overlap
+# integrals summed exactly from their power series at 90 digits (mpmath; degree 44 agrees).
+LAM_C1_REFERENCE = np.array([
+    5.725817806378951222239686534549344836027845059356e-1,
+    6.2791274149803334403570677720478448391005730012118e-2,
+    1.2374793284659967105178034558186304889003429845538e-3,
+    9.2009770495689268205831532686818759576569702085148e-6,
+    3.7179285580655501719099475905919347068427881570578e-8,
+    9.4914367339671568480477984802617767107403943748321e-11,
+    1.6715715833522591313027350397299014476132587031274e-13,
+])
 
 
 class TestSpectrum:
@@ -66,9 +81,9 @@ class TestSpectrum:
         basis = build_basis(c, 6, 256)
         assert math.isfinite(basis.convergence_shift)
         assert 0.0 <= basis.convergence_shift <= 1e-9
-        # the recorded value is the shift the certification measured
-        lam_512 = build_basis(c, 6, 512).lam
-        assert basis.convergence_shift == np.abs(basis.lam - lam_512).max()
+        # the recorded value is the distance the certificate measured from the series eigenvalues
+        lam_series = _series_eigenvalues(c, 6, 256)
+        assert basis.convergence_shift == np.abs(basis.lam - lam_series).max()
 
     def test_convergence_shift_defaults_to_nan(self, basis_c1):
         fields = ("bandwidth", "grid", "weights", "lam", "phi", "phi_at_zero")
@@ -134,6 +149,77 @@ class TestSpectrum:
         except ConvergenceError:
             return
         assert np.all(basis.lam > 0.0) and np.all(np.diff(basis.lam) < 0.0)
+
+
+class TestSeriesCertificate:
+    def test_series_eigenvalues_match_reference_relatively(self):
+        lam = _series_eigenvalues(1.0, 7, 256)
+        assert np.abs(lam / LAM_C1_REFERENCE - 1.0).max() <= 1e-12
+
+    def test_nystrom_eigenvalues_match_reference_within_gate(self, basis_c1):
+        assert np.abs(basis_c1.lam - LAM_C1_REFERENCE).max() <= 1e-9
+
+    def test_one_nystrom_solve_and_no_doubled_quadrature(self, monkeypatch):
+        solves, orders = [], []
+        solve, leggauss = prolate._solve_spectrum, np.polynomial.legendre.leggauss
+        monkeypatch.setattr(prolate, "_solve_spectrum", lambda *args: solves.append(args) or solve(*args))
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: orders.append(n) or leggauss(n))
+        build_basis(1.0, 7, 256)
+        assert solves == [(1.0, 256, 7)]
+        assert orders == [256]
+
+    def test_rejects_exactly_where_doubling_moves_eigenvalues(self):
+        # the certificate replaced a Nystrom re-solve at 2 * quad_order; it must reject
+        # the same bases, and anything else only for the (0, 1) strict-decrease contract.
+        # On the grid the mid-size Nystrom errors all fail the series tail first, so the
+        # last rows add bandwidths whose error crosses the 1e-9 gate itself (7.2e-10 to 1.0e-7).
+        groups = [
+            (c, q, sorted({1, 2, q // 4}))
+            for c in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+            for q in (8, 12, 16, 32, 64, 128)
+        ]
+        groups += [(c, 12, [3]) for c in (4.5, 5.0, 5.5)] + [(c, 16, [4]) for c in (8.0, 8.5, 9.0, 10.0)]
+        verdicts = []
+        for c, q, ks in groups:
+            coarse = _solve_spectrum(c, q, q // 4)[2]
+            fine = _solve_spectrum(c, 2 * q, q // 4)[2]
+            for k in ks:
+                lam = coarse[:k]
+                if np.abs(lam - fine[:k]).max() > 1e-9:
+                    expected = "certificate"
+                elif lam[0] >= 1.0 or lam[-1] <= 0.0 or np.any(np.diff(lam) >= 0.0):
+                    expected = "spectrum"
+                else:
+                    expected = "accepted"
+                try:
+                    build_basis(c, k, q)
+                    verdict = "accepted"
+                except ConvergenceError as err:
+                    verdict = "certificate" if "Legendre" in str(err) else "spectrum"
+                verdicts.append((c, q, k, expected, verdict))
+        assert [v for v in verdicts if v[3] != v[4]] == []
+        outcomes = [v[4] for v in verdicts]
+        assert outcomes.count("certificate") >= 30 and outcomes.count("accepted") >= 60
+
+    @pytest.mark.parametrize("c", [1e6, 1e300])
+    def test_huge_bandwidth_rejected_promptly(self, c):
+        # 1e300 would overflow c^2 in the series matrix
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="raise quad_order"):
+            build_basis(c, 4, 256)
+        assert time.perf_counter() - start < 1.0
+
+    def test_undecayed_series_raises(self):
+        # c = 12 needs Legendre degrees past 15, the highest that 8 terms per parity reach
+        with pytest.raises(ConvergenceError, match="Legendre series.*raise quad_order"):
+            _series_eigenvalues(12.0, 1, 8)
+
+    @pytest.mark.parametrize("c, modes", [(20.0, 3), (40.0, 1)])
+    def test_saturated_leading_eigenvalue_blames_the_bandwidth(self, c, modes):
+        with pytest.raises(ConvergenceError) as err:
+            build_basis(c, modes, 256)
+        assert "too large to resolve lam_0 below 1 in double precision" in str(err.value)
+        assert "reduce num_modes" not in str(err.value)
 
 
 class TestClassicalPsf:
