@@ -9,6 +9,13 @@ written.  Output goes through a temporary file renamed into place, so a
 failed run never leaves a truncated file.  Exit codes: 0 on success, 2 on
 usage errors and unwritable output, 3 on numerical errors, overflow and
 exhausted memory included.  SPECKLE_SEED overrides --seed when set.
+
+The CSV and JSON writers choose one ``%`` conversion per column, once, and
+format each row with a single ``%`` against a row template: ``%d`` for a
+column of exact ``int``, ``%.17g`` (CSV) or ``%r`` (JSON, finite values
+only) for a column of exact ``float``.  Other columns (mixed, bool or numpy
+scalars, or JSON nan and inf, which become null) are converted cell by
+cell, exactly as ``json.dumps`` and ``format(x, ".17g")`` write them.
 """
 
 from __future__ import annotations
@@ -134,20 +141,30 @@ _S = _Flag("--s", _Domain(_finite, lambda s: s > 1.0, "disorder strength must ex
 _BASIS = (_Flag("--c", _POSITIVE, 1.0), _Flag("--modes", _COUNT, 7), _Flag("--quad-order", _EVEN, 256))
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="speckleq", description=__doc__)
+def build_parser(command: str | None = None) -> _Parser:
+    """The CLI parser, with flags for ``command`` alone (every command when None).
+
+    Every subcommand is created either way, so top-level help and the invalid-choice error stay put.
+    """
+    # the docstring's last paragraph is about the writers, not the command line
+    parser = _Parser(prog="speckleq", description=__doc__.rsplit("\n\n", 1)[0])
     subs = parser.add_subparsers(dest="command")
-    for name, command in _COMMANDS.items():
-        sub = subs.add_parser(name, help=command.help)
-        for flag in command.flags + _RUN:
-            kind = flag.domain and partial(flag.domain, flag.name)
-            sub.add_argument(flag.name, type=kind, default=flag.default, help=flag.help)
+    for name, spec in _COMMANDS.items():
+        sub = subs.add_parser(name, help=spec.help)
+        if command is None or command == name:
+            for flag in spec.flags + _RUN:
+                kind = flag.domain and partial(flag.domain, flag.name)
+                sub.add_argument(flag.name, type=kind, default=flag.default, help=flag.help)
     return parser
 
 
 def parse_args(argv) -> RunConfig:
     """Parse argv into a RunConfig and check the rules that span flags (types check each flag)."""
-    namespace = build_parser().parse_args(list(argv))
+    argv = list(argv)
+    # The top level takes no flag but -h, so a valid command line names its command in argv[0].
+    # Any other argv is an error or help, built with every flag so that its message is unchanged.
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    namespace = build_parser(named).parse_args(argv)
     if namespace.command is None:
         raise UsageError(f"missing command; choose one of {', '.join(_COMMANDS)}")
     options = vars(namespace).copy()
@@ -192,13 +209,43 @@ def _json_cell(value) -> str:
     return repr(value) if math.isfinite(value) else "null"
 
 
+def _typed_columns(rows: list[tuple], json_output: bool):
+    """Each column's ``%`` conversion (see the module docstring), and the rows that take them.
+
+    A column converted cell by cell is taken by ``%s``.
+    """
+    cell = _json_cell if json_output else _format_cell
+    specs, columns = [], []
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            specs.append("%d")
+        elif kinds == {float} and not json_output:
+            specs.append("%.17g")
+        elif kinds == {float} and all(map(math.isfinite, column)):
+            specs.append("%r")
+        else:
+            specs.append("%s")
+            column = tuple(map(cell, column))
+        columns.append(column)
+    return specs, zip(*columns)
+
+
+def _csv_table(header: list[str], rows: list[tuple]) -> str:
+    specs, cells = _typed_columns(rows, json_output=False)
+    row_template = ",".join(specs)
+    return "\n".join([",".join(header), *(row_template % row for row in cells)]) + "\n"
+
+
 def _json_table(command: str, header: list[str], rows: list[tuple]) -> str:
     """Bytes of ``json.dumps({"command": ..., "rows": [{header: cells}]}, indent=2)``, by template."""
-    fields = ",\n".join(f"      {json.dumps(key).replace('%', '%%')}: %s" for key in header)
+    specs, cells = _typed_columns(rows, json_output=True)
+    keys = (json.dumps(key).replace("%", "%%") for key in header)
+    fields = ",\n".join(f"      {key}: {spec}" for key, spec in zip(keys, specs))
     row_template = "    {\n" + fields + "\n    }"
-    body = ",\n".join(row_template % tuple(map(_json_cell, row)) for row in rows)
+    body = ",\n".join(row_template % row for row in cells)
     rows_text = f"[\n{body}\n  ]" if rows else "[]"
-    return f'{{\n  "command": {json.dumps(command)},\n  "rows": {rows_text}\n}}'
+    return f'{{\n  "command": {json.dumps(command)},\n  "rows": {rows_text}\n}}\n'
 
 
 def _write_atomic(path: Path, write) -> None:
@@ -212,12 +259,8 @@ def _write_atomic(path: Path, write) -> None:
 
 
 def _write_table(path: Path, fmt: str, command: str, header: list[str], rows: list[tuple]) -> None:
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    else:
-        path.write_text(_json_table(command, header, rows) + "\n", encoding="utf-8")
+    text = _csv_table(header, rows) if fmt == "csv" else _json_table(command, header, rows)
+    path.write_text(text, encoding="utf-8")
 
 
 class _Output(NamedTuple):
@@ -240,7 +283,7 @@ _SWEEP_HEADER = ["axis_value", "mean_n", "fano_ratio", "snr_ratio", "stderr_snr"
 def _run_fano_scatter(config: RunConfig) -> _Output:
     keys = ("m", "s", "g", "alpha2", "trials", "seed")
     fanos = ensemble.run_fano_scatter(*(config.options[key] for key in keys))
-    return _table(config, ["trial", "fano"], list(enumerate(fanos)))
+    return _table(config, ["trial", "fano"], list(enumerate(fanos.tolist())))
 
 
 def _run_sweep(config: RunConfig, axis: str | None = None) -> _Output:
@@ -284,8 +327,8 @@ def _run_psf(config: RunConfig) -> _Output:
     opt = config.options
     basis = prolate.build_basis(opt["c"], opt["modes"], opt["quad_order"])
     z = np.arange(0.0, np.pi / opt["c"] + opt["step"], opt["step"])
-    rows = zip(z, prolate.classical_psf(opt["c"], z), prolate.reconstruction_psf(basis, opt["q"], z))
-    return _table(config, ["z", "classical", "reconstruction"], list(rows))
+    columns = (z, prolate.classical_psf(opt["c"], z), prolate.reconstruction_psf(basis, opt["q"], z))
+    return _table(config, ["z", "classical", "reconstruction"], list(zip(*(c.tolist() for c in columns))))
 
 
 def _run_prolate_basis(config: RunConfig) -> _Output:

@@ -24,7 +24,8 @@ The stream is numpy's: trial i's seed is
 ``default_rng(seed).standard_normal((2, M, 2))``.  Both seedings are fixed
 algorithms (O'Neill's seed_seq hash, PCG64's ``srandom``), so they are
 computed here for a whole batch of trials at once as uint32 array
-arithmetic, and one PCG64 generator is set to each trial's state in turn.
+arithmetic.  Normals are drawn per trial (one PCG64 generator is set to
+each trial's state in turn) and squared and summed per chunk of trials.
 Every ``draw_ensemble`` call checks trial 0 against numpy's own seeding.
 """
 
@@ -44,6 +45,7 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _STATE_BLOCK = 1024  # trials whose PCG64 states are held as Python ints at once
+_CHUNK_TRIALS = 256  # trials whose normals are squared and summed in one pass
 
 
 @dataclass(frozen=True)
@@ -198,24 +200,42 @@ def _pcg64_states(seeds: np.ndarray):
 
 
 def _draw_trials(out: np.ndarray, seeds: np.ndarray, channel_counts) -> None:
-    """Write trial j's |z|^2 into ``out[j, :, :M]``, M = ``channel_counts[j]``, seeded by ``seeds[j]``.
+    """Write trial j's |z|^2 into ``out[j, :, :M]``, M = ``channel_counts[j]``, and zeros past it.
 
     The one per-trial stream layout, behind ``draw_ensemble`` and ``sample_realization``.
     Row 0 is transmission, row 1 reflection, and each entry is bitwise
-    ``np.square(default_rng(seed).standard_normal((2, M, 2))).sum(axis=2)``:
-    one PCG64 generator is set to each trial's state in turn.
+    ``np.square(default_rng(seed).standard_normal((2, M, 2))).sum(axis=2)``
+    with seed ``seeds[j]``.  Normals are drawn per trial: one PCG64 generator
+    is set to each trial's state in turn and writes the trial's 4 M normals
+    into a row of a zeroed slab of ``_CHUNK_TRIALS`` rows.  Each chunk is then
+    squared and summed in pairs in one pass, and row j's first M sums
+    (transmission) and next M (reflection) are gathered into ``out``.
+    ``Generator`` keeps no normals between calls, so splitting the draws
+    this way leaves the stream unchanged.
     """
     generator = np.random.Generator(np.random.PCG64(0))
     bit_generator = generator.bit_generator
-    flat = np.empty(4 * out.shape[-1])
-    for row, (state, inc), m in zip(out, _pcg64_states(seeds), channel_counts):
-        bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0,
-        }
-        normals = generator.standard_normal(out=flat[: 4 * m].reshape(2, m, 2))
-        np.square(normals, out=normals)
-        np.add(normals[..., 0], normals[..., 1], out=row[:, :m])
+    counts, width = np.asarray(channel_counts), out.shape[-1]
+    slab = np.empty((min(_CHUNK_TRIALS, out.shape[0]), 4 * width))
+    channel, states = np.arange(width), _pcg64_states(seeds)
+    for start in range(0, out.shape[0], _CHUNK_TRIALS):
+        m = counts[start : start + _CHUNK_TRIALS]
+        block = slab[: m.shape[0]]
+        block.fill(0.0)  # padding squares to zero, whatever the previous chunk left
+        for row, (state, inc), m_j in zip(block, states, m.tolist()):
+            bit_generator.state = {
+                "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                "has_uint32": 0, "uinteger": 0,
+            }
+            generator.standard_normal(out=row[: 4 * m_j])
+        np.square(block, out=block)
+        sums = block[:, 0::2] + block[:, 1::2]  # row j: M_j transmission sums, M_j reflection, zeros
+        # side 0 channel k reads sum k and side 1 sum M_j + k; padding reads the row's last sum,
+        # which is zero wherever M_j < width
+        m = m[:, None, None]
+        index = np.where(channel < m, np.arange(2)[:, None] * m + channel, 2 * width - 1)
+        index += np.arange(0, sums.size, sums.shape[1])[:, None, None]  # each row's flat offset
+        np.take(sums, index, out=out[start : start + m.shape[0]])
 
 
 def _check_stream(master_seed: int) -> None:
@@ -348,8 +368,8 @@ def draw_ensemble(channel_count, trials, master_seed: int) -> EnsembleDraws:
         raise ValueError("trials must be >= 1")
     counts = np.broadcast_to(channel_count, (len(indices),))
     _check_stream(master_seed)
-    intensity = np.zeros((len(indices), 2, int(counts.max())))
-    _draw_trials(intensity, _trial_seeds(master_seed, np.array(indices, dtype=np.uint64)), counts.tolist())
+    intensity = np.empty((len(indices), 2, int(counts.max())))
+    _draw_trials(intensity, _trial_seeds(master_seed, np.array(indices, dtype=np.uint64)), counts)
     transmitted = intensity[:, 0]
     return EnsembleDraws(
         intensity,

@@ -351,6 +351,41 @@ JSON_COMMANDS = [
 ]
 
 
+# Edge cells: a table of mixed and numpy-scalar columns, converted cell by
+# cell, and one whose first four columns each hold one exact type and take one
+# conversion per column; its nan and inf column still goes cell by cell in JSON.
+EDGE_HEADER = ["case", "M", "x", "y", "z"]
+EDGE_TABLES = [
+    [
+        (0, np.int64(3), -0.0, 1e300, np.bool_(True)),
+        (1, 2**70, math.nan, -math.inf, np.float32(0.1)),
+        (np.int32(2), True, 5e-324, np.float64(-1.5e-300), np.int32(-7)),
+        (3, 0, np.float32(0.1), 1e16, 2**53 + 1),
+    ],
+    [
+        (0, 2**53 + 1, -0.0, math.nan, np.int32(7)),
+        (1, 2**70, 5e-324, math.inf, np.bool_(False)),
+        (2, -(2**63), 1e16, -math.inf, np.float32(0.1)),
+        (3, 0, 0.1, 1e300, -0.0),
+    ],
+    [],
+]
+
+
+def run_recorded(tmp_path, monkeypatch, *args):
+    """Run the CLI and record each (command, header, rows) passed to the table writer."""
+    written = []
+    exact = cli._write_table
+
+    def recording(path, fmt, command, header, rows):
+        written.append((command, header, rows))
+        exact(path, fmt, command, header, rows)
+
+    monkeypatch.setattr(cli, "_write_table", recording)
+    rc, out = run_cli(tmp_path, *args)
+    return rc, out, written
+
+
 class TestJsonEncoding:
     def test_non_finite_cells_are_null(self, tmp_path):
         def reject(token):
@@ -368,30 +403,97 @@ class TestJsonEncoding:
 
     @pytest.mark.parametrize("args", JSON_COMMANDS, ids=lambda args: " ".join(args[:3]))
     def test_command_output_equals_json_dumps(self, tmp_path, monkeypatch, args):
-        written = []
-        exact = cli._write_table
-
-        def recording(path, fmt, command, header, rows):
-            written.append((command, header, rows))
-            exact(path, fmt, command, header, rows)
-
-        monkeypatch.setattr(cli, "_write_table", recording)
-        rc, out = run_cli(tmp_path, *args, "--format", "json")
+        rc, out, written = run_recorded(tmp_path, monkeypatch, *args, "--format", "json")
         assert rc == 0 and len(written) == 1
         assert out.read_text() == json_dumps_reference(*written[0])
 
     def test_edge_cells_equal_json_dumps(self, tmp_path):
-        header = ["case", "M", "x", "y"]
-        rows = [
-            (0, np.int64(3), -0.0, 1e300),
-            (1, 2**70, math.nan, -math.inf),
-            (np.int32(2), True, 5e-324, np.float64(-1.5e-300)),
-            (3, 0, np.float32(0.1), 1e16),
-        ]
-        for table in (rows, []):
+        for rows in EDGE_TABLES:
             out = tmp_path / "t.json"
-            cli._write_table(out, "json", "oracle-check", header, table)
-            assert out.read_text() == json_dumps_reference("oracle-check", header, table)
+            cli._write_table(out, "json", "oracle-check", EDGE_HEADER, rows)
+            assert out.read_text() == json_dumps_reference("oracle-check", EDGE_HEADER, rows)
+
+    def test_one_conversion_per_column(self):
+        # exact int and finite exact float columns skip the per-cell fallback
+        specs, _ = cli._typed_columns(EDGE_TABLES[1], json_output=True)
+        assert specs == ["%d", "%d", "%r", "%s", "%s"]
+        specs, _ = cli._typed_columns(EDGE_TABLES[1], json_output=False)
+        assert specs == ["%d", "%d", "%.17g", "%.17g", "%s"]
+
+
+def format_cell_reference(value):
+    """The CSV writer's former per-cell conversion."""
+    if isinstance(value, (int, np.integer, np.bool_)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def csv_reference(header, rows):
+    """The CSV writer's former body: one ``format_cell_reference`` per cell, joined by commas."""
+    lines = [",".join(header)]
+    lines.extend(",".join(format_cell_reference(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvEncoding:
+    @pytest.mark.parametrize("args", JSON_COMMANDS, ids=lambda args: " ".join(args[:3]))
+    def test_command_output_equals_per_cell_csv(self, tmp_path, monkeypatch, args):
+        rc, out, written = run_recorded(tmp_path, monkeypatch, *args)
+        assert rc == 0 and len(written) == 1
+        _, header, rows = written[0]
+        assert out.read_text() == csv_reference(header, rows)
+
+    def test_edge_cells_equal_per_cell_csv(self, tmp_path):
+        for rows in EDGE_TABLES:
+            out = tmp_path / "t.csv"
+            cli._write_table(out, "csv", "oracle-check", EDGE_HEADER, rows)
+            assert out.read_text() == csv_reference(EDGE_HEADER, rows)
+
+
+def build_every_command_flags(monkeypatch):
+    """Make parse_args build every command's flags, as it did before it built only the named one's."""
+    exact = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: exact())
+
+
+class TestSingleCommandParser:
+    @pytest.mark.parametrize("args", JSON_COMMANDS, ids=lambda args: " ".join(args[:3]))
+    def test_config_equals_every_command_parser(self, monkeypatch, args):
+        monkeypatch.delenv("SPECKLE_SEED", raising=False)
+        argv = [*args, "--seed", "4", "--format", "json"]
+        single = parse_args(argv)
+        build_every_command_flags(monkeypatch)
+        assert parse_args(argv) == single
+
+    def test_only_the_named_command_gets_flags(self):
+        with pytest.raises(UsageError, match="unrecognized arguments: --trials 3"):
+            cli.build_parser("psf").parse_args(["snr-sweep", "--trials", "3"])
+        assert cli.build_parser().parse_args(["snr-sweep", "--trials", "3"]).trials == 3
+
+    @pytest.mark.parametrize(
+        "argv", [["--help"], *([name, "--help"] for name in cli._COMMANDS)], ids=" ".join
+    )
+    def test_help_text_unchanged(self, monkeypatch, capsys, argv):
+        texts = []
+        for every_command in (False, True):
+            if every_command:
+                build_every_command_flags(monkeypatch)
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and texts[0].startswith("usage: speckleq")
+
+    @pytest.mark.parametrize("argv", [["bogus"], ["bogus", "--trials", "3"], ["--foo", "psf", "--step", "1"]])
+    def test_usage_errors_unchanged(self, monkeypatch, capsys, argv):
+        errors = []
+        for every_command in (False, True):
+            if every_command:
+                build_every_command_flags(monkeypatch)
+            assert main(argv) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and errors[0].startswith("speckleq: usage error: ")
+        assert ("invalid choice" if argv[0] == "bogus" else "unrecognized arguments: --foo") in errors[0]
 
 
 def test_cli_import_does_not_load_scipy_linalg():

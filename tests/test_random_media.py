@@ -313,7 +313,7 @@ class TestBatchedStream:
         assert np.array_equal(draws.sum_R, expected[:, 1].sum(axis=1))
 
     def test_mixed_channel_counts_leave_padding(self):
-        # the oracle's layout: case j fills out[j, :, :M_j] and leaves the rest alone
+        # the oracle's layout: case j fills out[j, :, :M_j] and zeros the rest
         counts = [3, 1, 5]
         out = np.zeros((3, 2, 5))
         seeds = np.array([derive_trial_seed(4, i) for i in range(3)], dtype=np.uint64)
@@ -322,6 +322,20 @@ class TestBatchedStream:
             normals = np.random.default_rng(int(seeds[j])).standard_normal((2, m, 2))
             single = np.square(normals).sum(axis=2)
             assert np.array_equal(out[j, :, :m], single)
+            assert np.all(out[j, :, m:] == 0.0)
+
+    def test_chunked_draw_matches_per_trial_draws_across_chunks(self):
+        # 640 trials span three slab chunks; a slab row that held a larger M in the
+        # previous chunk must not leak into the padding of a smaller one
+        counts = np.random.default_rng(12).integers(1, 65, 640)
+        counts[[0, 255, 256, 511, 512, 639]] = [64, 1, 1, 64, 64, 1]
+        seeds = random_media._trial_seeds(13, np.arange(640, dtype=np.uint64))
+        out = np.full((640, 2, 64), np.nan)
+        with np.errstate(over="raise", invalid="raise"):
+            random_media._draw_trials(out, seeds, counts)
+        for j, m in enumerate(counts):
+            normals = np.random.default_rng(int(seeds[j])).standard_normal((2, m, 2))
+            assert np.array_equal(out[j, :, :m], np.square(normals).sum(axis=2))
             assert np.all(out[j, :, m:] == 0.0)
 
     def test_rows_are_prefix_stable(self):
