@@ -12,7 +12,9 @@ solved separately on the even and odd subspaces.  This keeps the parity of
 every eigenfunction exact even where the spectrum is nearly degenerate at
 the numerical floor (eigenvalues decay superexponentially, reaching ~1e-13
 by k = 6 for c = 1).  Eigenfunctions vanish identically outside [-1, 1];
-off-grid values inside the interval come from Nystrom interpolation.
+off-grid values inside the interval come from Nystrom interpolation, whose
+sinc kernel is formed only for the points inside the support, in blocks of
+at most 128 points.
 
 Accuracy is certified against an independent eigenvalue source: the prolate
 differential operator, which commutes with the kernel, is a symmetric
@@ -34,6 +36,7 @@ from .errors import AllZero, ConvergenceError, NoCrossing, TooDim
 _CERTIFICATE_TOL = 1e-9  # largest distance of a retained Nystrom eigenvalue from its series value
 _SERIES_TAIL_TOL = 1e-12  # largest trailing Legendre coefficient of a retained series mode
 _PSF_STEP = 1e-3  # z spacing of the sampled PSF curves; z = 1, the support edge, is a sample
+_KERNEL_BLOCK_ROWS = 128  # evaluation points per sinc-kernel block; bounds the temporaries
 
 
 def _sinc_kernel(bandwidth: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -77,15 +80,24 @@ class ProlateBasis:
         """Sample phi_k(z) for k < max_modes; zero outside [-1, 1].
 
         Nystrom interpolation reproduces the grid samples exactly at the
-        quadrature nodes.  Shape: (len(z), max_modes).
+        quadrature nodes.  The weighted sinc kernel is formed only for the
+        points with |z| <= 1 (NaN included), in blocks of at most 128 rows
+        written into one zeroed (len(z), quad_order) array; points outside
+        the support read +0.0.  Shape: (len(z), max_modes).
         """
         k = self.mode_count if max_modes is None else max_modes
         if not 1 <= k <= self.mode_count:
             raise ValueError(f"max_modes must lie in [1, {self.mode_count}]")
         pts = np.atleast_1d(np.asarray(z, dtype=float))
-        kernel = _sinc_kernel(self.bandwidth, pts, self.grid)
-        values = (kernel * self.weights) @ self.phi[:, :k] / self.lam[:k]
-        values[np.abs(pts) > 1.0, :] = 0.0
+        outside = np.abs(pts) > 1.0
+        inside = np.flatnonzero(~outside)  # NaN points count as inside, as in the full kernel
+        weighted = np.zeros((pts.shape[0], self.grid.shape[0]))
+        for start in range(0, inside.shape[0], _KERNEL_BLOCK_ROWS):
+            rows = inside[start : start + _KERNEL_BLOCK_ROWS]
+            weighted[rows] = _sinc_kernel(self.bandwidth, pts[rows], self.grid) * self.weights
+        # the matmul runs on every row: its shape, not just its inputs, fixes the output bits
+        values = weighted @ self.phi[:, :k] / self.lam[:k]
+        values[outside, :] = 0.0
         return values
 
 
@@ -95,11 +107,11 @@ def _solve_spectrum(bandwidth: float, quad_order: int, num_modes: int):
     half = quad_order // 2
     nodes_pos = nodes[half:]
     sqrt_w = np.sqrt(weights[half:])
+    direct = _sinc_kernel(bandwidth, nodes_pos, nodes_pos)
+    mirrored = _sinc_kernel(bandwidth, nodes_pos, -nodes_pos)  # both parity blocks share them
     lams, vecs = [], []
     for sign in (+1.0, -1.0):
-        kern = _sinc_kernel(bandwidth, nodes_pos, nodes_pos) + sign * _sinc_kernel(
-            bandwidth, nodes_pos, -nodes_pos
-        )
+        kern = direct + sign * mirrored
         sym = sqrt_w[:, None] * kern * sqrt_w[None, :]
         lam, vec = np.linalg.eigh(0.5 * (sym + sym.T))
         lams.append(lam[::-1])  # descending within the block
@@ -410,8 +422,8 @@ def export_basis(basis: ProlateBasis, path) -> Path:
         f"# lambda: {lam_text}",
         "# columns: z weight " + " ".join(f"phi_{j}" for j in range(k)),
     ]
-    for i in range(basis.grid.shape[0]):
-        row = [basis.grid[i], basis.weights[i], *basis.phi[i, :]]
-        lines.append(" ".join(format(v, ".17g") for v in row))
+    row_template = " ".join(["%.17g"] * (k + 2))
+    rows = zip(basis.grid.tolist(), basis.weights.tolist(), *basis.phi.T.tolist())
+    lines.extend(row_template % row for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

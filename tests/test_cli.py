@@ -484,6 +484,14 @@ class TestSingleCommandParser:
             texts.append(capsys.readouterr().out)
         assert texts[0] == texts[1] and texts[0].startswith("usage: speckleq")
 
+    def test_top_level_help_is_for_users(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        text = capsys.readouterr().out
+        assert "``" not in text and "_COMMANDS" not in text
+        assert "SPECKLE_SEED overrides --seed" in text
+
     @pytest.mark.parametrize("argv", [["bogus"], ["bogus", "--trials", "3"], ["--foo", "psf", "--step", "1"]])
     def test_usage_errors_unchanged(self, monkeypatch, capsys, argv):
         errors = []

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +277,75 @@ class TestHalfWidth:
             PsfCurve(np.array([0.1, 0.2]), np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             PsfCurve(np.array([0.0]), np.array([1.0]))
+
+
+def full_kernel_evaluate(basis, z, k):
+    """Reference Nystrom interpolant: the sinc kernel at every point, then outside rows zeroed."""
+    pts = np.atleast_1d(np.asarray(z, dtype=float))
+    kernel = _sinc_kernel(basis.bandwidth, pts, basis.grid)
+    values = (kernel * basis.weights) @ basis.phi[:, :k] / basis.lam[:k]
+    values[np.abs(pts) > 1.0, :] = 0.0
+    return values
+
+
+def straddling_grid(n):
+    """n points across [-1.5, 1.5] with the support ends -1 and 1 among them (n >= 3)."""
+    z = np.linspace(-1.5, 1.5, n)
+    for end in (-1.0, 1.0):
+        z[np.argmin(np.abs(z - end))] = end
+    return z
+
+
+PSF_DEFAULT_GRID = np.arange(0.0, np.pi + 1e-3, 1e-3)  # the psf command's z at c = 1
+EVALUATION_GRIDS = {
+    "1-inside": np.array([1.0]),
+    "1-outside": np.array([-1.5]),
+    **{str(n): straddling_grid(n) for n in (127, 128, 129, 257)},
+    "257-shuffled": np.random.default_rng(0).permutation(straddling_grid(257)),
+    "3143-psf": PSF_DEFAULT_GRID,
+    "3143": straddling_grid(3143),
+    "all-outside": np.concatenate([np.linspace(-4.0, -1.001, 150), np.linspace(1.001, 4.0, 150)]),
+}
+
+
+class TestBlockedEvaluation:
+    """evaluate forms the kernel only inside the support, in row blocks, with unchanged bits."""
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("grid", EVALUATION_GRIDS.values(), ids=EVALUATION_GRIDS.keys())
+    def test_bitwise_equal_to_full_kernel(self, c, grid):
+        basis = build_basis(c, 7, 256)
+        outside = np.abs(grid) > 1.0
+        for q in range(1, basis.mode_count + 1):
+            values = basis.evaluate(grid, q)
+            assert values.shape == (grid.shape[0], q)
+            assert np.array_equal(values, full_kernel_evaluate(basis, grid, q))
+            assert np.all(values[outside] == 0.0) and not np.signbit(values[outside]).any()
+
+    def test_support_ends_are_inside(self, basis_c1):
+        values = basis_c1.evaluate(np.array([-1.0, 1.0]))
+        assert np.all(values != 0.0)
+        assert np.array_equal(values, full_kernel_evaluate(basis_c1, [-1.0, 1.0], 7))
+
+    def test_nan_points_stay_nan(self, basis_c1):
+        grid = np.array([0.5, np.nan, 2.0, -0.25])
+        values = basis_c1.evaluate(grid)
+        assert np.isnan(values[1]).all() and not np.isnan(values[[0, 2, 3]]).any()
+        assert np.array_equal(values, full_kernel_evaluate(basis_c1, grid, 7), equal_nan=True)
+
+    def test_reconstruction_psf_peak_memory(self, basis_c1):
+        # one weighted (n, quad_order) kernel plus block-sized temporaries; forming the
+        # kernel for every point at once holds about four such arrays
+        z = PSF_DEFAULT_GRID
+        assert z.shape[0] == 3143 and 1.0 in z
+        reconstruction_psf(basis_c1, 7, z)
+        tracemalloc.start()
+        try:
+            reconstruction_psf(basis_c1, 7, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * z.shape[0] * basis_c1.grid.shape[0] * 8
 
 
 class TestReconstructionPsf:
