@@ -3,19 +3,18 @@
 Each command is declared once, in ``_COMMANDS``: its help text, its flags and
 its runner.  A flag's type enforces its domain (finite numbers inside the
 flag's own range), so a bad value is a usage error before anything runs.
-Results go to one CSV or JSON file with fixed schemas; floats are written
-with 17 significant digits so every file re-parses into the exact values
-written.  Output goes through a temporary file renamed into place, so a
-failed run never leaves a truncated file.  Exit codes: 0 on success, 2 on
-usage errors and unwritable output, 3 on numerical errors, overflow and
-exhausted memory included.  SPECKLE_SEED overrides --seed when set.
+Results go to one CSV or JSON file with fixed schemas, through a temporary
+file renamed into place, so a failed run never leaves a truncated file.
+Exit codes and SPECKLE_SEED work as ``_DESCRIPTION`` (the top-level help) says.
 
-The CSV and JSON writers choose one ``%`` conversion per column, once, and
-format each row with a single ``%`` against a row template: ``%d`` for a
-column of exact ``int``, ``%.17g`` (CSV) or ``%r`` (JSON, finite values
-only) for a column of exact ``float``.  Other columns (mixed, bool or numpy
-scalars, or JSON nan and inf, which become null) are converted cell by
-cell, exactly as ``json.dumps`` and ``format(x, ".17g")`` write them.
+Runners hand ``_table`` columns, which ``_write_table`` writes in blocks of
+``_WRITE_BLOCK_ROWS`` rows, so its memory does not depend on the row count.
+Each block takes one ``%`` conversion per column and formats each row with one
+``%`` against a row template: ``%d`` for exact ``int``, ``%.17g`` (CSV) or
+``%r`` (JSON, finite values only) for exact ``float``.  Other columns (mixed,
+bool or numpy scalars, or JSON nan and inf, which become null) go cell by cell,
+as ``json.dumps`` and ``format(x, ".17g")`` write them: the bytes never depend
+on the conversion, and 17 significant digits re-parse to the exact values.
 """
 
 from __future__ import annotations
@@ -217,14 +216,12 @@ def _json_cell(value) -> str:
     return repr(value) if math.isfinite(value) else "null"
 
 
-def _typed_columns(rows: list[tuple], json_output: bool):
-    """Each column's ``%`` conversion (see the module docstring), and the rows that take them.
-
-    A column converted cell by cell is taken by ``%s``.
-    """
+def _typed_columns(columns, json_output: bool):
+    """The ``%`` conversion of each column (a numpy one read as its ``tolist()``) and the rows."""
     cell = _json_cell if json_output else _format_cell
-    specs, columns = [], []
-    for column in zip(*rows):
+    specs, typed = [], []
+    for column in columns:
+        column = column.tolist() if isinstance(column, np.ndarray) else column
         kinds = set(map(type, column))
         if kinds == {int}:
             specs.append("%d")
@@ -235,25 +232,30 @@ def _typed_columns(rows: list[tuple], json_output: bool):
         else:
             specs.append("%s")
             column = tuple(map(cell, column))
-        columns.append(column)
-    return specs, zip(*columns)
+        typed.append(column)
+    return specs, zip(*typed)
 
 
-def _csv_table(header: list[str], rows: list[tuple]) -> str:
-    specs, cells = _typed_columns(rows, json_output=False)
-    row_template = ",".join(specs)
-    return "\n".join([",".join(header), *(row_template % row for row in cells)]) + "\n"
+_WRITE_BLOCK_ROWS = 1024  # rows converted, formatted and written at a time
 
 
-def _json_table(command: str, header: list[str], rows: list[tuple]) -> str:
-    """Bytes of ``json.dumps({"command": ..., "rows": [{header: cells}]}, indent=2)``, by template."""
-    specs, cells = _typed_columns(rows, json_output=True)
-    keys = (json.dumps(key).replace("%", "%%") for key in header)
-    fields = ",\n".join(f"      {key}: {spec}" for key, spec in zip(keys, specs))
-    row_template = "    {\n" + fields + "\n    }"
-    body = ",\n".join(row_template % row for row in cells)
-    rows_text = f"[\n{body}\n  ]" if rows else "[]"
-    return f'{{\n  "command": {json.dumps(command)},\n  "rows": {rows_text}\n}}\n'
+def _write_table(path: Path, fmt: str, command: str, header: list[str], columns) -> None:
+    """Write ``columns`` (numpy arrays or sequences) as CSV or as ``json.dumps(indent=2)`` bytes."""
+    json_output, count = fmt == "json", len(columns[0])
+    keys = [json.dumps(key).replace("%", "%%") for key in header]
+    with open(path, "w", encoding="utf-8") as f:
+        opening = f'{{\n  "command": {json.dumps(command)},\n  "rows": ['
+        f.write(opening if json_output else ",".join(header))
+        for start in range(0, count, _WRITE_BLOCK_ROWS):  # each row opens with its separator
+            specs, cells = _typed_columns([c[start : start + _WRITE_BLOCK_ROWS] for c in columns], json_output)
+            if json_output:
+                fields = ",\n".join(f"      {key}: {spec}" for key, spec in zip(keys, specs))
+                row_template = ",\n    {\n" + fields + "\n    }"
+            else:
+                row_template = "\n" + ",".join(specs)
+            block = "".join(row_template % row for row in cells)
+            f.write(block[1:] if json_output and start == 0 else block)  # no comma before the first row
+        f.write(("\n  ]" if count else "]") + "\n}\n" if json_output else "\n")
 
 
 def _write_atomic(path: Path, write) -> None:
@@ -266,11 +268,6 @@ def _write_atomic(path: Path, write) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _write_table(path: Path, fmt: str, command: str, header: list[str], rows: list[tuple]) -> None:
-    text = _csv_table(header, rows) if fmt == "csv" else _json_table(command, header, rows)
-    path.write_text(text, encoding="utf-8")
-
-
 class _Output(NamedTuple):
     """A runner's result: its row count, a writer that fills a given path, and report lines."""
 
@@ -280,9 +277,9 @@ class _Output(NamedTuple):
     failure: str | None = None  # a failed self-check: the file is kept and the exit status is 3
 
 
-def _table(config: RunConfig, header: list[str], rows: list[tuple], **report) -> _Output:
-    write = partial(_write_table, fmt=config.fmt, command=config.command, header=header, rows=rows)
-    return _Output(len(rows), write, **report)
+def _table(config: RunConfig, header: list[str], columns, **report) -> _Output:
+    write = partial(_write_table, fmt=config.fmt, command=config.command, header=header, columns=columns)
+    return _Output(len(columns[0]), write, **report)
 
 
 _SWEEP_HEADER = ["axis_value", "mean_n", "fano_ratio", "snr_ratio", "stderr_snr", "trials"]
@@ -291,7 +288,7 @@ _SWEEP_HEADER = ["axis_value", "mean_n", "fano_ratio", "snr_ratio", "stderr_snr"
 def _run_fano_scatter(config: RunConfig) -> _Output:
     keys = ("m", "s", "g", "alpha2", "trials", "seed")
     fanos = ensemble.run_fano_scatter(*(config.options[key] for key in keys))
-    return _table(config, ["trial", "fano"], list(enumerate(fanos.tolist())))
+    return _table(config, ["trial", "fano"], (range(fanos.size), fanos))
 
 
 def _run_sweep(config: RunConfig, axis: str | None = None) -> _Output:
@@ -306,7 +303,7 @@ def _run_sweep(config: RunConfig, axis: str | None = None) -> _Output:
     )
     t = ensemble.run_sweep(spec)
     columns = (t.axis_values, t.mean_n, t.fano_ratio, t.snr_ratio, t.stderr_snr)
-    return _table(config, _SWEEP_HEADER, [(*row, t.trials) for row in zip(*columns)])
+    return _table(config, _SWEEP_HEADER, (*columns, [t.trials] * t.mean_n.size))
 
 
 def _run_loss_sweep(config: RunConfig) -> _Output:
@@ -316,7 +313,7 @@ def _run_loss_sweep(config: RunConfig) -> _Output:
         channel_count=opt["m"],
     )
     columns = (t.squeeze_strength, t.loss_rate, t.mean_n, t.fano_ratio, t.snr_ratio, t.stderr_snr)
-    return _table(config, ["g", *_SWEEP_HEADER], [(*row, t.trials) for row in zip(*columns)])
+    return _table(config, ["g", *_SWEEP_HEADER], (*columns, [t.trials] * t.mean_n.size))
 
 
 def _run_superres(config: RunConfig) -> _Output:
@@ -326,9 +323,8 @@ def _run_superres(config: RunConfig) -> _Output:
         channel_count=opt["m"], alpha2=opt["alpha2"], num_modes=opt["modes"],
         quad_order=opt["quad_order"],
     )
-    rows = zip(t.disorder_strength, t.mean_n, t.modes_kept, t.classical_width, t.recon_width,
-               t.resolution_gain)
-    return _table(config, ["s", "mean_n", "Q", "W", "W_Q", "J"], list(rows))
+    columns = (t.disorder_strength, t.mean_n, t.modes_kept, t.classical_width, t.recon_width)
+    return _table(config, ["s", "mean_n", "Q", "W", "W_Q", "J"], (*columns, t.resolution_gain))
 
 
 def _run_psf(config: RunConfig) -> _Output:
@@ -336,7 +332,7 @@ def _run_psf(config: RunConfig) -> _Output:
     basis = prolate.build_basis(opt["c"], opt["modes"], opt["quad_order"])
     z = np.arange(0.0, np.pi / opt["c"] + opt["step"], opt["step"])
     columns = (z, prolate.classical_psf(opt["c"], z), prolate.reconstruction_psf(basis, opt["q"], z))
-    return _table(config, ["z", "classical", "reconstruction"], list(zip(*(c.tolist() for c in columns))))
+    return _table(config, ["z", "classical", "reconstruction"], columns)
 
 
 def _run_prolate_basis(config: RunConfig) -> _Output:
@@ -355,16 +351,15 @@ def _run_oracle_check(config: RunConfig) -> _Output:
     )
     failure = None if report.passed else f"FAILED tolerance {report.tolerance:.1e}"
     header = ["case", "M", "N", "s", "g", "alpha2", "rel_err_mean", "rel_err_var"]
-    columns = (report.channel_counts, report.fed_modes, report.disorder_strengths)
+    columns = (range(report.cases), report.channel_counts, report.fed_modes, report.disorder_strengths)
     columns += (report.squeeze_strengths, report.alpha2, report.rel_err_mean, report.rel_err_var)
-    rows = list(zip(range(report.cases), *(column.tolist() for column in columns)))
-    return _table(config, header, rows, note=note, failure=failure)
+    return _table(config, header, columns, note=note, failure=failure)
 
 
 def _run_photon_budget(config: RunConfig) -> _Output:
     inputs = tuple(config.options[key] for key in ("wavelength", "power", "duration", "fraction"))
     header = ["wavelength_m", "power_w", "duration_s", "focus_fraction", "mean_photons"]
-    return _table(config, header, [(*inputs, quantum_stats.photon_budget(*inputs))])
+    return _table(config, header, [[value] for value in (*inputs, quantum_stats.photon_budget(*inputs))])
 
 
 class _Command(NamedTuple):
@@ -417,20 +412,19 @@ def _fail(config: RunConfig, reason, status: int) -> tuple[int, list[Path]]:
 def execute(config: RunConfig) -> tuple[int, list[Path]]:
     """Run the configured command, write its output file, print a summary line.
 
-    Numpy overflow raises in the run, so it exits 3 with no file, like any numerical error.
+    Numpy overflow raises in the run; it and exhausted memory, running or writing, exit 3 with no file.
     """
     start = time.perf_counter()
     try:
         with np.errstate(over="raise", invalid="raise"):
             output = _COMMANDS[config.command].run(config)
+        _write_atomic(config.out, output.write)
+    except OSError as exc:
+        return _fail(config, f"cannot write {config.out}: {exc.strerror or exc}", 2)
     except (ArithmeticError, MemoryError) as exc:
         return _fail(config, f"{type(exc).__name__}: {exc}", 3)
     except (SpeckleQError, ValueError) as exc:
         return _fail(config, exc, 3)
-    try:
-        _write_atomic(config.out, output.write)
-    except OSError as exc:
-        return _fail(config, f"cannot write {config.out}: {exc.strerror or exc}", 2)
     elapsed = time.perf_counter() - start
     print(f"speckleq {config.command}: wrote {output.rows} rows to {config.out} in {elapsed:.2f}s")
     if output.note:

@@ -26,7 +26,7 @@ algorithms (O'Neill's seed_seq hash, PCG64's ``srandom``), so they are
 computed here for a whole batch of trials at once as uint32 array
 arithmetic.  Normals are drawn per trial (one PCG64 generator is set to
 each trial's state in turn) and squared and summed per chunk of trials.
-Every ``draw_ensemble`` call checks trial 0 against numpy's own seeding.
+``draw_ensemble`` checks trial 0 against numpy's own seeding once per master seed.
 """
 
 from __future__ import annotations
@@ -238,8 +238,13 @@ def _draw_trials(out: np.ndarray, seeds: np.ndarray, channel_counts) -> None:
         np.take(sums, index, out=out[start : start + m.shape[0]])
 
 
+_verified_seeds: set[int] = set()  # master seeds that passed _check_stream in this process
+
+
 def _check_stream(master_seed: int) -> None:
-    """Raise StreamMismatch unless trial 0's seed and PCG64 state match numpy's own seeding."""
+    """Raise StreamMismatch unless trial 0's seed and PCG64 state match numpy's; once per seed."""
+    if master_seed in _verified_seeds:
+        return
     seed = int(_trial_seeds(master_seed, np.zeros(1, dtype=np.uint64))[0])
     state, inc = next(_pcg64_states(np.array([seed], dtype=np.uint64)))
     expected_seed = np.random.SeedSequence((mask_seed(master_seed), 0)).generate_state(1, np.uint64)
@@ -249,6 +254,7 @@ def _check_stream(master_seed: int) -> None:
             f"batched seeding of master seed {master_seed} departs from numpy {np.__version__}'s "
             "SeedSequence/PCG64; the disorder stream would change"
         )
+    _verified_seeds.add(master_seed)
 
 
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -372,14 +373,22 @@ EDGE_TABLES = [
 ]
 
 
+def edge_columns(rows):
+    """The columns of an edge table, as the writer takes them (five empty columns for no rows)."""
+    return list(zip(*rows)) or [()] * len(EDGE_HEADER)
+
+
 def run_recorded(tmp_path, monkeypatch, *args):
-    """Run the CLI and record each (command, header, rows) passed to the table writer."""
+    """Run the CLI and record each (command, header, rows) passed to the table writer.
+
+    The writer takes columns; the rows recorded are ``list(zip(*columns))``, numpy scalars and all.
+    """
     written = []
     exact = cli._write_table
 
-    def recording(path, fmt, command, header, rows):
-        written.append((command, header, rows))
-        exact(path, fmt, command, header, rows)
+    def recording(path, fmt, command, header, columns):
+        written.append((command, header, list(zip(*columns))))
+        exact(path, fmt, command, header, columns)
 
     monkeypatch.setattr(cli, "_write_table", recording)
     rc, out = run_cli(tmp_path, *args)
@@ -393,8 +402,8 @@ class TestJsonEncoding:
 
         out = tmp_path / "t.json"
         header = ["case", "rel_err_mean", "rel_err_var"]
-        rows = [(0, math.inf, 1e-16), (1, math.nan, 0.0)]
-        cli._write_table(out, "json", "oracle-check", header, rows)
+        columns = ([0, 1], [math.inf, math.nan], [1e-16, 0.0])
+        cli._write_table(out, "json", "oracle-check", header, columns)
         payload = json.loads(out.read_text(), parse_constant=reject)
         assert payload["rows"] == [
             {"case": 0, "rel_err_mean": None, "rel_err_var": 1e-16},
@@ -410,14 +419,14 @@ class TestJsonEncoding:
     def test_edge_cells_equal_json_dumps(self, tmp_path):
         for rows in EDGE_TABLES:
             out = tmp_path / "t.json"
-            cli._write_table(out, "json", "oracle-check", EDGE_HEADER, rows)
+            cli._write_table(out, "json", "oracle-check", EDGE_HEADER, edge_columns(rows))
             assert out.read_text() == json_dumps_reference("oracle-check", EDGE_HEADER, rows)
 
     def test_one_conversion_per_column(self):
         # exact int and finite exact float columns skip the per-cell fallback
-        specs, _ = cli._typed_columns(EDGE_TABLES[1], json_output=True)
+        specs, _ = cli._typed_columns(edge_columns(EDGE_TABLES[1]), json_output=True)
         assert specs == ["%d", "%d", "%r", "%s", "%s"]
-        specs, _ = cli._typed_columns(EDGE_TABLES[1], json_output=False)
+        specs, _ = cli._typed_columns(edge_columns(EDGE_TABLES[1]), json_output=False)
         assert specs == ["%d", "%d", "%.17g", "%.17g", "%s"]
 
 
@@ -446,8 +455,82 @@ class TestCsvEncoding:
     def test_edge_cells_equal_per_cell_csv(self, tmp_path):
         for rows in EDGE_TABLES:
             out = tmp_path / "t.csv"
-            cli._write_table(out, "csv", "oracle-check", EDGE_HEADER, rows)
+            cli._write_table(out, "csv", "oracle-check", EDGE_HEADER, edge_columns(rows))
             assert out.read_text() == csv_reference(EDGE_HEADER, rows)
+
+
+BLOCK = cli._WRITE_BLOCK_ROWS
+BLOCK_EDGE_SIZES = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+BLOCK_EDGE_HEADER = ["case", "M", "x", "y", "z", "w"]
+
+
+def block_edge_columns(n):
+    """Six columns of n rows whose cell types change at and near block edges.
+
+    ``x`` is a float array that holds nan and inf only in its last rows, so in JSON only the last
+    block goes cell by cell; ``y`` and ``z`` are exact float and int lists with a numpy scalar, a
+    big int or inf just before, at and after a block edge; ``w`` cycles through numpy scalars,
+    Python numbers, nan and inf.
+    """
+    rng = np.random.default_rng(n)
+    m = rng.integers(-(2**62), 2**62, n)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    x[: min(n, 2)] = [-0.0, 5e-324][: min(n, 2)]
+    if n > BLOCK:
+        x[-2:] = [math.nan, -math.inf]
+    y, z = x.tolist(), m.tolist()
+    for k, value in ((BLOCK - 1, np.float64(-1.5e-300)), (BLOCK, math.inf), (2 * BLOCK, np.float32(0.1))):
+        if k < n:
+            y[k] = value
+    for k, value in ((BLOCK - 1, 2**70), (BLOCK, np.int64(3)), (BLOCK + 1, np.int32(-7)), (2 * BLOCK, True)):
+        if k < n:
+            z[k] = value
+    mixed = (np.int64(3), 0, 1e300, np.bool_(True), np.float32(0.1), 2**53 + 1, -math.inf, math.nan)
+    return range(n), m, x, y, z, tuple(mixed[k % len(mixed)] for k in range(n))
+
+
+class TestBlockWriterJsonCsv:
+    """The block writer against the whole-table references, at and around block edges."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES, ids=lambda n: f"{n}rows")
+    def test_block_edges_equal_references(self, tmp_path, fmt, n):
+        columns = block_edge_columns(n)
+        out = tmp_path / f"t.{fmt}"
+        cli._write_table(out, fmt, "oracle-check", BLOCK_EDGE_HEADER, columns)
+        rows = list(zip(*columns))
+        assert len(rows) == n
+        if fmt == "json":
+            assert out.read_text() == json_dumps_reference("oracle-check", BLOCK_EDGE_HEADER, rows)
+        else:
+            assert out.read_text() == csv_reference(BLOCK_EDGE_HEADER, rows)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_block_edge_tables_reach_each_conversion(self, fmt):
+        # the first block takes one conversion per column, and the nan, inf and numpy scalars
+        # past it send the later blocks' y and z (and in JSON x) cell by cell
+        json_output, columns = fmt == "json", block_edge_columns(2 * BLOCK + 1)
+        first, _ = cli._typed_columns([c[: BLOCK - 1] for c in columns], json_output)
+        last, _ = cli._typed_columns([c[2 * BLOCK :] for c in columns], json_output)
+        assert first == ["%d", "%d", "%r" if json_output else "%.17g", "%r" if json_output else "%.17g",
+                         "%d", "%s"]
+        assert last == ["%d", "%d", "%s" if json_output else "%.17g", "%s", "%s", "%s"]
+
+    def test_oracle_table_memory_does_not_grow_with_rows(self, tmp_path):
+        # 100,000 rows of oracle-check's 8 columns take 25 MB of JSON; writing them in blocks
+        # holds a block's rows at a time (about 1 MB), where formatting the whole table at once
+        # held every row, every row string, the joined text and its encoding (over 60 MB)
+        n = 100_000
+        rng = np.random.default_rng(0)
+        columns = (range(n), rng.integers(1, 65, n), rng.integers(1, 65, n), *rng.random((5, n)))
+        header = ["case", "M", "N", "s", "g", "alpha2", "rel_err_mean", "rel_err_var"]
+        tracemalloc.start()
+        try:
+            cli._write_table(tmp_path / "o.json", "json", "oracle-check", header, columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 def build_every_command_flags(monkeypatch):
@@ -749,6 +832,7 @@ class TestNumericalFailures:
         exact = random_media._pcg64_states
         perturbed = lambda seeds: ((s ^ 1, i) for s, i in exact(seeds))  # noqa: E731
         monkeypatch.setattr(random_media, "_pcg64_states", perturbed)
+        monkeypatch.setattr(random_media, "_verified_seeds", set())  # forget earlier checks of seed 1
         out = tmp_path / "o.csv"
         assert main([*command, "--out", str(out)]) == 3
         assert list(tmp_path.iterdir()) == []
@@ -765,6 +849,24 @@ class TestNumericalFailures:
         assert list(tmp_path.iterdir()) == []
         err = capsys.readouterr().err.splitlines()
         assert err == ["speckleq psf: error: MemoryError: Unable to allocate 22.9 TiB"]
+
+    @pytest.mark.parametrize("error", [MemoryError("out of memory"), OverflowError("too big")])
+    def test_error_while_writing_exits_3_and_keeps_previous_file(
+        self, tmp_path, capsys, monkeypatch, error
+    ):
+        out = tmp_path / "pb.csv"
+        out.write_text("previous\n")
+
+        def crash_mid_write(path, **kwargs):
+            path.write_text("truncat")
+            raise error
+
+        monkeypatch.setattr(cli, "_write_table", crash_mid_write)
+        assert main(["photon-budget", "--out", str(out)]) == 3
+        assert out.read_text() == "previous\n"
+        assert list(tmp_path.iterdir()) == [out]
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"speckleq photon-budget: error: {type(error).__name__}: {error}"]
 
     def test_failed_oracle_check_keeps_file_and_exits_3(self, tmp_path, capsys, monkeypatch):
         check = cli.gaussian_oracle.run_equivalence_check
