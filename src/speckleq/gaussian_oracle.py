@@ -25,7 +25,8 @@ import numpy as np
 from .errors import TruncationError
 from .quantum_stats import NO_LOSS, LossChannel, PhotonMoments, SqueezedInput
 from .quantum_stats import focus_moments
-from .random_media import DisorderParams, EnsembleDraws, ScatteringRealization, draw_ensemble, mask_seed
+from .random_media import DisorderParams, EnsembleDraws, ScatteringRealization
+from .random_media import draw_ensemble, draw_oracle_cases
 
 _MAX_FOCK_MODES = 3
 _MAX_CUTOFF = 256
@@ -277,7 +278,6 @@ def _relative_error(value, reference):
 
 
 _BLOCK_CASES = 256  # cases evaluated at once; one block's arrays, not the run's, bound peak memory
-_MAX_CHANNELS = 64
 
 
 def _compare_block(draws: EnsembleDraws, params: DisorderParams, n, g, alpha2):
@@ -296,26 +296,18 @@ def run_equivalence_check(cases: int, seed: int, *, tolerance: float = 1e-10) ->
     """Random analytic vs Gaussian-oracle comparison over the supported domain.
 
     Cases draw M in {1..64}, N <= M, s in (1, 10], g in [0, 2] and
-    |alpha|^2 in [0, 1e5] with both phases zero.  Each block of cases is one
-    ``draw_ensemble`` call with one M per case, so case i's disorder is trial
-    i of master seed ``seed``.  The analytic side is the sweeps' own
-    evaluation, ``focus_moments`` on ``EnsembleDraws.shaped_sums``; the oracle
-    side is the stacked Gaussian-state algebra on ``EnsembleDraws.amplitudes``.
+    |alpha|^2 in [0, 1e5] with both phases zero, from ``default_rng(seed mod 2**64)``;
+    ``draw_oracle_cases`` replays those draws from the generator's raw words,
+    one block of cases at a time.  Each block is one ``draw_ensemble`` call
+    with one M per case, so case i's disorder is trial i of master seed
+    ``seed``.  The analytic side is the sweeps' own evaluation,
+    ``focus_moments`` on ``EnsembleDraws.shaped_sums``; the oracle side is the
+    stacked Gaussian-state algebra on ``EnsembleDraws.amplitudes``.
     """
     if cases < 1:
         raise ValueError("cases must be >= 1")
-    rng = np.random.default_rng(mask_seed(seed))
     blocks = []
-    for start in range(0, cases, _BLOCK_CASES):
-        drawn = []
-        for _ in range(min(_BLOCK_CASES, cases - start)):
-            m = int(rng.integers(1, _MAX_CHANNELS + 1))
-            n = int(rng.integers(1, m + 1))
-            s = 1.0 + 9.0 * (1.0 - rng.random())  # in (1, 10]
-            g = 2.0 * rng.random()
-            alpha2 = 1e5 * rng.random()
-            drawn.append((m, n, s, g, alpha2))
-        m, n, s, g, alpha2 = (np.array(column) for column in zip(*drawn))
-        draws = draw_ensemble(m, range(start, start + len(drawn)), seed)
+    for trials, m, n, s, g, alpha2 in draw_oracle_cases(seed, cases, _BLOCK_CASES):
+        draws = draw_ensemble(m, trials, seed)
         blocks.append((m, n, s, g, alpha2, *_compare_block(draws, DisorderParams(m, s), n, g, alpha2)))
     return EquivalenceReport(*(np.concatenate(column) for column in zip(*blocks)), tolerance=tolerance)

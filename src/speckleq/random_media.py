@@ -27,6 +27,11 @@ computed here for a whole batch of trials at once as uint32 array
 arithmetic.  Normals are drawn per trial (one PCG64 generator is set to
 each trial's state in turn) and squared and summed per chunk of trials.
 ``draw_ensemble`` checks trial 0 against numpy's own seeding once per master seed.
+``oracle-check``'s case parameters are five scalar draws per case from
+``default_rng(master)``; ``draw_oracle_cases`` replays them from the
+generator's raw words (Lemire's bounded integers on buffered 32-bit halves,
+53-bit doubles from whole words) a block of cases at a time, and checks the
+replay against numpy's own calls once per process.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _STATE_BLOCK = 1024  # trials whose PCG64 states are held as Python ints at once
 _CHUNK_TRIALS = 256  # trials whose normals are squared and summed in one pass
+_CASE_CHANNELS = 64  # oracle-check draws M in {1..64}
 
 
 @dataclass(frozen=True)
@@ -255,6 +261,121 @@ def _check_stream(master_seed: int) -> None:
             "SeedSequence/PCG64; the disorder stream would change"
         )
     _verified_seeds.add(master_seed)
+
+
+def _bounded(halves: np.ndarray, bound) -> tuple[np.ndarray, np.ndarray]:
+    """Lemire's draw of ``integers(1, bound + 1)`` from uint32 ``halves``: (values, rejected).
+
+    A half is rejected, and numpy draws the next one, when its leftover
+    ``half * bound mod 2**32`` falls below ``2**32 mod bound``.
+    """
+    bound = np.asarray(bound, dtype=np.uint64)
+    product = halves * bound
+    rejected = (product & np.uint64(_U32_MASK)) < np.uint64(1 << 32) % bound
+    return (product >> np.uint64(32)).astype(np.int64) + 1, rejected
+
+
+def _unit_doubles(words: np.ndarray) -> np.ndarray:
+    """``Generator.random()`` of each uint64 word: its top 53 bits times 2**-53."""
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _case_blocks(bit_generator: np.random.PCG64, cases: int, block_cases: int):
+    """Yield (trials, M, N, s, g, alpha2) for each block of ``oracle-check`` cases.
+
+    Bitwise the values of ``Generator(bit_generator)`` called per case as
+    ``M = integers(1, 65)``, ``N = integers(1, M + 1)``, then
+    ``s = 1 + 9 (1 - random())``, ``g = 2 random()`` and ``alpha2 = 1e5 random()``.
+    A bounded draw takes a 32-bit half, the low half of a new word first,
+    and the high half stays buffered, across cases and blocks, for the next
+    bounded draw; ``random()`` takes a whole word.  A case with M > 1 and no
+    rejected half uses four words and leaves the buffer as it found it: M and
+    N are the two halves of its first word, or with a half buffered, M is that
+    half and N the new word's low half.  So the cases up to the next one with
+    M = 1 or a rejected half are read off the words at once, and that case is
+    replayed half by half.
+    """
+    words, pending = np.empty(0, dtype=np.uint64), None  # pulled, unread words; buffered high half
+    for start in range(0, cases, block_cases):
+        count = min(block_cases, cases - start)
+        m, n = np.empty((2, count), dtype=np.int64)
+        double_words = np.empty((count, 3), dtype=np.uint64)
+        at = case = 0
+        while case < count:
+            shortfall = at + 4 * (count - case) - words.shape[0]
+            if shortfall > 0:
+                words = np.concatenate((words, bit_generator.random_raw(shortfall)))
+            run = words[at : at + 4 * (count - case)].reshape(-1, 4)
+            low, high = run[:, 0] & np.uint64(_U32_MASK), run[:, 0] >> np.uint64(32)
+            m_halves = low if pending is None else np.concatenate(([np.uint64(pending)], high[:-1]))
+            m_run = _bounded(m_halves, _CASE_CHANNELS)[0]
+            n_run, rejected = _bounded(high if pending is None else low, m_run)
+            irregular = (m_run == 1) | rejected
+            stop = int(np.argmax(irregular)) if irregular.any() else run.shape[0]
+            m[case : case + stop], n[case : case + stop] = m_run[:stop], n_run[:stop]
+            double_words[case : case + stop] = run[:stop, 1:]
+            if stop and pending is not None:
+                pending = int(high[stop - 1])
+            at, case = at + 4 * stop, case + stop
+            if case == count:
+                break
+            drawn, bound = [], _CASE_CHANNELS
+            while drawn != [1] and len(drawn) < 2:  # M, then N unless M = 1
+                if pending is None:
+                    if at + 4 > words.shape[0]:  # room for this word and the case's three doubles
+                        words = np.concatenate((words, bit_generator.random_raw(4)))
+                    half, pending, at = int(words[at]) & _U32_MASK, int(words[at]) >> 32, at + 1
+                else:
+                    half, pending = pending, None
+                value, reject = _bounded(np.uint64(half), bound)
+                if not reject:
+                    drawn.append(int(value))
+                    bound = drawn[0]
+            m[case], n[case] = drawn[0], drawn[-1]
+            double_words[case] = words[at : at + 3]
+            at, case = at + 3, case + 1
+        words = words[at:]
+        u = _unit_doubles(double_words)
+        yield range(start, start + count), m, n, 1.0 + 9.0 * (1.0 - u[:, 0]), 2.0 * u[:, 1], 1e5 * u[:, 2]
+
+
+_case_stream_verified = False  # whether _check_case_stream passed in this process
+
+
+def _check_case_stream() -> None:
+    """Raise StreamMismatch unless the case replay equals numpy's scalar draws; once per process.
+
+    Master seed 1 has M = 1 at case 57, and its buffered half crosses the
+    block edge at case 60.
+    """
+    global _case_stream_verified
+    if _case_stream_verified:
+        return
+    rng, expected = np.random.default_rng(1), []
+    for _ in range(64):
+        m = int(rng.integers(1, _CASE_CHANNELS + 1))
+        n = int(rng.integers(1, m + 1))
+        expected.append((m, n, 1.0 + 9.0 * (1.0 - rng.random()), 2.0 * rng.random(), 1e5 * rng.random()))
+    replayed = [np.concatenate(column) for column in zip(*_case_blocks(np.random.PCG64(1), 64, 60))][1:]
+    if not all(np.array_equal(*pair) for pair in zip(replayed, map(np.array, zip(*expected)))):
+        raise StreamMismatch(
+            f"oracle-check case parameters replayed from PCG64 words depart from numpy "
+            f"{np.__version__}'s Generator.integers and random; the case stream would change"
+        )
+    _case_stream_verified = True
+
+
+def draw_oracle_cases(master_seed: int, cases: int, block_cases: int):
+    """Yield (trials, M, N, s, g, alpha2) for each block of ``oracle-check``'s cases.
+
+    Case i draws M in {1..64}, N in {1..M}, s in (1, 10], g in [0, 2) and
+    alpha2 in [0, 1e5) from ``default_rng(mask_seed(master_seed))``, five
+    calls per case in that order; ``trials`` is the block's range of case
+    indices.  The values are replayed from the generator's raw words a
+    block at a time (``_case_blocks``), checked once per process.
+    """
+    _check_case_stream()
+    yield from _case_blocks(np.random.PCG64(mask_seed(master_seed)), cases, block_cases)
 
 
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:

@@ -839,6 +839,21 @@ class TestNumericalFailures:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "departs from numpy" in err[0]
 
+    def test_case_stream_mismatch_exits_3(self, tmp_path, capsys, monkeypatch):
+        exact = random_media._bounded
+
+        def off_by_one(halves, bound):
+            values, rejected = exact(halves, bound)
+            return np.maximum(values - 1, 1), rejected
+
+        monkeypatch.setattr(random_media, "_bounded", off_by_one)
+        monkeypatch.setattr(random_media, "_case_stream_verified", False)  # forget an earlier check
+        out = tmp_path / "o.csv"
+        assert main(["oracle-check", "--cases", "5", "--out", str(out)]) == 3
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "depart from numpy" in err[0]
+
     def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def exhausted(config):
             raise MemoryError("Unable to allocate 22.9 TiB")

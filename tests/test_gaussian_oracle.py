@@ -9,6 +9,7 @@ from speckleq import (
     LossChannel,
     ModeCoefficients,
     SqueezedInput,
+    StreamMismatch,
     TruncationError,
     apply_loss,
     apply_loss_channel,
@@ -278,16 +279,22 @@ class TestStackedAlgebra:
             gaussian_oracle._photon_moments(np.zeros((3, 2)), cov)
 
 
-def _scalar_reference(cases, seed):
-    """Per-case rows of the equivalence check through the public single-case API."""
-    rng = np.random.default_rng(mask_seed(seed))
-    rows = []
-    for i in range(cases):
+def _scalar_parameters(cases, rng):
+    """Per-case (M, N, s, g, alpha2) from numpy's own scalar calls of Generator ``rng``."""
+    for _ in range(cases):
         m = int(rng.integers(1, 65))
         n = int(rng.integers(1, m + 1))
         s = 1.0 + 9.0 * (1.0 - rng.random())
         g = 2.0 * rng.random()
         alpha2 = 1e5 * rng.random()
+        yield m, n, s, g, alpha2
+
+
+def _scalar_reference(cases, seed):
+    """Per-case rows of the equivalence check through the public single-case API."""
+    rows = []
+    rng = np.random.default_rng(mask_seed(seed))
+    for i, (m, n, s, g, alpha2) in enumerate(_scalar_parameters(cases, rng)):
         real = sample_realization(DisorderParams(m, s), derive_trial_seed(seed, i))
         inp = SqueezedInput.from_intensity(alpha2, g, fed_modes=n)
         mean, variance = focus_moments(*coupling_sums(real).shaped_sums(n), inp, NO_LOSS)
@@ -331,13 +338,23 @@ class TestBatchedEquivalence:
             return exact(out, block_seeds, channel_counts)
 
         monkeypatch.setattr(random_media, "_draw_trials", recording)
-        longer = run_equivalence_check(2 * block + 1, 7)
-        # case i draws trial i of the master seed, in every block
-        assert seeds == [derive_trial_seed(7, i) for i in range(2 * block + 1)]
-        for cases in (block - 1, block, block + 1):
-            report = run_equivalence_check(cases, 7)
-            for name in _REPORT_COLUMNS:
-                np.testing.assert_array_equal(getattr(report, name), getattr(longer, name)[:cases])
+        # seeds 81 and 96 put M = 1 last in the first block, so its buffered half crosses the edge
+        for master in (7, 81, 96):
+            seeds.clear()
+            longer = run_equivalence_check(2 * block + 1, master)
+            # case i draws trial i of the master seed, in every block
+            assert seeds == [derive_trial_seed(master, i) for i in range(2 * block + 1)]
+            assert master == 7 or longer.channel_counts[block - 1] == 1
+            for cases in (block - 1, block, block + 1):
+                report = run_equivalence_check(cases, master)
+                for name in _REPORT_COLUMNS:
+                    np.testing.assert_array_equal(getattr(report, name), getattr(longer, name)[:cases])
+            # the case parameters do not depend on the block size either (the errors may, by an ulp)
+            with monkeypatch.context() as patch:
+                patch.setattr(gaussian_oracle, "_BLOCK_CASES", 100)
+                reblocked = run_equivalence_check(2 * block + 1, master)
+            for name in _REPORT_COLUMNS[:5]:
+                np.testing.assert_array_equal(getattr(reblocked, name), getattr(longer, name))
 
     def test_catches_a_perturbed_variance(self, monkeypatch):
         # a 1e-8 relative error in every 7th case's analytic variance must fail the check
@@ -375,3 +392,57 @@ class TestBatchedEquivalence:
             monkeypatch.setattr(random_media, "_draw_trials", broken)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="flux not conserved"):
             run_equivalence_check(50, 1)
+
+
+# Seeds 12 and 27 draw M = 1 twice in a row (the second takes M from the half
+# the first left buffered); 81 and 96 put M = 1 at case 255, last in the first
+# block; 2**32 + 5 seeds PCG64 from two entropy words; negative seeds are masked
+# to 64 bits.
+_REPLAY_SEEDS = [*range(1, 21), 27, 81, 96, 2**32 + 5, -3, -20260810]
+_SINGLE_CHANNEL_CASES = {12: [41, 42], 27: [32, 33], 81: [255], 96: [255]}
+
+
+class TestCaseParameterReplay:
+    @pytest.mark.parametrize("seed", _REPLAY_SEEDS)
+    def test_equals_numpy_scalar_draws(self, seed):
+        rng = np.random.default_rng(mask_seed(seed))
+        expected = [np.array(column) for column in zip(*_scalar_parameters(1000, rng))]
+        assert np.all(expected[0][_SINGLE_CHANNEL_CASES.get(seed, [])] == 1)
+        blocks = list(random_media.draw_oracle_cases(seed, 1000, 256))
+        assert [block[0] for block in blocks] == [range(i, min(i + 256, 1000)) for i in range(0, 1000, 256)]
+        for got, want in zip((np.concatenate(column) for column in list(zip(*blocks))[1:]), expected):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_lemire_rejection_is_replayed(self):
+        # a state whose next word is 62 << 26: M = 63 from its low half, and its high
+        # half 0 leaves N's leftover 0 < 2**32 mod 63 = 4, so numpy redraws N
+        word, inc = 62 << 26, 0xDA3E39CB94B95BDB
+        high = 0x0123456789ABCDEF  # top six bits 0: XSL-RR rotates by 0, so low = word ^ high
+        after = high << 64 | (word ^ high)
+        state = (after - inc) * pow(random_media._PCG_MULT, -1, 2**128) % 2**128
+
+        def crafted():
+            bit_generator = np.random.PCG64(0)
+            bit_generator.state = {
+                "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                "has_uint32": 0, "uinteger": 0,
+            }
+            return bit_generator
+
+        assert int(crafted().random_raw()) == word
+        expected = zip(*_scalar_parameters(40, np.random.Generator(crafted())))
+        blocks = list(zip(*random_media._case_blocks(crafted(), 40, 16)))
+        replayed = [np.concatenate(column) for column in blocks[1:]]
+        second = int(crafted().random_raw(2)[1])
+        # N is drawn twice: the rejected half 0, then the next word's low half
+        assert (replayed[0][0], replayed[1][0]) == (63, 1 + ((second & 0xFFFFFFFF) * 63 >> 32))
+        for got, want in zip(replayed, expected):
+            np.testing.assert_array_equal(got, np.array(want))
+
+    def test_guard_fires_when_the_replay_departs_from_numpy(self, monkeypatch):
+        monkeypatch.setattr(random_media, "_case_stream_verified", False)  # forget an earlier check
+        exact = random_media._unit_doubles
+        monkeypatch.setattr(random_media, "_unit_doubles", lambda words: exact(words ^ np.uint64(1 << 11)))
+        with pytest.raises(StreamMismatch, match="depart from numpy"):
+            run_equivalence_check(5, 1)
