@@ -10,7 +10,6 @@ from .errors import (
     AllZero,
     ConvergenceError,
     NoCrossing,
-    NonzeroPhase,
     SpeckleQError,
     StreamMismatch,
     TooDim,

@@ -189,6 +189,8 @@ def parse_args(argv) -> RunConfig:
         options["values"] = (_SQUEEZES if g_axis else _DISORDERS)("--values", options["values"])
     if "q" in options and options["q"] > options["modes"]:
         raise UsageError("--q: must lie in [1, --modes]")
+    if command == "prolate-basis" and fmt == "json":
+        raise UsageError("--format: prolate-basis writes columnar text, not json")
     if "quad_order" in options and options["modes"] > options["quad_order"] // 4:
         raise UsageError("--modes: must not exceed --quad-order / 4")
     if "g" in options and options.get("alpha2", 0.0) == 0.0:  # universal-fano has no --alpha2

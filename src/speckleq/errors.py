@@ -5,10 +5,6 @@ class SpeckleQError(Exception):
     """Base class for speckleq domain errors."""
 
 
-class NonzeroPhase(SpeckleQError):
-    """Closed-form variance requires amplitude squeezing aligned with the coherent axis."""
-
-
 class ZeroMean(SpeckleQError):
     """Fano factor undefined for zero mean photon number."""
 

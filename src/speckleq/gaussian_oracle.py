@@ -277,7 +277,9 @@ def _relative_error(value, reference):
     return np.where(reference == 0.0, np.where(value == 0.0, 0.0, np.inf), err)
 
 
-_BLOCK_CASES = 256  # cases evaluated at once; one block's arrays, not the run's, bound peak memory
+# Cases evaluated at once, which bounds peak memory.  The size also fixes the last bits of rel_err_*:
+# rows are padded to the block's largest M, whose width orders the row sums, so it changes output bytes.
+_BLOCK_CASES = 256
 
 
 def _compare_block(draws: EnsembleDraws, params: DisorderParams, n, g, alpha2):

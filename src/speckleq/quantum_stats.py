@@ -7,10 +7,11 @@ exact second-moment expansion and are evaluated in one place,
 :func:`focus_moments`, on arrays of per-trial coupling sums or on the scalar
 sums of one realization alike.
 
-The closed-form variance only holds for amplitude squeezing aligned with the
-coherent axis (alpha_phase = squeeze_phase = 0); since mean and variance are
-evaluated together, every closed form here raises NonzeroPhase for any other
-phase combination, which must go through :mod:`speckleq.gaussian_oracle`.
+Only the coherent variance term depends on phase, through the angle
+Delta = alpha_phase - squeeze_phase between the coherent amplitude and the
+squeezing axis: |alpha|^2 S^2 [1 + tau (cos^2 Delta (e^{-2g} - 1)
++ sin^2 Delta (e^{2g} - 1))], with S = sum_{a<=N} |t_a| and tau = tau_N.  At
+Delta = 0 (amplitude squeezing) it is |alpha|^2 S^2 [1 - tau (1 - e^{-2g})].
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonzeroPhase, ZeroMean, ZeroVariance
+from .errors import ZeroMean, ZeroVariance
 from .random_media import CouplingSums, ScatteringRealization, coupling_sums
 
 PLANCK_CONSTANT = 6.62607015e-34  # J s, exact SI
@@ -34,10 +35,11 @@ class SqueezedInput:
 
     ``squeeze_phase`` is the orientation angle of the squeezed quadrature
     axis; in terms of the squeezing-operator argument zeta = g e^{i phi} it
-    corresponds to phi = 2 * squeeze_phase.  With both phases zero the state
-    is amplitude squeezed along the coherent displacement.  ``alpha_mag`` and
-    ``squeeze_strength`` may also be per-case arrays, one
-    :func:`focus_moments` call evaluating many inputs.
+    corresponds to phi = 2 * squeeze_phase.  Moments depend on the phases only
+    through Delta = alpha_phase - squeeze_phase; Delta = 0 is amplitude squeezing
+    along the coherent displacement.  ``alpha_mag`` and ``squeeze_strength`` may
+    also be per-case arrays, one :func:`focus_moments` call evaluating many
+    inputs; the phases are scalars.
     """
 
     alpha_mag: float
@@ -104,14 +106,6 @@ class LossChannel:
 NO_LOSS = LossChannel(0.0)
 
 
-def _require_zero_phases(inp: SqueezedInput) -> None:
-    if inp.alpha_phase != 0.0 or inp.squeeze_phase != 0.0:
-        raise NonzeroPhase(
-            "closed-form variance assumes alpha_phase = squeeze_phase = 0; "
-            "use gaussian_oracle for arbitrary phases"
-        )
-
-
 def _squeeze_factors(g):
     """sinh^2 g, cosh^2 g and 1 - e^{-2g} of a scalar g, or per element of an array.
 
@@ -137,8 +131,9 @@ def variance_photon(sums: CouplingSums, inp: SqueezedInput) -> float:
     """Exact photon-number variance of the shaped focus mode, all terms kept.
 
     tau_N^2 2 sinh^2 g cosh^2 g + tau_N (sum_R + tau_rest) sinh^2 g
-    + |alpha|^2 (sum_{a<=N} |t_a|)^2 [1 - tau_N (1 - e^{-2g})]; tau_rest, the
-    transmission of the unfed channels, vanishes at full filling N = M.
+    + |alpha|^2 S^2 [1 + tau_N (cos^2 Delta (e^{-2g} - 1) + sin^2 Delta (e^{2g} - 1))]
+    with S = sum_{a<=N} |t_a| and Delta = alpha_phase - squeeze_phase; tau_rest,
+    the transmission of the unfed channels, vanishes at full filling N = M.
     """
     return float(focus_moments(*sums.shaped_sums(inp.fed_modes), inp, NO_LOSS)[1])
 
@@ -201,8 +196,11 @@ def focus_moments(tau, abs_sum, tau_rest, sum_r, inp: SqueezedInput, loss: LossC
     by per-case sums with an ``inp`` of per-case g and |alpha|; loss acts as
     in :func:`apply_loss`.
     """
-    _require_zero_phases(inp)
     sh2, ch2, damping = _squeeze_factors(inp.squeeze_strength)
+    delta = inp.alpha_phase - inp.squeeze_phase
+    if delta != 0.0:  # at Delta = 0 skip, not zero, the sin^2 term: e^{2g} may overflow, and inf * 0 is nan
+        growth = np.vectorize(math.expm1, otypes=[float])(2.0 * inp.squeeze_strength)  # e^{2g} - 1
+        damping = math.cos(delta) ** 2 * damping - math.sin(delta) ** 2 * growth
     coherent = inp.alpha2 * abs_sum**2
     squeezed = tau * tau * (2.0 * sh2 * ch2) + tau * sum_r * sh2 + tau * tau_rest * sh2
     mean, variance = _loss_terms(tau * sh2 + coherent, squeezed + coherent * (1.0 - tau * damping), loss)

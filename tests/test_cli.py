@@ -751,6 +751,14 @@ class TestOptionDomains:
         # the library would raise ValueError (exit 3); the CLI rejects these before running
         assert_usage_error(tmp_path, capsys, args)
 
+    def test_prolate_basis_rejects_json(self, tmp_path, capsys):
+        # the basis is columnar text only; a .json path must not receive it
+        assert_usage_error(tmp_path, capsys, ["prolate-basis", "--format", "json"])
+        assert main(["prolate-basis", "--format", "json", "--out", str(tmp_path / "b.json")]) == 2
+        assert "--format" in capsys.readouterr().err and list(tmp_path.iterdir()) == []
+        rc, out = run_cli(tmp_path, "prolate-basis", "--modes", "3", "--format", "csv")
+        assert rc == 0 and out.read_text().startswith("# prolate basis")
+
     def test_modes_may_reach_a_quarter_of_quad_order(self, tmp_path):
         rc, out = run_cli(tmp_path, "prolate-basis", "--modes", "5", "--quad-order", "20")
         assert rc == 0 and out.exists()

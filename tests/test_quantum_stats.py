@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from speckleq import (
     DisorderParams,
     LossChannel,
-    NonzeroPhase,
     PhotonMoments,
     SqueezedInput,
     ZeroMean,
@@ -21,7 +20,9 @@ from speckleq import (
     derive_trial_seed,
     draw_ensemble,
     fano,
+    focus_mode_coefficients,
     focus_moments,
+    fock_photon_moments,
     gaussian_photon_moments,
     mean_photon,
     mean_photon_partial,
@@ -98,13 +99,72 @@ class TestVariancePhoton:
             oracle.variance, rel=1e-10
         )
 
-    def test_rejects_nonzero_phases(self):
-        real = make_realization([1.0], [0.0])
-        sums = coupling_sums(real)
-        with pytest.raises(NonzeroPhase):
-            variance_photon(sums, SqueezedInput(1.0, 0.5, 1, alpha_phase=0.3))
-        with pytest.raises(NonzeroPhase):
-            variance_photon(sums, SqueezedInput(1.0, 0.5, 1, squeeze_phase=0.3))
+
+class TestPhases:
+    """The closed form at any alpha_phase and squeeze_phase, against both oracles."""
+
+    @staticmethod
+    def random_cases(seed, cases):
+        # M <= 64, N <= M, s in (1, 10], g in [0, 2], |alpha|^2 in [0, 1e5]
+        rng = np.random.default_rng(seed)
+        for case in range(cases):
+            m = int(rng.integers(1, 65))
+            n = int(rng.integers(1, m + 1))
+            s, g, alpha2 = 1.0 + 9.0 * (1.0 - rng.random()), 2.0 * rng.random(), 1e5 * rng.random()
+            yield sample_realization(DisorderParams(m, s), derive_trial_seed(seed, case)), n, g, alpha2
+
+    def test_scalar_views_match_gaussian_oracle(self):
+        rng = np.random.default_rng(15)
+        for real, n, g, alpha2 in self.random_cases(15, 2000):
+            phases = rng.uniform(-np.pi, np.pi, 2)
+            inp = SqueezedInput.from_intensity(alpha2, g, n, *phases)
+            oracle = oracle_moments(real, inp)
+            sums = coupling_sums(real)
+            assert mean_photon(sums, inp) == pytest.approx(oracle.mean, rel=1e-12)
+            assert variance_photon(sums, inp) == pytest.approx(oracle.variance, rel=1e-12)
+            assert mean_photon_partial(real, inp) == mean_photon(sums, inp)
+            assert variance_photon_partial(real, inp) == variance_photon(sums, inp)
+
+    def test_array_call_matches_lossy_gaussian_oracle(self):
+        # one focus_moments call per block of 50 cases: per-case sums, g and |alpha|,
+        # with one phase pair and one loss rate per block
+        rng = np.random.default_rng(16)
+        cases = list(self.random_cases(16, 2000))
+        for start in range(0, len(cases), 50):
+            block = cases[start : start + 50]
+            phases, channel = rng.uniform(-np.pi, np.pi, 2), LossChannel(rng.random())
+            sums = [np.array(x) for x in zip(*(coupling_sums(real).shaped_sums(n) for real, n, _, _ in block))]
+            g, alpha2 = (np.array([case[k] for case in block]) for k in (2, 3))
+            means, variances = focus_moments(*sums, SqueezedInput(np.sqrt(alpha2), g, 1, *phases), channel)
+            for i, (real, n, _, _) in enumerate(block):
+                inp = SqueezedInput.from_intensity(alpha2[i], g[i], n, *phases)
+                oracle = gaussian_photon_moments(apply_loss_channel(output_gaussian_state(real, inp), channel))
+                assert means[i] == pytest.approx(oracle.mean, rel=1e-12)
+                assert variances[i] == pytest.approx(oracle.variance, rel=1e-12)
+
+    def test_matches_fock_oracle_at_nonzero_phases(self):
+        # criterion 2's domain (M <= 2, weak squeezing, dim coherent light) at random phases
+        rng = np.random.default_rng(17)
+        for case in range(20):
+            m = int(rng.integers(1, 3))
+            n = int(rng.integers(1, m + 1))
+            real = sample_realization(DisorderParams(m, 1.0 + 9.0 * (1.0 - rng.random())), case)
+            g, alpha2 = 0.5 * rng.random(), 4.0 * rng.random()
+            inp = SqueezedInput.from_intensity(alpha2, g, n, *rng.uniform(-np.pi, np.pi, 2))
+            fock = fock_photon_moments(focus_mode_coefficients(real, n), inp, cutoff=40)
+            assert mean_photon_partial(real, inp) == pytest.approx(fock.mean, rel=1e-6)
+            assert variance_photon_partial(real, inp) == pytest.approx(fock.variance, rel=1e-6)
+
+    def test_equal_phases_keep_the_zero_phase_bits(self):
+        # Delta = 0 evaluates the amplitude-squeezed expression itself, for any common phase
+        draws = draw_ensemble(30, 20, 5)
+        sums = draws.shaped_sums(DisorderParams(30, 3.0), 12)
+        g = np.linspace(0.0, 2.0, 20)
+        for alpha_mag, squeeze in ((70.0, 1.3), (np.linspace(0.0, 300.0, 20), g)):
+            zero = focus_moments(*sums, SqueezedInput(alpha_mag, squeeze, 12), LossChannel(0.2))
+            rotated = focus_moments(*sums, SqueezedInput(alpha_mag, squeeze, 12, 0.7, 0.7), LossChannel(0.2))
+            for a, b in zip(zero, rotated):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestPartialFilling:
