@@ -25,7 +25,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -43,8 +42,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Validated command invocation: subcommand, options, output path and format."""
 
     command: str
@@ -131,7 +129,7 @@ _RUN = (
     _Flag("--seed", _Domain(int, lambda n: True, ""), 1),
     _Flag("--workers", _COUNT, 1, "accepted for compatibility; no effect"),
     _Flag("--out", None, None),
-    _Flag("--format", _Domain(str, ("csv", "json").__contains__, "must be csv or json"), "csv"),
+    _Flag("--format", _Domain(str, ("csv", "json").__contains__, "must be csv or json"), None),
 )
 _ENSEMBLE = (_Flag("--trials", _COUNT, 1000), _Flag("--m", _COUNT, 50))
 _MONTE_CARLO = (*_ENSEMBLE, _Flag("--alpha2", _NONNEGATIVE, 10000.0))
@@ -189,8 +187,8 @@ def parse_args(argv) -> RunConfig:
         options["values"] = (_SQUEEZES if g_axis else _DISORDERS)("--values", options["values"])
     if "q" in options and options["q"] > options["modes"]:
         raise UsageError("--q: must lie in [1, --modes]")
-    if command == "prolate-basis" and fmt == "json":
-        raise UsageError("--format: prolate-basis writes columnar text, not json")
+    if command == "prolate-basis" and fmt is not None:
+        raise UsageError("--format: prolate-basis writes columnar text and takes no --format")
     if "quad_order" in options and options["modes"] > options["quad_order"] // 4:
         raise UsageError("--modes: must not exceed --quad-order / 4")
     if "g" in options and options.get("alpha2", 0.0) == 0.0:  # universal-fano has no --alpha2
@@ -199,6 +197,7 @@ def parse_args(argv) -> RunConfig:
             raise UsageError(
                 "--g: g = 0 with zero coherent intensity is a dark input: no photons reach the focus"
             )
+    fmt = fmt or "csv"  # None only tells an explicit --format from the default
     if out is None:
         out = f"{command}.{'txt' if command == 'prolate-basis' else fmt}"
     return RunConfig(command=command, options=options, out=Path(out), fmt=fmt)

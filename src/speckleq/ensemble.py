@@ -21,7 +21,7 @@ asymptotic large-M formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,30 +33,32 @@ from .random_media import DisorderParams, EnsembleDraws, draw_ensemble
 SWEEP_AXES = ("squeeze_g", "disorder_s", "mode_fill_ratio", "loss_rate", "coherent_fraction")
 
 
-@dataclass(frozen=True)
 class SweepSpec:
     """One parameter axis swept over a fixed disorder/input baseline; lossless but on the loss_rate axis."""
 
-    axis: str
-    axis_values: tuple
-    disorder: DisorderParams
-    base_input: SqueezedInput
-    trials: int = 1000
-    master_seed: int = 1
+    __slots__ = ("axis", "axis_values", "disorder", "base_input", "trials", "master_seed")
 
-    def __post_init__(self) -> None:
-        if self.axis not in SWEEP_AXES:
-            raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
-        values = tuple(float(v) for v in self.axis_values)
+    def __init__(
+        self,
+        axis: str,
+        axis_values: tuple,
+        disorder: DisorderParams,
+        base_input: SqueezedInput,
+        trials: int = 1000,
+        master_seed: int = 1,
+    ) -> None:
+        if axis not in SWEEP_AXES:
+            raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+        values = tuple(float(v) for v in axis_values)
         if len(values) == 0 or not all(math.isfinite(v) for v in values):
             raise ValueError("axis_values must be a nonempty sequence of finite reals")
-        object.__setattr__(self, "axis_values", values)
-        if self.trials < 1:
+        if trials < 1:
             raise ValueError("trials must be >= 1")
+        self.axis, self.axis_values, self.disorder, self.base_input = axis, values, disorder, base_input
+        self.trials, self.master_seed = trials, master_seed
 
 
-@dataclass(frozen=True)
-class EnsembleSummary:
+class EnsembleSummary(NamedTuple):
     """Columnar per-axis-value aggregates of a Monte Carlo sweep."""
 
     axis: str
@@ -75,21 +77,21 @@ def _effective_point(spec: SweepSpec, value: float):
     """Disorder, input and loss parameters at one axis value."""
     disorder, inp, loss = spec.disorder, spec.base_input, NO_LOSS
     if spec.axis == "squeeze_g":
-        inp = replace(inp, squeeze_strength=value)
+        inp = inp.replace(squeeze_strength=value)
     elif spec.axis == "disorder_s":
-        disorder = replace(disorder, disorder_strength=value)
+        disorder = disorder.replace(disorder_strength=value)
     elif spec.axis == "mode_fill_ratio":
         if not 0.0 < value <= 1.0:
             raise ValueError(f"mode_fill_ratio must lie in (0, 1], got {value}")
         fed = min(max(int(round(value * disorder.channel_count)), 1), disorder.channel_count)
-        inp = replace(inp, fed_modes=fed)
+        inp = inp.replace(fed_modes=fed)
     elif spec.axis == "loss_rate":
         loss = LossChannel(value)
     elif spec.axis == "coherent_fraction":
         if not 0.0 <= value < 1.0:
             raise ValueError(f"coherent_fraction must lie in [0, 1), got {value}")
         alpha2 = value * math.sinh(inp.squeeze_strength) ** 2 / (1.0 - value)
-        inp = replace(inp, alpha_mag=math.sqrt(alpha2))
+        inp = inp.replace(alpha_mag=math.sqrt(alpha2))
     return disorder, inp, loss
 
 
@@ -145,8 +147,7 @@ def run_fano_scatter(
     return variances / means
 
 
-@dataclass(frozen=True)
-class SuperresTable:
+class SuperresTable(NamedTuple):
     """J(budget) curves per disorder strength; s = 0 marks the coherent baseline."""
 
     disorder_strength: np.ndarray
@@ -214,8 +215,7 @@ def run_superres_sweep(
     )
 
 
-@dataclass(frozen=True)
-class LossSweepTable:
+class LossSweepTable(NamedTuple):
     """Average SNR over mean photons vs loss rate, one block per squeeze strength."""
 
     squeeze_strength: np.ndarray

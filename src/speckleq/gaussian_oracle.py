@@ -18,7 +18,7 @@ moments invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,16 +35,13 @@ _PHYSICAL_TOL = 1e-9  # det V may undershoot the vacuum bound 1/4 by this much
 _NORM_TOL = 1e-10  # probability the Fock oracle may lose past its cutoff
 
 
-@dataclass(frozen=True)
 class GaussianModeState:
     """Quadrature mean vector and 2x2 covariance of one bosonic mode."""
 
-    d: np.ndarray
-    V: np.ndarray
+    __slots__ = ("d", "V")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "d", np.asarray(self.d, dtype=float))
-        object.__setattr__(self, "V", np.asarray(self.V, dtype=float))
+    def __init__(self, d: np.ndarray, V: np.ndarray) -> None:
+        self.d, self.V = np.asarray(d, dtype=float), np.asarray(V, dtype=float)
         if self.d.shape != (2,) or self.V.shape != (2, 2):
             raise ValueError("d must have shape (2,) and V shape (2, 2)")
         if abs(self.V[0, 1] - self.V[1, 0]) > 1e-12:
@@ -113,14 +110,13 @@ def apply_loss_channel(state: GaussianModeState, loss: LossChannel) -> GaussianM
     return GaussianModeState(*_lossy_states(state.d, state.V, loss.loss_rate))
 
 
-@dataclass(frozen=True)
 class ModeCoefficients:
     """Complex weights composing the focus mode out of input modes."""
 
-    c: np.ndarray
+    __slots__ = ("c",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=complex))
+    def __init__(self, c: np.ndarray) -> None:
+        self.c = np.asarray(c, dtype=complex)
         if self.c.ndim != 1 or self.c.shape[0] < 1:
             raise ValueError("coefficients must form a nonempty 1-D vector")
         norm = float(np.sum(np.abs(self.c) ** 2))
@@ -230,8 +226,7 @@ def fock_photon_moments(coeffs: ModeCoefficients, inp: SqueezedInput, cutoff: in
     return PhotonMoments(mean, var)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Outcome of the analytic vs Gaussian-oracle random sweep."""
 
     channel_counts: np.ndarray

@@ -26,8 +26,8 @@ Every retained Nystrom eigenvalue must agree with the series one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,7 @@ def _kernel_z_derivative(bandwidth: float, x: float, y: np.ndarray) -> np.ndarra
     return (bandwidth * diff * np.cos(bandwidth * diff) - np.sin(bandwidth * diff)) / (np.pi * diff**2)
 
 
-@dataclass(frozen=True)
-class ProlateBasis:
+class ProlateBasis(NamedTuple):
     """Slepian eigenpairs of the sinc kernel on [-1, 1].
 
     ``phi`` holds the eigenfunction samples on the Gauss-Legendre grid,
@@ -259,16 +258,13 @@ def reconstruction_psf(basis: ProlateBasis, modes_kept: int, z):
     return float(values[0]) if np.isscalar(z) else values
 
 
-@dataclass(frozen=True)
 class PsfCurve:
     """Densely sampled PSF profile for z >= 0 with its peak at z = 0."""
 
-    z: np.ndarray
-    values: np.ndarray
+    __slots__ = ("z", "values")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "z", np.asarray(self.z, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+    def __init__(self, z: np.ndarray, values: np.ndarray) -> None:
+        self.z, self.values = np.asarray(z, dtype=float), np.asarray(values, dtype=float)
         if self.z.ndim != 1 or self.z.shape != self.values.shape or self.z.shape[0] < 2:
             raise ValueError("curve needs matching 1-D z and value arrays with >= 2 samples")
         if self.z[0] != 0.0 or np.any(np.diff(self.z) <= 0.0):
@@ -357,8 +353,7 @@ def choose_mode_count(basis: ProlateBasis, coeffs: np.ndarray) -> int:
     raise TooDim("reconstruction SNR stays below 1 even for a single mode")
 
 
-@dataclass(frozen=True)
-class ReconstructionReport:
+class ReconstructionReport(NamedTuple):
     """Resolution summary: classical vs reconstruction PSF half-widths."""
 
     modes_kept: int
@@ -366,12 +361,6 @@ class ReconstructionReport:
     recon_width: float
     resolution_gain: float
     recon_snr: float
-
-    def __post_init__(self) -> None:
-        if self.modes_kept < 1:
-            raise ValueError("modes_kept must be >= 1")
-        if self.resolution_gain <= 0.0:
-            raise ValueError("resolution gain must be positive")
 
 
 def resolve_modes(

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +28,6 @@ PLANCK_CONSTANT = 6.62607015e-34  # J s, exact SI
 LIGHT_SPEED = 299792458.0  # m / s, exact SI
 
 
-@dataclass(frozen=True)
 class SqueezedInput:
     """Identical squeezed-coherent states feeding the first ``fed_modes`` channels.
 
@@ -42,19 +40,29 @@ class SqueezedInput:
     inputs; the phases are scalars.
     """
 
-    alpha_mag: float
-    squeeze_strength: float = 0.0
-    fed_modes: int = 1
-    alpha_phase: float = 0.0
-    squeeze_phase: float = 0.0
+    __slots__ = ("alpha_mag", "squeeze_strength", "fed_modes", "alpha_phase", "squeeze_phase")
 
-    def __post_init__(self) -> None:
-        if np.any(self.alpha_mag < 0.0):
+    def __init__(
+        self,
+        alpha_mag: float,
+        squeeze_strength: float = 0.0,
+        fed_modes: int = 1,
+        alpha_phase: float = 0.0,
+        squeeze_phase: float = 0.0,
+    ) -> None:
+        if np.any(alpha_mag < 0.0):
             raise ValueError("alpha_mag must be nonnegative")
-        if np.any(self.squeeze_strength < 0.0):
+        if np.any(squeeze_strength < 0.0):
             raise ValueError("squeeze_strength must be nonnegative")
-        if int(self.fed_modes) != self.fed_modes or self.fed_modes < 1:
-            raise ValueError(f"fed_modes must be a positive integer, got {self.fed_modes}")
+        if int(fed_modes) != fed_modes or fed_modes < 1:
+            raise ValueError(f"fed_modes must be a positive integer, got {fed_modes}")
+        self.alpha_mag, self.squeeze_strength, self.fed_modes = alpha_mag, squeeze_strength, fed_modes
+        self.alpha_phase, self.squeeze_phase = alpha_phase, squeeze_phase
+
+    def replace(self, **changes) -> SqueezedInput:
+        """A copy with ``changes`` applied, checked as a new one."""
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        return SqueezedInput(**(fields | changes))
 
     @property
     def alpha2(self) -> float:
@@ -74,29 +82,28 @@ class SqueezedInput:
         return cls(math.sqrt(alpha2), squeeze_strength, fed_modes, alpha_phase, squeeze_phase)
 
 
-@dataclass(frozen=True)
 class PhotonMoments:
     """First two moments of the focus-mode photon number."""
 
-    mean: float
-    variance: float
+    __slots__ = ("mean", "variance")
 
-    def __post_init__(self) -> None:
-        if self.mean < 0.0:
-            raise ValueError(f"mean must be nonnegative, got {self.mean}")
-        if self.variance < 0.0:
-            raise ValueError(f"variance must be nonnegative, got {self.variance}")
+    def __init__(self, mean: float, variance: float) -> None:
+        if mean < 0.0:
+            raise ValueError(f"mean must be nonnegative, got {mean}")
+        if variance < 0.0:
+            raise ValueError(f"variance must be nonnegative, got {variance}")
+        self.mean, self.variance = mean, variance
 
 
-@dataclass(frozen=True)
 class LossChannel:
     """Fictitious beam splitter with vacuum in the idle port; loss_rate = |q|^2."""
 
-    loss_rate: float
+    __slots__ = ("loss_rate",)
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.loss_rate <= 1.0:
-            raise ValueError(f"loss_rate must lie in [0, 1], got {self.loss_rate}")
+    def __init__(self, loss_rate: float) -> None:
+        if not 0.0 <= loss_rate <= 1.0:
+            raise ValueError(f"loss_rate must lie in [0, 1], got {loss_rate}")
+        self.loss_rate = loss_rate
 
     @property
     def transmittance(self) -> float:

@@ -36,7 +36,7 @@ replay against numpy's own calls once per process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,7 +54,6 @@ _CHUNK_TRIALS = 256  # trials whose normals are squared and summed in one pass
 _CASE_CHANNELS = 64  # oracle-check draws M in {1..64}
 
 
-@dataclass(frozen=True)
 class DisorderParams:
     """Scattering-lens parameters seen by one focus mode.
 
@@ -65,30 +64,32 @@ class DisorderParams:
     Either may hold one value per trial, for :meth:`EnsembleDraws.shaped_sums`.
     """
 
-    channel_count: int
-    disorder_strength: float
+    __slots__ = ("channel_count", "disorder_strength")
 
-    def __post_init__(self) -> None:
-        m = np.asarray(self.channel_count)
+    def __init__(self, channel_count: int, disorder_strength: float) -> None:
+        m = np.asarray(channel_count)
         if not np.all(np.isfinite(m) & (m >= 1) & (m == np.floor(m))):
-            raise ValueError(f"channel_count must be a positive integer, got {self.channel_count}")
-        if not np.all(np.asarray(self.disorder_strength) > 1.0):
+            raise ValueError(f"channel_count must be a positive integer, got {channel_count}")
+        if not np.all(np.asarray(disorder_strength) > 1.0):
             raise ValueError(
-                f"disorder_strength must exceed 1, got {self.disorder_strength} "
+                f"disorder_strength must exceed 1, got {disorder_strength} "
                 "(the reflected intensity (1-1/s)/M would be negative)"
             )
+        self.channel_count, self.disorder_strength = channel_count, disorder_strength
+
+    def replace(self, **changes) -> DisorderParams:
+        """A copy with ``changes`` applied, checked as a new one."""
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        return DisorderParams(**(fields | changes))
 
 
-@dataclass(frozen=True)
 class ScatteringRealization:
     """Transmission and reflection amplitudes of one sampled focus-mode coupling vector."""
 
-    t_amp: np.ndarray
-    r_amp: np.ndarray
+    __slots__ = ("t_amp", "r_amp")
 
-    def __post_init__(self) -> None:
-        for name in ("t_amp", "r_amp"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+    def __init__(self, t_amp: np.ndarray, r_amp: np.ndarray) -> None:
+        self.t_amp, self.r_amp = np.asarray(t_amp, dtype=float), np.asarray(r_amp, dtype=float)
         m = self.t_amp.shape[0]
         if m < 1:
             raise ValueError("at least one transmission channel is required")
@@ -101,8 +102,7 @@ class ScatteringRealization:
         return self.t_amp.shape[0]
 
 
-@dataclass(frozen=True)
-class CouplingSums:
+class CouplingSums(NamedTuple):
     """Shaped coupling sums entering the focus-mode photon statistics.
 
     ``cum_T[n]`` and ``cum_abs_t[n]`` hold the partial sums over the first n
@@ -446,8 +446,7 @@ def coupling_sums(real: ScatteringRealization) -> CouplingSums:
     )
 
 
-@dataclass(frozen=True)
-class EnsembleDraws:
+class EnsembleDraws(NamedTuple):
     """A seeded ensemble's raw draws, before any s-dependent scaling.
 
     Row j is trial ``trials[j]`` of :func:`draw_ensemble`, the draw of

@@ -612,6 +612,20 @@ def test_cli_import_does_not_load_numpy_random():
     assert result.stdout.strip() == "True"
 
 
+def test_cli_import_does_not_load_dataclasses_or_copy():
+    # records are NamedTuples and slotted classes: creating dataclasses was a large share of the import
+    src = str(Path(speckleq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, numpy, argparse, json; eager = {'dataclasses', 'copy'} & set(sys.modules); "
+        "import speckleq.cli; print(sorted({'dataclasses', 'copy'} & set(sys.modules) - eager))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
 # parse_args([command]).options of every command, captured from the CLI before
 # its flags were declared in one table: names, defaults and types must not move.
 DEFAULT_OPTIONS = {
@@ -756,8 +770,16 @@ class TestOptionDomains:
         assert_usage_error(tmp_path, capsys, ["prolate-basis", "--format", "json"])
         assert main(["prolate-basis", "--format", "json", "--out", str(tmp_path / "b.json")]) == 2
         assert "--format" in capsys.readouterr().err and list(tmp_path.iterdir()) == []
-        rc, out = run_cli(tmp_path, "prolate-basis", "--modes", "3", "--format", "csv")
+
+    def test_prolate_basis_rejects_an_explicit_csv(self, tmp_path, capsys):
+        # csv is only the table commands' default; a .csv path must not receive columnar text either
+        assert_usage_error(tmp_path, capsys, ["prolate-basis", "--format", "csv"])
+        assert main(["prolate-basis", "--format", "csv", "--out", str(tmp_path / "b.csv")]) == 2
+        assert "--format" in capsys.readouterr().err and list(tmp_path.iterdir()) == []
+        rc, out = run_cli(tmp_path, "prolate-basis", "--modes", "3")
         assert rc == 0 and out.read_text().startswith("# prolate basis")
+        assert parse_args(["prolate-basis"]).out == Path("prolate-basis.txt")
+        assert [parse_args([cmd]).fmt for cmd in ("psf", "oracle-check")] == ["csv", "csv"]
 
     def test_modes_may_reach_a_quarter_of_quad_order(self, tmp_path):
         rc, out = run_cli(tmp_path, "prolate-basis", "--modes", "5", "--quad-order", "20")
