@@ -7,7 +7,6 @@ Gaussian and truncated-Fock oracles backing every closed form.
 """
 
 from .errors import (
-    AllZero,
     ConvergenceError,
     NoCrossing,
     SpeckleQError,
@@ -60,15 +59,12 @@ from .prolate import (
     PsfCurve,
     ReconstructionReport,
     build_basis,
-    choose_mode_count,
     classical_psf,
     classical_psf_curve,
     export_basis,
     half_width,
-    point_object_coeffs,
     reconstruction_psf,
     reconstruction_psf_curve,
-    reconstruction_snr,
     resolve_modes,
     superres_factor,
 )

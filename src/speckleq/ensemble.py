@@ -52,10 +52,12 @@ class SweepSpec:
         values = tuple(float(v) for v in axis_values)
         if len(values) == 0 or not all(math.isfinite(v) for v in values):
             raise ValueError("axis_values must be a nonempty sequence of finite reals")
-        if trials < 1:
+        if not trials >= 1:
             raise ValueError("trials must be >= 1")
+        if trials % 1 != 0:
+            raise ValueError(f"trials must be an integer, got {trials}")
         self.axis, self.axis_values, self.disorder, self.base_input = axis, values, disorder, base_input
-        self.trials, self.master_seed = trials, master_seed
+        self.trials, self.master_seed = int(trials), master_seed
 
 
 class EnsembleSummary(NamedTuple):
@@ -182,36 +184,35 @@ def run_superres_sweep(
     ratio is insensitive to the exact intensity) by a ``disorder_s``
     :func:`run_sweep`.
 
-    Each row equals :func:`~speckleq.prolate.superres_factor` at its budget, but W
-    is resolved once per sweep and W_Q once per distinct Q, from one PSF per Q.
+    Each row equals :func:`~speckleq.prolate.superres_factor` at its budget, but one
+    :func:`~speckleq.prolate.resolve_modes` call chooses every row's Q, W is resolved
+    once per sweep and W_Q once per distinct Q, from one PSF per Q.
     """
     basis = prolate.build_basis(bandwidth, num_modes, quad_order)
-    budgets = [float(b) for b in budgets]
+    budgets = np.array([float(b) for b in budgets])
     strengths = tuple(float(s) for s in disorder_strengths)
     if not strengths:
         raise ValueError("disorder_strengths must be nonempty")
+    if budgets.shape[0] == 0:
+        raise ValueError("budgets must be nonempty")
     inp = SqueezedInput.from_intensity(alpha2, squeeze_strength, fed_modes=channel_count)
     disorder = DisorderParams(channel_count, strengths[0])
     fano = run_sweep(SweepSpec("disorder_s", strengths, disorder, inp, trials, master_seed)).fano_ratio
-    curves = [(0.0, 1.0), *zip(strengths, fano.tolist())]  # coherent baseline: F = 1 exactly
+    curve_s, curve_fano = np.array([0.0, *strengths]), np.array([1.0, *fano])  # coherent baseline: F = 1
 
-    rows_s, rows_n, rows_q = [], [], []
-    for s, fano_bar in curves:
-        for budget in budgets:
-            rows_s.append(s)
-            rows_n.append(budget)
-            rows_q.append(prolate.resolve_modes(basis, budget / fano_bar, epsilon)[0])
+    modes_kept = prolate.resolve_modes(basis, budgets / curve_fano[:, None], epsilon)[0].ravel()
     classical_w = prolate.half_width(prolate.classical_psf_curve(basis.bandwidth))
-    w_q = {q: prolate.half_width(prolate.reconstruction_psf_curve(basis, q)) for q in set(rows_q)}
-    recon_w = np.array([w_q[q] for q in rows_q], dtype=float)
+    distinct_q, which = np.unique(modes_kept, return_inverse=True)
+    w_q = [prolate.half_width(prolate.reconstruction_psf_curve(basis, q)) for q in distinct_q.tolist()]
+    recon_w = np.array(w_q)[which]
     return SuperresTable(
-        disorder_strength=np.array(rows_s),
-        mean_n=np.array(rows_n),
-        modes_kept=np.array(rows_q, dtype=int),
-        classical_width=np.full(len(rows_q), classical_w),
+        disorder_strength=np.repeat(curve_s, budgets.shape[0]),
+        mean_n=np.tile(budgets, curve_s.shape[0]),
+        modes_kept=modes_kept,
+        classical_width=np.full(modes_kept.shape[0], classical_w),
         recon_width=recon_w,
         resolution_gain=classical_w / recon_w,
-        fano_by_curve=dict(curves),
+        fano_by_curve=dict(zip(curve_s.tolist(), curve_fano.tolist())),
     )
 
 
@@ -238,18 +239,21 @@ def run_loss_sweep(
     channel_count: int = 50,
 ) -> LossSweepTable:
     """Lossy-focus table: the ratio 1 / F-bar_L against the loss rate |q|^2."""
+    strengths = [float(g) for g in squeeze_strengths]
+    if not strengths:
+        raise ValueError("squeeze_strengths must be nonempty")
     draws = draw_ensemble(channel_count, trials, master_seed)
     blocks = []
-    for g in squeeze_strengths:
+    for g in strengths:
         spec = SweepSpec(
             axis="loss_rate",
             axis_values=tuple(float(q) for q in loss_grid),
             disorder=DisorderParams(channel_count, disorder_strength),
-            base_input=SqueezedInput.from_intensity(alpha2, float(g), fed_modes=channel_count),
+            base_input=SqueezedInput.from_intensity(alpha2, g, fed_modes=channel_count),
             trials=trials,
             master_seed=master_seed,
         )
-        blocks.append((float(g), _sweep_draws(spec, draws)))
+        blocks.append((g, _sweep_draws(spec, draws)))
     n_axis = len(blocks[0][1].axis_values)
     g_col = np.concatenate([np.full(n_axis, g) for g, _ in blocks])
     return LossSweepTable(

@@ -25,10 +25,6 @@ class NoCrossing(SpeckleQError):
     """Curve never falls below half of its peak on the sampled range."""
 
 
-class AllZero(SpeckleQError):
-    """All retained expansion coefficients vanish."""
-
-
 class TooDim(SpeckleQError):
     """Photon budget too small to reconstruct even a single mode."""
 

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AllZero, ConvergenceError, NoCrossing, TooDim
+from .errors import ConvergenceError, NoCrossing, TooDim
 
 _CERTIFICATE_TOL = 1e-9  # largest distance of a retained Nystrom eigenvalue from its series value
 _SERIES_TAIL_TOL = 1e-12  # largest trailing Legendre coefficient of a retained series mode
@@ -183,7 +183,7 @@ def build_basis(bandwidth: float, num_modes: int, quad_order: int = 256) -> Prol
     more than 1e-9 from its series value, or when the requested modes dig
     into the numerical noise floor (non-positive or non-decreasing tail).
     """
-    if bandwidth <= 0.0:
+    if not bandwidth > 0.0:
         raise ValueError("bandwidth must be positive")
     if num_modes < 1:
         raise ValueError("num_modes must be >= 1")
@@ -295,7 +295,7 @@ def half_width(curve: PsfCurve) -> float:
     its peak at z = 1 (Q <= 2 at c = 1) has half-width exactly 1.
     """
     peak = curve.values[0]
-    if peak <= 0.0:
+    if not peak > 0.0:
         raise ValueError("curve must have a positive peak at z = 0")
     target = peak / 2.0
     below = np.nonzero(curve.values < target)[0]
@@ -309,50 +309,6 @@ def half_width(curve: PsfCurve) -> float:
     return float(z_lo + (target - v_lo) * (z_hi - z_lo) / (v_hi - v_lo))
 
 
-def point_object_coeffs(basis: ProlateBasis, budget: float, epsilon: float) -> np.ndarray:
-    """Prolate coefficients of a narrow top-hat source of total intensity ``budget``.
-
-    The source has amplitude sqrt(budget / epsilon) over |z| < epsilon / 2,
-    so a_k = sqrt(budget * epsilon) * phi_k(0) in the narrow-width limit;
-    odd coefficients vanish exactly.
-    """
-    if budget < 0.0:
-        raise ValueError("budget must be nonnegative")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    return np.sqrt(budget * epsilon) * basis.phi_at_zero.copy()
-
-
-def reconstruction_snr(basis: ProlateBasis, coeffs: np.ndarray, modes_kept: int) -> float:
-    """SNR of the reconstructed object: (sum a^2)^2 / sum(a^2 / lambda) over k < Q."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if not 1 <= modes_kept <= basis.mode_count:
-        raise ValueError(f"modes_kept must lie in [1, {basis.mode_count}]")
-    if coeffs.shape[0] < modes_kept:
-        raise ValueError("fewer coefficients than requested modes")
-    power = coeffs[:modes_kept] ** 2
-    total = float(np.sum(power))
-    if total == 0.0:
-        raise AllZero("every coefficient below the requested mode count is zero")
-    noise = float(np.sum(power / basis.lam[:modes_kept]))
-    return total**2 / noise
-
-
-def choose_mode_count(basis: ProlateBasis, coeffs: np.ndarray) -> int:
-    """Largest Q with reconstruction SNR >= 1.
-
-    Zero (odd) coefficients leave the SNR unchanged, so ties resolve to the
-    largest qualifying Q; raises TooDim when even a single mode is too noisy.
-    """
-    for q in range(basis.mode_count, 0, -1):
-        try:
-            if reconstruction_snr(basis, coeffs, q) >= 1.0:
-                return q
-        except AllZero:
-            continue
-    raise TooDim("reconstruction SNR stays below 1 even for a single mode")
-
-
 class ReconstructionReport(NamedTuple):
     """Resolution summary: classical vs reconstruction PSF half-widths."""
 
@@ -363,18 +319,37 @@ class ReconstructionReport(NamedTuple):
     recon_snr: float
 
 
-def resolve_modes(
-    basis: ProlateBasis, budget: float, epsilon: float, forced_modes: int | None = None
-) -> tuple[int, float]:
-    """SNR-limited mode count Q (unless ``forced_modes`` pins it) and its SNR for a point object."""
-    coeffs = point_object_coeffs(basis, budget, epsilon)
-    if forced_modes is None:
-        modes_kept = choose_mode_count(basis, coeffs)
+def resolve_modes(basis: ProlateBasis, budget, epsilon: float, forced_modes: int | None = None):
+    """SNR-limited mode count Q (unless ``forced_modes`` pins it) and its SNR for a point object.
+
+    The object is a top hat of amplitude sqrt(budget / epsilon) over |z| < epsilon / 2, so in
+    the narrow-width limit a_k = sqrt(budget * epsilon) * phi_k(0), zero for odd k.  The SNR of
+    the reconstruction from the first Q modes is (sum a^2)^2 / sum(a^2 / lambda); every prefix
+    is summed at once, and Q is the largest with SNR >= 1.  A zero odd coefficient leaves the
+    SNR unchanged, so ties go to the larger Q; a prefix whose sums underflow never qualifies,
+    and an SNR that overflows raises FloatingPointError.  A scalar budget gives (int, float),
+    an array one Q and one SNR per element.  Raises ValueError unless every budget is finite
+    and positive, and TooDim when no Q qualifies.
+    """
+    budget = np.asarray(budget, dtype=float)
+    if not np.all(np.isfinite(budget) & (budget > 0.0)):
+        raise ValueError("budget must be finite and positive")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if forced_modes is not None and not 1 <= forced_modes <= basis.mode_count:
+        raise ValueError(f"forced_modes must lie in [1, {basis.mode_count}]")
+    with np.errstate(divide="ignore", invalid="ignore", over="raise"):
+        power = (np.sqrt(budget[..., None] * epsilon) * basis.phi_at_zero) ** 2
+        snr = np.cumsum(power, axis=-1) ** 2 / np.cumsum(power / basis.lam, axis=-1)
+        qualifies = snr >= 1.0
+    if forced_modes is not None:
+        modes_kept = np.full(budget.shape, forced_modes)
+    elif not np.all(qualifies.any(axis=-1)):
+        raise TooDim("reconstruction SNR stays below 1 even for a single mode")
     else:
-        if not 1 <= forced_modes <= basis.mode_count:
-            raise ValueError(f"forced_modes must lie in [1, {basis.mode_count}]")
-        modes_kept = forced_modes
-    return modes_kept, reconstruction_snr(basis, coeffs, modes_kept)
+        modes_kept = basis.mode_count - np.argmax(qualifies[..., ::-1], axis=-1)
+    snr = np.take_along_axis(snr, np.expand_dims(modes_kept - 1, -1), -1)[..., 0]
+    return (int(modes_kept), float(snr)) if budget.ndim == 0 else (modes_kept, snr)
 
 
 def superres_factor(

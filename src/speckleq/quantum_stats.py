@@ -50,13 +50,13 @@ class SqueezedInput:
         alpha_phase: float = 0.0,
         squeeze_phase: float = 0.0,
     ) -> None:
-        if np.any(alpha_mag < 0.0):
+        if not np.all(alpha_mag >= 0.0):
             raise ValueError("alpha_mag must be nonnegative")
-        if np.any(squeeze_strength < 0.0):
+        if not np.all(squeeze_strength >= 0.0):
             raise ValueError("squeeze_strength must be nonnegative")
         if int(fed_modes) != fed_modes or fed_modes < 1:
             raise ValueError(f"fed_modes must be a positive integer, got {fed_modes}")
-        self.alpha_mag, self.squeeze_strength, self.fed_modes = alpha_mag, squeeze_strength, fed_modes
+        self.alpha_mag, self.squeeze_strength, self.fed_modes = alpha_mag, squeeze_strength, int(fed_modes)
         self.alpha_phase, self.squeeze_phase = alpha_phase, squeeze_phase
 
     def replace(self, **changes) -> SqueezedInput:
@@ -77,7 +77,7 @@ class SqueezedInput:
         alpha_phase: float = 0.0,
         squeeze_phase: float = 0.0,
     ) -> "SqueezedInput":
-        if alpha2 < 0.0:
+        if not alpha2 >= 0.0:
             raise ValueError("alpha2 must be nonnegative")
         return cls(math.sqrt(alpha2), squeeze_strength, fed_modes, alpha_phase, squeeze_phase)
 
@@ -88,9 +88,9 @@ class PhotonMoments:
     __slots__ = ("mean", "variance")
 
     def __init__(self, mean: float, variance: float) -> None:
-        if mean < 0.0:
+        if not mean >= 0.0:
             raise ValueError(f"mean must be nonnegative, got {mean}")
-        if variance < 0.0:
+        if not variance >= 0.0:
             raise ValueError(f"variance must be nonnegative, got {variance}")
         self.mean, self.variance = mean, variance
 
@@ -222,7 +222,7 @@ def photon_budget(wavelength: float, power: float, duration: float, focus_fracti
     power * duration * focus_fraction converted to photons at the given
     wavelength (all SI units).
     """
-    if wavelength <= 0.0 or power <= 0.0 or duration <= 0.0:
+    if not (wavelength > 0.0 and power > 0.0 and duration > 0.0):
         raise ValueError("wavelength, power and duration must be positive")
     if not 0.0 < focus_fraction <= 1.0:
         raise ValueError(f"focus_fraction must lie in (0, 1], got {focus_fraction}")

@@ -61,7 +61,8 @@ class DisorderParams:
         modeled with the same number of channels).
     disorder_strength: s = thickness / transport mean free path; must exceed
         1 so the mean reflected intensity (1 - 1/s)/M stays nonnegative.
-    Either may hold one value per trial, for :meth:`EnsembleDraws.shaped_sums`.
+    Either may hold one value per trial, for :meth:`EnsembleDraws.shaped_sums`;
+    M is stored as an int, or as an int64 array.
     """
 
     __slots__ = ("channel_count", "disorder_strength")
@@ -75,7 +76,8 @@ class DisorderParams:
                 f"disorder_strength must exceed 1, got {disorder_strength} "
                 "(the reflected intensity (1-1/s)/M would be negative)"
             )
-        self.channel_count, self.disorder_strength = channel_count, disorder_strength
+        self.channel_count = int(m) if m.ndim == 0 else m.astype(np.int64)
+        self.disorder_strength = disorder_strength
 
     def replace(self, **changes) -> DisorderParams:
         """A copy with ``changes`` applied, checked as a new one."""

@@ -164,6 +164,10 @@ class TestLossSweep:
         for j, q2 in enumerate(grid):
             assert table.fano_ratio[j] == pytest.approx((1.0 - q2) * base + q2, rel=1e-12)
 
+    def test_empty_squeeze_list_raises(self):
+        with pytest.raises(ValueError, match="^squeeze_strengths must be nonempty$"):
+            run_loss_sweep([], 2.0, 1e4, [0.0, 0.5], 50, 1)
+
     def test_blocks_per_squeeze_strength(self):
         table = run_loss_sweep([0.5, 1.5], 2.0, 1e4, [0.0, 0.5], 50, 1)
         assert table.squeeze_strength.shape == (4,)
@@ -204,6 +208,15 @@ class TestSuperresSweep:
     def test_tiny_budget_raises(self):
         with pytest.raises(TooDim):
             run_superres_sweep(1.5, [2.0], [1.0], 1.0, 0.01, 50, 1)
+
+    def test_empty_budget_list_raises(self):
+        with pytest.raises(ValueError, match="^budgets must be nonempty$"):
+            run_superres_sweep(1.5, [2.0], [], 1.0, 0.01, 50, 1)
+
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), 0.0, -1e8])
+    def test_budget_must_be_finite_and_positive(self, budget):
+        with pytest.raises(ValueError, match="^budget must be finite and positive$"):
+            run_superres_sweep(1.5, [2.0], [1e8, budget], 1.0, 0.01, 50, 1)
 
     def test_empty_disorder_list_raises(self):
         # F-bar(s) comes from a disorder_s sweep, which needs at least one point

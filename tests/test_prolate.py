@@ -7,21 +7,17 @@ import pytest
 from scipy.optimize import brentq
 
 from speckleq import (
-    AllZero,
     NoCrossing,
     ProlateBasis,
     PsfCurve,
     TooDim,
     build_basis,
-    choose_mode_count,
     classical_psf,
     classical_psf_curve,
     export_basis,
     half_width,
-    point_object_coeffs,
     reconstruction_psf,
     reconstruction_psf_curve,
-    reconstruction_snr,
     resolve_modes,
     superres_factor,
 )
@@ -386,73 +382,122 @@ class TestReconstructionPsf:
         assert width == pytest.approx(0.25, abs=0.01)
 
 
+def brute_force_modes(basis, budget, epsilon):
+    """Q and SNR the long way: a_k at one budget, then every Q from K down, summed afresh."""
+    coeffs = math.sqrt(budget * epsilon) * basis.phi_at_zero
+    for q in range(basis.mode_count, 0, -1):
+        power = coeffs[:q] ** 2
+        total = float(np.sum(power))
+        if total > 0.0:
+            value = total**2 / float(np.sum(power / basis.lam[:q]))
+            if value >= 1.0:
+                return q, value
+    raise TooDim("no Q qualifies")
+
+
 class TestPointObjectCoeffs:
+    """a_k = sqrt(budget * epsilon) phi_k(0), seen through the SNR resolve_modes reports."""
+
     def test_odd_coefficients_vanish(self, basis_c1):
-        coeffs = point_object_coeffs(basis_c1, 1e6, 0.01)
-        assert np.all(coeffs[1::2] == 0.0)
-        assert np.all(coeffs[0::2] > 0.0)
+        # a zero odd coefficient adds nothing to either prefix sum: the SNR keeps its bits
+        snr = [resolve_modes(basis_c1, 1e6, 0.01, forced_modes=q)[1] for q in range(1, 8)]
+        assert snr[1] == snr[0] and snr[3] == snr[2] and snr[5] == snr[4]
+        assert snr[2] != snr[1] and snr[4] != snr[3] and snr[6] != snr[5]
 
     def test_zero_budget(self, basis_c1):
-        assert np.all(point_object_coeffs(basis_c1, 0.0, 0.01) == 0.0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            resolve_modes(basis_c1, 0.0, 0.01)
 
     def test_against_tophat_quadrature(self, basis_c1):
-        # project the finite-width top hat numerically and compare
+        # project the finite-width top hat numerically: the SNR at a forced Q must match
         budget, eps = 1e6, 0.01
-        coeffs = point_object_coeffs(basis_c1, budget, eps)
         nodes, weights = np.polynomial.legendre.leggauss(20)
         z = 0.5 * eps * nodes
         w = 0.5 * eps * weights
         amplitude = math.sqrt(budget / eps)
         projected = amplitude * (w @ basis_c1.evaluate(z, 7))
-        assert np.sum(coeffs**2) == pytest.approx(np.sum(projected**2), rel=0.01)
-        for k in range(0, 7, 2):
-            assert coeffs[k] == pytest.approx(projected[k], rel=0.01)
+        for q in range(1, 8):
+            power = projected[:q] ** 2
+            expected = np.sum(power) ** 2 / np.sum(power / basis_c1.lam[:q])
+            assert resolve_modes(basis_c1, budget, eps, forced_modes=q)[1] == pytest.approx(expected, rel=1e-3)
 
     def test_epsilon_validated(self, basis_c1):
         with pytest.raises(ValueError):
-            point_object_coeffs(basis_c1, 1.0, 0.0)
+            resolve_modes(basis_c1, 1.0, 0.0)
         with pytest.raises(ValueError):
-            point_object_coeffs(basis_c1, -1.0, 0.01)
+            resolve_modes(basis_c1, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            resolve_modes(basis_c1, -1.0, 0.01)
 
 
 class TestReconstructionSnr:
     def test_single_coefficient_collapse(self, basis_c1):
-        coeffs = np.zeros(7)
-        coeffs[0] = 3.0
-        value = reconstruction_snr(basis_c1, coeffs, 1)
-        assert value == pytest.approx(9.0 * basis_c1.lam[0], rel=1e-12)
+        budget, eps = 3e4, 0.01
+        value = resolve_modes(basis_c1, budget, eps, forced_modes=1)[1]
+        assert value == pytest.approx(budget * eps * basis_c1.phi_at_zero[0] ** 2 * basis_c1.lam[0], rel=1e-12)
 
     def test_appending_zero_keeps_value(self, basis_c1):
-        coeffs = point_object_coeffs(basis_c1, 1e5, 0.01)
-        assert reconstruction_snr(basis_c1, coeffs, 6) == pytest.approx(
-            reconstruction_snr(basis_c1, coeffs, 5), rel=1e-12
+        assert resolve_modes(basis_c1, 1e5, 0.01, forced_modes=6)[1] == pytest.approx(
+            resolve_modes(basis_c1, 1e5, 0.01, forced_modes=5)[1], rel=1e-12
         )
 
     def test_noisy_mode_reduces_snr(self, basis_c1):
         # a_4^2 / lambda_4 dominates its numerator gain for this budget
-        coeffs = point_object_coeffs(basis_c1, 1e5, 0.01)
-        assert reconstruction_snr(basis_c1, coeffs, 5) < reconstruction_snr(basis_c1, coeffs, 3)
+        snr5 = resolve_modes(basis_c1, 1e5, 0.01, forced_modes=5)[1]
+        assert snr5 < resolve_modes(basis_c1, 1e5, 0.01, forced_modes=3)[1]
 
     def test_all_zero_raises(self, basis_c1):
-        with pytest.raises(AllZero):
-            reconstruction_snr(basis_c1, np.zeros(7), 3)
+        # a positive budget whose coefficients underflow to zero: no prefix qualifies
+        assert math.sqrt(5e-324 * 0.01) * basis_c1.phi_at_zero[0] == 0.0
+        with pytest.raises(TooDim):
+            resolve_modes(basis_c1, 5e-324, 0.01)
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, 0.0, -1.0, -0.0])
+    def test_budget_must_be_finite_and_positive(self, basis_c1, budget):
+        with pytest.raises(ValueError, match="budget must be finite and positive"):
+            resolve_modes(basis_c1, budget, 0.01)
+        with pytest.raises(ValueError, match="budget must be finite and positive"):
+            resolve_modes(basis_c1, np.array([1e8, budget]), 0.01)
+
+    def test_overflowing_snr_raises(self, basis_c1):
+        with pytest.raises(FloatingPointError):
+            resolve_modes(basis_c1, 1e300, 0.01)
 
 
 class TestModeSelection:
     def test_huge_budget_saturates(self, basis_c1):
-        coeffs = point_object_coeffs(basis_c1, 1e16, 0.01)
-        assert choose_mode_count(basis_c1, coeffs) == 7
+        assert resolve_modes(basis_c1, 1e16, 0.01)[0] == 7
 
     def test_too_dim(self, basis_c1):
         with pytest.raises(TooDim):
-            choose_mode_count(basis_c1, point_object_coeffs(basis_c1, 10.0, 0.01))
+            resolve_modes(basis_c1, 10.0, 0.01)
+        with pytest.raises(TooDim):  # one dim element fails the whole array
+            resolve_modes(basis_c1, np.array([1e8, 10.0]), 0.01)
 
     def test_mode_count_nondecreasing_in_budget(self, basis_c1):
-        budgets = np.geomspace(1e3, 1e15, 13)
-        counts = [
-            choose_mode_count(basis_c1, point_object_coeffs(basis_c1, b, 0.01)) for b in budgets
-        ]
+        counts = resolve_modes(basis_c1, np.geomspace(1e3, 1e15, 13), 0.01)[0]
         assert np.all(np.diff(counts) >= 0)
+
+    @pytest.mark.parametrize("c,modes", [(1.0, 7), (2.0, 12)])
+    @pytest.mark.parametrize("eps", [0.01, 0.3, 0.9])
+    def test_array_call_equals_scalar_calls_and_brute_force(self, c, modes, eps):
+        basis = build_basis(c, modes)
+        budgets = np.geomspace(1e2, 1e15, 12 * 9).reshape(12, 9) / eps
+        counts, snr = resolve_modes(basis, budgets, eps)
+        assert counts.shape == snr.shape == budgets.shape
+        assert len(set(counts.ravel().tolist())) >= 4
+        for index, budget in np.ndenumerate(budgets):
+            q, value = resolve_modes(basis, float(budget), eps)
+            assert type(q) is int and type(value) is float
+            assert (counts[index], snr[index]) == (q, value)
+            q_ref, value_ref = brute_force_modes(basis, float(budget), eps)
+            assert q == q_ref
+            assert value == pytest.approx(value_ref, rel=1e-12)
+
+    def test_forced_modes_pin_every_element(self, basis_c1):
+        counts, snr = resolve_modes(basis_c1, np.array([10.0, 1e16]), 0.01, forced_modes=7)
+        assert counts.tolist() == [7, 7]
+        assert snr[0] < 1.0 <= snr[1]
 
 
 class TestSuperresFactor:
@@ -487,10 +532,11 @@ class TestSuperresFactor:
 
     def test_resolve_modes_composes_mode_count_and_snr(self, basis_c1):
         for budget in np.geomspace(1e4, 1e14, 6):
-            coeffs = point_object_coeffs(basis_c1, budget, 0.01)
-            q = choose_mode_count(basis_c1, coeffs)
-            expected = (q, reconstruction_snr(basis_c1, coeffs, q))
-            assert resolve_modes(basis_c1, budget, 0.01) == expected
+            q, value = brute_force_modes(basis_c1, budget, 0.01)
+            assert resolve_modes(basis_c1, budget, 0.01)[0] == q
+            assert resolve_modes(basis_c1, budget, 0.01)[1] == pytest.approx(value, rel=1e-12)
+            report = superres_factor(basis_c1, budget, 0.01)
+            assert (report.modes_kept, report.recon_snr) == resolve_modes(basis_c1, budget, 0.01)
         assert resolve_modes(basis_c1, 1e4, 0.01, forced_modes=7)[0] == 7
         with pytest.raises(ValueError):
             resolve_modes(basis_c1, 1e4, 0.01, forced_modes=8)

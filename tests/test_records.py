@@ -29,6 +29,11 @@ from speckleq import (
     SuperresTable,
     SweepSpec,
     build_basis,
+    draw_ensemble,
+    half_width,
+    photon_budget,
+    run_sweep,
+    sample_realization,
 )
 from speckleq.cli import RunConfig
 
@@ -90,6 +95,21 @@ REJECTED = [
     (ModeCoefficients, ([],), {}, "coefficients must form a nonempty 1-D vector"),
     (ModeCoefficients, ([[1.0]],), {}, "coefficients must form a nonempty 1-D vector"),
     (ModeCoefficients, ([0.5, 0.5],), {}, "sum |c_k|^2 = 0.5, focus mode must be a proper bosonic mode"),
+    # NaN fails every ordered comparison, so each check is a negated positive test
+    (SqueezedInput, (math.nan,), {}, "alpha_mag must be nonnegative"),
+    (SqueezedInput, (np.array([1.0, math.nan]),), {}, "alpha_mag must be nonnegative"),
+    (SqueezedInput, (1.0, math.nan), {}, "squeeze_strength must be nonnegative"),
+    (SqueezedInput, (1.0, np.array([0.5, math.nan])), {}, "squeeze_strength must be nonnegative"),
+    (SqueezedInput.from_intensity, (math.nan,), {}, "alpha2 must be nonnegative"),
+    (PhotonMoments, (math.nan, 1.0), {}, "mean must be nonnegative, got nan"),
+    (PhotonMoments, (1.0, math.nan), {}, "variance must be nonnegative, got nan"),
+    (build_basis, (math.nan, 3), {}, "bandwidth must be positive"),
+    (half_width, (PsfCurve([0.0, 1.0], [math.nan, 0.0]),), {}, "curve must have a positive peak at z = 0"),
+    (photon_budget, (math.nan, 1e-3, 1e-3, 0.01), {}, "wavelength, power and duration must be positive"),
+    (photon_budget, (694e-9, math.nan, 1e-3, 0.01), {}, "wavelength, power and duration must be positive"),
+    (photon_budget, (694e-9, 1e-3, math.nan, 0.01), {}, "wavelength, power and duration must be positive"),
+    (SweepSpec, ("squeeze_g", (1.0,), DISORDER, INPUT), {"trials": 2.5}, "trials must be an integer, got 2.5"),
+    (SweepSpec, ("squeeze_g", (1.0,), DISORDER, INPUT), {"trials": math.nan}, "trials must be >= 1"),
 ]
 
 
@@ -132,6 +152,23 @@ class TestParameterTypes:
         assert params.channel_count.tolist() == [1, 64]
         inp = SqueezedInput(np.array([0.0, 2.0]), np.array([0.0, 1.5]))
         assert inp.alpha2.tolist() == [0.0, 4.0]
+
+    def test_integral_float_counts_are_stored_as_int(self):
+        params = DisorderParams(50.0, 2.0)
+        assert type(params.channel_count) is int and params.channel_count == 50
+        assert np.array_equal(sample_realization(params, 7).t_amp, sample_realization(DISORDER, 7).t_amp)
+        assert np.array_equal(draw_ensemble(params.channel_count, 3, 1).cum_T, draw_ensemble(50, 3, 1).cum_T)
+        per_case = DisorderParams(np.array([1.0, 64.0]), 2.0)
+        assert per_case.channel_count.dtype == np.int64 and per_case.channel_count.tolist() == [1, 64]
+
+        inp = SqueezedInput(10.0, 1.5, fed_modes=2.0)
+        assert type(inp.fed_modes) is int and inp.fed_modes == 2
+        draws = draw_ensemble(50, 3, 1)
+        assert np.array_equal(draws.shaped_sums(DISORDER, inp.fed_modes)[0], draws.shaped_sums(DISORDER, 2)[0])
+
+        spec = SweepSpec("squeeze_g", (1.0,), DISORDER, INPUT, trials=2.0)
+        assert type(spec.trials) is int and spec.trials == 2
+        assert run_sweep(spec).trials == 2
 
     def test_arrays_are_coerced(self):
         real = ScatteringRealization([0.6], (0.8,))
