@@ -20,6 +20,7 @@ on the conversion, and 17 significant digits re-parse to the exact values.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -148,18 +149,15 @@ _DESCRIPTION = (
 
 
 def build_parser(command: str | None = None) -> _Parser:
-    """The CLI parser, with flags for ``command`` alone (every command when None).
-
-    Every subcommand is created either way, so top-level help and the invalid-choice error stay put.
-    """
+    """The CLI parser, with ``command``'s subparser alone (every command's when None)."""
     parser = _Parser(prog="speckleq", description=_DESCRIPTION)
     subs = parser.add_subparsers(dest="command")
-    for name, spec in _COMMANDS.items():
+    for name in _COMMANDS if command is None else [command]:
+        spec = _COMMANDS[name]
         sub = subs.add_parser(name, help=spec.help)
-        if command is None or command == name:
-            for flag in spec.flags + _RUN:
-                kind = flag.domain and partial(flag.domain, flag.name)
-                sub.add_argument(flag.name, type=kind, default=flag.default, help=flag.help)
+        for flag in spec.flags + _RUN:
+            kind = flag.domain and partial(flag.domain, flag.name)
+            sub.add_argument(flag.name, type=kind, default=flag.default, help=flag.help)
     return parser
 
 
@@ -167,7 +165,7 @@ def parse_args(argv) -> RunConfig:
     """Parse argv into a RunConfig and check the rules that span flags (types check each flag)."""
     argv = list(argv)
     # The top level takes no flag but -h, so a valid command line names its command in argv[0].
-    # Any other argv is an error or help, built with every flag so that its message is unchanged.
+    # Any other argv is help or an error, built with every command so that its text is unchanged.
     named = argv[0] if argv and argv[0] in _COMMANDS else None
     namespace = build_parser(named).parse_args(argv)
     if namespace.command is None:
@@ -437,13 +435,17 @@ def execute(config: RunConfig) -> tuple[int, list[Path]]:
 
 
 def main(argv=None) -> int:
+    collecting = gc.isenabled()
+    gc.disable()  # reference counting frees every array; a collection would scan import's objects
     try:
         config = parse_args(sys.argv[1:] if argv is None else argv)
+        return execute(config)[0]  # execute reports its own errors; a UsageError here is parse_args'
     except UsageError as exc:
         print(f"speckleq: usage error: {exc}", file=sys.stderr)
         return 2
-    status, _ = execute(config)
-    return status
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ so a rerun reproduces every table bitwise.  All axis values of a sweep use
 the same realizations (common random numbers), which makes monotone
 comparisons along the axis deterministic; each call therefore draws its
 ensemble once (:func:`~speckleq.random_media.draw_ensemble`) and evaluates
-every axis point as array expressions over the trials.
+all axis points at once, as the rows of (points, trials) arrays.
 
 The ensemble Fano factor is a ratio of means - mean variance over mean
 photon number - matching the averaged SNR definition
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ZeroMean
 from . import prolate
 from .quantum_stats import NO_LOSS, LossChannel, SqueezedInput, focus_moments
-from .random_media import DisorderParams, EnsembleDraws, draw_ensemble
+from .random_media import DisorderParams, EnsembleDraws, draw_ensemble, trial_count
 
 SWEEP_AXES = ("squeeze_g", "disorder_s", "mode_fill_ratio", "loss_rate", "coherent_fraction")
 
@@ -52,12 +52,8 @@ class SweepSpec:
         values = tuple(float(v) for v in axis_values)
         if len(values) == 0 or not all(math.isfinite(v) for v in values):
             raise ValueError("axis_values must be a nonempty sequence of finite reals")
-        if not trials >= 1:
-            raise ValueError("trials must be >= 1")
-        if trials % 1 != 0:
-            raise ValueError(f"trials must be an integer, got {trials}")
         self.axis, self.axis_values, self.disorder, self.base_input = axis, values, disorder, base_input
-        self.trials, self.master_seed = int(trials), master_seed
+        self.trials, self.master_seed = trial_count(trials), master_seed
 
 
 class EnsembleSummary(NamedTuple):
@@ -75,60 +71,74 @@ class EnsembleSummary(NamedTuple):
     trials: int
 
 
-def _effective_point(spec: SweepSpec, value: float):
-    """Disorder, input and loss parameters at one axis value."""
-    disorder, inp, loss = spec.disorder, spec.base_input, NO_LOSS
-    if spec.axis == "squeeze_g":
-        inp = inp.replace(squeeze_strength=value)
-    elif spec.axis == "disorder_s":
-        disorder = disorder.replace(disorder_strength=value)
-    elif spec.axis == "mode_fill_ratio":
-        if not 0.0 < value <= 1.0:
-            raise ValueError(f"mode_fill_ratio must lie in (0, 1], got {value}")
-        fed = min(max(int(round(value * disorder.channel_count)), 1), disorder.channel_count)
-        inp = inp.replace(fed_modes=fed)
-    elif spec.axis == "loss_rate":
-        loss = LossChannel(value)
-    elif spec.axis == "coherent_fraction":
-        if not 0.0 <= value < 1.0:
-            raise ValueError(f"coherent_fraction must lie in [0, 1), got {value}")
-        alpha2 = value * math.sinh(inp.squeeze_strength) ** 2 / (1.0 - value)
-        inp = inp.replace(alpha_mag=math.sqrt(alpha2))
-    return disorder, inp, loss
-
-
 def run_sweep(spec: SweepSpec) -> EnsembleSummary:
     """Monte Carlo sweep along one axis; deterministic for a fixed spec."""
     draws = draw_ensemble(spec.disorder.channel_count, spec.trials, spec.master_seed)
     return _sweep_draws(spec, draws)
 
 
+def _axis_moments(spec: SweepSpec, draws: EnsembleDraws):
+    """(mean, variance) of every trial at every axis value, as (points, trials) arrays."""
+    disorder, inp, loss, fed = spec.disorder, spec.base_input, NO_LOSS, spec.base_input.fed_modes
+    column = np.array(spec.axis_values)[:, None]
+    if spec.axis == "squeeze_g":
+        inp = inp.replace(squeeze_strength=column)
+    elif spec.axis == "disorder_s":
+        disorder = disorder.replace(disorder_strength=column)
+    elif spec.axis == "mode_fill_ratio":
+        outside = [f for f in spec.axis_values if not 0.0 < f <= 1.0]
+        if outside:
+            raise ValueError(f"mode_fill_ratio must lie in (0, 1], got {outside[0]}")
+        m = disorder.channel_count
+        fed = np.clip(np.rint(column * m), 1, m).astype(np.int64)  # rint rounds half to even, as round does
+    elif spec.axis == "loss_rate":
+        loss = LossChannel(column)
+    sums = draws.shaped_sums(disorder, fed)
+    if spec.axis != "coherent_fraction":
+        return focus_moments(*sums, inp, loss)
+    outside = [f for f in spec.axis_values if not 0.0 <= f < 1.0]
+    if outside:
+        raise ValueError(f"coherent_fraction must lie in [0, 1), got {outside[0]}")
+    sh2 = math.sinh(inp.squeeze_strength) ** 2
+    # one scalar input per point: a float's |alpha|^2 is C pow, not numpy's square (1 in 1000 differ)
+    inputs = [inp.replace(alpha_mag=math.sqrt(f * sh2 / (1.0 - f))) for f in spec.axis_values]
+    return [np.array(rows) for rows in zip(*(focus_moments(*sums, one, loss) for one in inputs))]
+
+
 def _sweep_draws(spec: SweepSpec, draws: EnsembleDraws) -> EnsembleSummary:
-    points = [_point_summary(spec, value, draws) for value in spec.axis_values]
+    """Every axis point in one array pass: point i is row i of the (points, trials) moments.
+
+    Row reductions along axis 1 equal numpy's 1-D reductions bit for bit, and the
+    short per-point tail stays in Python floats, so each row equals a one-point sweep.
+    """
+    means, variances = _axis_moments(spec, draws)
+    mean_n, mean_v = means.mean(axis=1), variances.mean(axis=1)
+    dark = mean_n == 0.0
+    # complete loss leaves vacuum, which is Poissonian-limited (the q^2 -> 1 limit of the
+    # affine Fano law); any other dark point has no Fano factor
+    for value, is_dark in zip(spec.axis_values, dark.tolist()):
+        if is_dark and (spec.axis, value) != ("loss_rate", 1.0):
+            raise ZeroMean(f"zero mean photon number at {spec.axis} = {value!r} (dark input)")
+    lit = ~dark if dark.any() else slice(None)  # rows are copied only when one is dark
+    n, v = mean_n[lit], mean_v[lit]
+    se_n = se_v = np.zeros(n.shape)
+    if spec.trials > 1:  # std of x / mean, not of x: squaring x itself overflows near 1e154
+        root = math.sqrt(spec.trials)
+        se_n = np.std(means[lit] / n[:, None], axis=1, ddof=1) * n / root
+        se_v = np.std(variances[lit] / v[:, None], axis=1, ddof=1) * v / root
+    fano_trials = np.mean(variances[lit] / means[lit], axis=1)
+    tails = map(_point_tail, n.tolist(), v.tolist(), se_n.tolist(), se_v.tolist(), fano_trials.tolist())
+    points = [(0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0) if is_dark else next(tails) for is_dark in dark.tolist()]
     columns = [np.array(column) for column in zip(*points)]
     return EnsembleSummary(spec.axis, np.array(spec.axis_values), *columns, trials=spec.trials)
 
 
-def _point_summary(spec: SweepSpec, value: float, draws: EnsembleDraws) -> tuple:
-    """One axis point's aggregates, in EnsembleSummary field order."""
-    disorder, inp, loss = _effective_point(spec, value)
-    means, variances = focus_moments(*draws.shaped_sums(disorder, inp.fed_modes), inp, loss)
-    mean_n = float(np.mean(means))
-    mean_v = float(np.mean(variances))
-    if mean_n == 0.0:
-        if loss.loss_rate != 1.0:
-            raise ZeroMean(f"zero mean photon number at {spec.axis} = {value!r} (dark input)")
-        # complete loss leaves vacuum, which is Poissonian-limited (the
-        # q^2 -> 1 limit of the affine Fano law)
-        return mean_n, mean_v, 1.0, 1.0, 0.0, 0.0, 1.0
-    se_n = se_v = 0.0
-    if spec.trials > 1:  # std of x / mean, not of x: squaring x itself overflows near 1e154
-        se_n = float(np.std(means / mean_n, ddof=1)) * mean_n / math.sqrt(spec.trials)
-        se_v = float(np.std(variances / mean_v, ddof=1)) * mean_v / math.sqrt(spec.trials)
+def _point_tail(mean_n: float, mean_v: float, se_n: float, se_v: float, fano_trials: float) -> tuple:
+    """One lit point's aggregates, in EnsembleSummary field order."""
     ratio = mean_n / mean_v
     # quadrature-combined standard error of snr_ratio = mean(n) / mean(var)
     stderr_snr = ratio * math.sqrt((se_n / mean_n) ** 2 + (se_v / mean_v) ** 2)
-    return mean_n, mean_v, mean_v / mean_n, ratio, se_n, stderr_snr, float(np.mean(variances / means))
+    return mean_n, mean_v, mean_v / mean_n, ratio, se_n, stderr_snr, fano_trials
 
 
 def run_fano_scatter(
@@ -243,25 +253,10 @@ def run_loss_sweep(
     if not strengths:
         raise ValueError("squeeze_strengths must be nonempty")
     draws = draw_ensemble(channel_count, trials, master_seed)
-    blocks = []
-    for g in strengths:
-        spec = SweepSpec(
-            axis="loss_rate",
-            axis_values=tuple(float(q) for q in loss_grid),
-            disorder=DisorderParams(channel_count, disorder_strength),
-            base_input=SqueezedInput.from_intensity(alpha2, g, fed_modes=channel_count),
-            trials=trials,
-            master_seed=master_seed,
-        )
-        blocks.append((g, _sweep_draws(spec, draws)))
-    n_axis = len(blocks[0][1].axis_values)
-    g_col = np.concatenate([np.full(n_axis, g) for g, _ in blocks])
-    return LossSweepTable(
-        squeeze_strength=g_col,
-        loss_rate=np.concatenate([b.axis_values for _, b in blocks]),
-        mean_n=np.concatenate([b.mean_n for _, b in blocks]),
-        fano_ratio=np.concatenate([b.fano_ratio for _, b in blocks]),
-        snr_ratio=np.concatenate([b.snr_ratio for _, b in blocks]),
-        stderr_snr=np.concatenate([b.stderr_snr for _, b in blocks]),
-        trials=trials,
-    )
+    disorder, grid = DisorderParams(channel_count, disorder_strength), tuple(loss_grid)
+    blocks = [
+        _sweep_draws(SweepSpec("loss_rate", grid, disorder, inp, trials, master_seed), draws)
+        for inp in (SqueezedInput.from_intensity(alpha2, g, fed_modes=channel_count) for g in strengths)
+    ]
+    columns = zip(*((b.axis_values, b.mean_n, b.fano_ratio, b.snr_ratio, b.stderr_snr) for b in blocks))
+    return LossSweepTable(np.repeat(strengths, len(grid)), *map(np.concatenate, columns), trials=trials)

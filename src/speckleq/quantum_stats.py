@@ -54,7 +54,7 @@ class SqueezedInput:
             raise ValueError("alpha_mag must be nonnegative")
         if not np.all(squeeze_strength >= 0.0):
             raise ValueError("squeeze_strength must be nonnegative")
-        if int(fed_modes) != fed_modes or fed_modes < 1:
+        if not (fed_modes >= 1 and fed_modes % 1 == 0):  # nan and inf fail too, before int() sees them
             raise ValueError(f"fed_modes must be a positive integer, got {fed_modes}")
         self.alpha_mag, self.squeeze_strength, self.fed_modes = alpha_mag, squeeze_strength, int(fed_modes)
         self.alpha_phase, self.squeeze_phase = alpha_phase, squeeze_phase
@@ -96,13 +96,15 @@ class PhotonMoments:
 
 
 class LossChannel:
-    """Fictitious beam splitter with vacuum in the idle port; loss_rate = |q|^2."""
+    """Fictitious beam splitter with vacuum in the idle port; loss_rate = |q|^2, one value or an array."""
 
     __slots__ = ("loss_rate",)
 
     def __init__(self, loss_rate: float) -> None:
-        if not 0.0 <= loss_rate <= 1.0:
-            raise ValueError(f"loss_rate must lie in [0, 1], got {loss_rate}")
+        rate = np.asarray(loss_rate)
+        outside = ~((0.0 <= rate) & (rate <= 1.0))
+        if np.any(outside):
+            raise ValueError(f"loss_rate must lie in [0, 1], got {rate[outside].tolist()[0]}")
         self.loss_rate = loss_rate
 
     @property

@@ -61,8 +61,8 @@ class DisorderParams:
         modeled with the same number of channels).
     disorder_strength: s = thickness / transport mean free path; must exceed
         1 so the mean reflected intensity (1 - 1/s)/M stays nonnegative.
-    Either may hold one value per trial, for :meth:`EnsembleDraws.shaped_sums`;
-    M is stored as an int, or as an int64 array.
+    Either may hold one value per trial, or s a column of sweep points, for
+    :meth:`EnsembleDraws.shaped_sums`; M is stored as an int, or as an int64 array.
     """
 
     __slots__ = ("channel_count", "disorder_strength")
@@ -71,9 +71,10 @@ class DisorderParams:
         m = np.asarray(channel_count)
         if not np.all(np.isfinite(m) & (m >= 1) & (m == np.floor(m))):
             raise ValueError(f"channel_count must be a positive integer, got {channel_count}")
-        if not np.all(np.asarray(disorder_strength) > 1.0):
+        weak = ~(np.asarray(disorder_strength) > 1.0)
+        if np.any(weak):
             raise ValueError(
-                f"disorder_strength must exceed 1, got {disorder_strength} "
+                f"disorder_strength must exceed 1, got {np.asarray(disorder_strength)[weak].tolist()[0]} "
                 "(the reflected intensity (1-1/s)/M would be negative)"
             )
         self.channel_count = int(m) if m.ndim == 0 else m.astype(np.int64)
@@ -128,6 +129,15 @@ class CouplingSums(NamedTuple):
             raise ValueError(f"fed_modes={fed_modes} outside [0, {self.channel_count}]")
         tau_n = float(self.cum_T[fed_modes])
         return tau_n, float(self.cum_abs_t[fed_modes]), self.sum_T - tau_n, self.sum_R
+
+
+def trial_count(trials) -> int:
+    """``trials`` as an int, checked to be a whole number >= 1."""
+    if not trials >= 1:
+        raise ValueError("trials must be >= 1")
+    if trials % 1 != 0:
+        raise ValueError(f"trials must be an integer, got {trials}")
+    return int(trials)
 
 
 def mask_seed(seed: int) -> int:
@@ -466,7 +476,8 @@ class EnsembleDraws(NamedTuple):
     def shaped_sums(self, params: DisorderParams, fed_modes):
         """Per-trial (tau_N, sum_{a<=N} |t_a|, tau_rest, sum_R), exactly flux-normalized.
 
-        M and s (``params``) and N = ``fed_modes`` are each one value or one per row.
+        M and s (``params``) and N = ``fed_modes`` are each one value or one per row,
+        or s or N a (points, 1) column, which gives (points, trials) arrays.
         """
         m, rows = params.channel_count, np.arange(self.sum_R.shape[0])
         if np.any(self.channel_counts != m) or not np.all((1 <= fed_modes) & (fed_modes <= m)):
@@ -491,7 +502,7 @@ def draw_ensemble(channel_count, trials, master_seed: int) -> EnsembleDraws:
     ``trials`` is a count n, meaning ``range(n)``, or a range of trial indices;
     ``channel_count`` is one M or one per trial, and rows are zero-padded to the largest M.
     """
-    indices = trials if isinstance(trials, range) else range(trials)
+    indices = trials if isinstance(trials, range) else range(trial_count(trials))
     if len(indices) < 1:
         raise ValueError("trials must be >= 1")
     counts = np.broadcast_to(channel_count, (len(indices),))

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -549,8 +550,11 @@ class TestSingleCommandParser:
         assert parse_args(argv) == single
 
     def test_only_the_named_command_gets_flags(self):
-        with pytest.raises(UsageError, match="unrecognized arguments: --trials 3"):
+        # a parser built for one command has no other command, flags or not
+        with pytest.raises(UsageError, match="invalid choice"):
             cli.build_parser("psf").parse_args(["snr-sweep", "--trials", "3"])
+        with pytest.raises(UsageError, match="unrecognized arguments: --trials 3"):
+            cli.build_parser("psf").parse_args(["psf", "--trials", "3"])
         assert cli.build_parser().parse_args(["snr-sweep", "--trials", "3"]).trials == 3
 
     @pytest.mark.parametrize(
@@ -575,7 +579,13 @@ class TestSingleCommandParser:
         assert "``" not in text and "_COMMANDS" not in text
         assert "SPECKLE_SEED overrides --seed" in text
 
-    @pytest.mark.parametrize("argv", [["bogus"], ["bogus", "--trials", "3"], ["--foo", "psf", "--step", "1"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bogus"], ["bogus", "--trials", "3"], ["--foo", "psf", "--step", "1"], ["psf", "--trials", "3"],
+            ["snr-sweep", "--axis", "x"],
+        ],
+    )
     def test_usage_errors_unchanged(self, monkeypatch, capsys, argv):
         errors = []
         for every_command in (False, True):
@@ -584,7 +594,37 @@ class TestSingleCommandParser:
             assert main(argv) == 2
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1] and errors[0].startswith("speckleq: usage error: ")
-        assert ("invalid choice" if argv[0] == "bogus" else "unrecognized arguments: --foo") in errors[0]
+        expected = {
+            "bogus": "invalid choice", "psf": "unrecognized arguments: --trials 3", "snr-sweep": "--axis:",
+        }
+        assert expected.get(argv[0], "unrecognized arguments: --foo") in errors[0]
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["gc-enabled", "gc-disabled"])
+    @pytest.mark.parametrize(
+        "argv,status",
+        [
+            (["photon-budget"], 0),
+            (["psf", "--trials", "3"], 2),
+            (["photon-budget", "--power", "1e300", "--duration", "1e300"], 3),
+        ],
+        ids=["success", "usage-error", "numerical-error"],
+    )
+    def test_main_restores_the_collector(self, tmp_path, capsys, monkeypatch, argv, status, collecting):
+        running, execute_once = [], cli.execute
+
+        def execute(config):
+            running.append(gc.isenabled())
+            return execute_once(config)
+
+        monkeypatch.setattr(cli, "execute", execute)
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            assert main([*argv, "--out", str(tmp_path / "out.csv")]) == status
+            assert gc.isenabled() is collecting
+            assert running == ([] if status == 2 else [False])  # paused while the command runs
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 def test_cli_import_does_not_load_scipy_linalg():

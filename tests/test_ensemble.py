@@ -1,8 +1,12 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
 from speckleq import (
     DisorderParams,
+    LossChannel,
     ProlateBasis,
     SqueezedInput,
     SweepSpec,
@@ -11,6 +15,8 @@ from speckleq import (
     asymptotic_avg_fano,
     asymptotic_avg_snr_ratio,
     classical_psf_curve,
+    draw_ensemble,
+    focus_moments,
     half_width,
     run_fano_scatter,
     run_loss_sweep,
@@ -136,6 +142,105 @@ class TestSweepStatistics:
         # fraction 0.99 corresponds to |alpha|^2 ~ 450 at g = 1.5
         assert abs(summary.fano_ratio[-1] - asymptotic_avg_fano(2.0, 1.5)) < 0.02
 
+
+def per_point_sweep(spec):
+    """The sweep one axis value at a time, on scalar inputs: the reference for the array pass."""
+    draws = draw_ensemble(spec.disorder.channel_count, spec.trials, spec.master_seed)
+    rows = []
+    for value in spec.axis_values:
+        disorder, inp, loss = spec.disorder, spec.base_input, LossChannel(0.0)
+        if spec.axis == "squeeze_g":
+            inp = inp.replace(squeeze_strength=value)
+        elif spec.axis == "disorder_s":
+            disorder = disorder.replace(disorder_strength=value)
+        elif spec.axis == "mode_fill_ratio":
+            if not 0.0 < value <= 1.0:
+                raise ValueError(f"mode_fill_ratio must lie in (0, 1], got {value}")
+            m = disorder.channel_count
+            inp = inp.replace(fed_modes=min(max(int(round(value * m)), 1), m))
+        elif spec.axis == "loss_rate":
+            loss = LossChannel(value)
+        else:
+            if not 0.0 <= value < 1.0:
+                raise ValueError(f"coherent_fraction must lie in [0, 1), got {value}")
+            alpha2 = value * math.sinh(inp.squeeze_strength) ** 2 / (1.0 - value)
+            inp = inp.replace(alpha_mag=math.sqrt(alpha2))
+        means, variances = focus_moments(*draws.shaped_sums(disorder, inp.fed_modes), inp, loss)
+        mean_n, mean_v = float(np.mean(means)), float(np.mean(variances))
+        if mean_n == 0.0:
+            if loss.loss_rate != 1.0:
+                raise ZeroMean(f"zero mean photon number at {spec.axis} = {value!r} (dark input)")
+            rows.append((mean_n, mean_v, 1.0, 1.0, 0.0, 0.0, 1.0))
+            continue
+        se_n = se_v = 0.0
+        if spec.trials > 1:
+            se_n = float(np.std(means / mean_n, ddof=1)) * mean_n / math.sqrt(spec.trials)
+            se_v = float(np.std(variances / mean_v, ddof=1)) * mean_v / math.sqrt(spec.trials)
+        ratio = mean_n / mean_v
+        stderr_snr = ratio * math.sqrt((se_n / mean_n) ** 2 + (se_v / mean_v) ** 2)
+        fano_trials = float(np.mean(variances / means))
+        rows.append((mean_n, mean_v, mean_v / mean_n, ratio, se_n, stderr_snr, fano_trials))
+    return rows
+
+
+SUMMARY_COLUMNS = (
+    "mean_n", "mean_variance", "fano_ratio", "snr_ratio", "stderr_mean_n", "stderr_snr", "fano_trial_mean",
+)
+# fills whose value * 50 is exactly a tie, which round() and np.rint take to the even neighbour
+HALF_FILLS = [0.01, 0.03, 0.05, 0.09, 0.45, 0.51, 0.99]
+ARRAY_PASS_CASES = [
+    ("squeeze_g", [0.0, 0.3, 1.5, 2.9], {}),
+    ("disorder_s", [1.5, 2.0, 7.3], {"g": 0.7}),
+    ("mode_fill_ratio", [*HALF_FILLS, 0.07, 0.55, 1.0], {}),
+    ("mode_fill_ratio", [0.05, 0.15, 0.25, 0.35, 0.65], {"m": 10}),
+    ("mode_fill_ratio", [0.01, 0.5], {"trials": 1}),
+    ("loss_rate", [0.0, 0.3, 1.0, 0.5], {}),
+    ("loss_rate", [1.0, 0.25], {"trials": 1}),
+    # 0.01187 is a fraction whose |alpha| squares differently under C pow and numpy's square
+    ("coherent_fraction", [0.0, 0.01187, 0.5, 0.98, 0.99, 0.995], {"alpha2": 0.0}),
+    ("coherent_fraction", [0.99], {"alpha2": 0.0, "trials": 1}),
+    ("squeeze_g", [1.0, 2.0], {"trials": 1}),
+]
+
+
+class TestArrayPass:
+    """A sweep evaluates all its axis points at once; each row must equal the per-point loop bit for bit."""
+
+    @pytest.mark.parametrize("axis,values,kwargs", ARRAY_PASS_CASES, ids=lambda case: str(case))
+    def test_array_pass_equals_per_point_loop(self, axis, values, kwargs):
+        spec = small_spec(axis, values, **{"trials": 150, "seed": 5, **kwargs})
+        summary = run_sweep(spec)
+        for column, expected in zip(SUMMARY_COLUMNS, zip(*per_point_sweep(spec))):
+            got = getattr(summary, column)
+            assert got.dtype == np.float64 and got.tobytes() == np.array(expected).tobytes(), column
+        if spec.trials == 1:
+            assert not summary.stderr_mean_n.any() and not summary.stderr_snr.any()
+        if axis == "loss_rate":
+            vacuum = np.array(values) == 1.0
+            assert np.all(summary.snr_ratio[vacuum] == 1.0) and np.all(summary.mean_n[vacuum] == 0.0)
+
+    def test_array_pass_cases_reach_ties_and_pow(self):
+        assert all(value * 50 % 1 == 0.5 for value in HALF_FILLS)
+        alpha = math.sqrt(0.01187 * math.sinh(1.5) ** 2 / (1.0 - 0.01187))
+        assert alpha**2 != float(np.square(np.array([alpha]))[0])
+
+    @pytest.mark.parametrize(
+        "axis,values,kwargs",
+        [
+            ("squeeze_g", [1.0, 0.0, 2.0], {"alpha2": 0.0}),
+            ("mode_fill_ratio", [0.5, 1.5, 0.0], {}),
+            ("coherent_fraction", [0.5, -0.25, 1.0], {"alpha2": 0.0}),
+            ("loss_rate", [0.5, 1.25], {}),
+            ("disorder_s", [2.0, 0.5, 1.0], {}),
+        ],
+        ids=lambda case: str(case),
+    )
+    def test_array_pass_keeps_each_error(self, axis, values, kwargs):
+        spec = small_spec(axis, values, **{"trials": 20, **kwargs})
+        with pytest.raises((ValueError, ZeroMean)) as expected:
+            per_point_sweep(spec)
+        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+            run_sweep(spec)
 
 
 class TestLossSweep:

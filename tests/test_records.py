@@ -32,6 +32,7 @@ from speckleq import (
     draw_ensemble,
     half_width,
     photon_budget,
+    run_fano_scatter,
     run_sweep,
     sample_realization,
 )
@@ -110,6 +111,18 @@ REJECTED = [
     (photon_budget, (694e-9, 1e-3, math.nan, 0.01), {}, "wavelength, power and duration must be positive"),
     (SweepSpec, ("squeeze_g", (1.0,), DISORDER, INPUT), {"trials": 2.5}, "trials must be an integer, got 2.5"),
     (SweepSpec, ("squeeze_g", (1.0,), DISORDER, INPUT), {"trials": math.nan}, "trials must be >= 1"),
+    (draw_ensemble, (50, 2.5, 1), {}, "trials must be an integer, got 2.5"),
+    (run_fano_scatter, (50, 2.0, 1.0, 1e4, 2.5, 1), {}, "trials must be an integer, got 2.5"),
+    (SqueezedInput, (1.0,), {"fed_modes": math.nan}, "fed_modes must be a positive integer, got nan"),
+    (SqueezedInput, (1.0,), {"fed_modes": math.inf}, "fed_modes must be a positive integer, got inf"),
+    # a column of sweep values is checked at once, and the first value outside is named
+    (LossChannel, (np.array([[0.5], [1.5], [-1.0]]),), {}, "loss_rate must lie in [0, 1], got 1.5"),
+    (
+        DisorderParams,
+        (50, np.array([[2.0], [0.5], [1.0]])),
+        {},
+        "disorder_strength must exceed 1, got 0.5 (the reflected intensity (1-1/s)/M would be negative)",
+    ),
 ]
 
 
