@@ -20,7 +20,6 @@ on the conversion, and 17 significant digits re-parse to the exact values.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import math
 import os
@@ -435,17 +434,13 @@ def execute(config: RunConfig) -> tuple[int, list[Path]]:
 
 
 def main(argv=None) -> int:
-    collecting = gc.isenabled()
-    gc.disable()  # reference counting frees every array; a collection would scan import's objects
     try:
         config = parse_args(sys.argv[1:] if argv is None else argv)
-        return execute(config)[0]  # execute reports its own errors; a UsageError here is parse_args'
     except UsageError as exc:
         print(f"speckleq: usage error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if collecting:
-            gc.enable()
+    status, _ = execute(config)
+    return status
 
 
 if __name__ == "__main__":

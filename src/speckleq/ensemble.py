@@ -6,7 +6,7 @@ so a rerun reproduces every table bitwise.  All axis values of a sweep use
 the same realizations (common random numbers), which makes monotone
 comparisons along the axis deterministic; each call therefore draws its
 ensemble once (:func:`~speckleq.random_media.draw_ensemble`) and evaluates
-all axis points at once, as the rows of (points, trials) arrays.
+its axis points as the rows of (points, trials) arrays, a block of rows at a time.
 
 The ensemble Fano factor is a ratio of means - mean variance over mean
 photon number - matching the averaged SNR definition
@@ -77,48 +77,50 @@ def run_sweep(spec: SweepSpec) -> EnsembleSummary:
     return _sweep_draws(spec, draws)
 
 
-def _axis_moments(spec: SweepSpec, draws: EnsembleDraws):
-    """(mean, variance) of every trial at every axis value, as (points, trials) arrays."""
+# Elements of one (points, trials) block, at least one row: a sweep's arrays stay this small
+# at any point count, and the CLI's default sweeps (at most 16 points of 1000 trials) are one block.
+_BLOCK_ELEMENTS = 2**16
+
+
+def _axis_params(spec: SweepSpec, column: np.ndarray):
+    """focus_moments' (disorder, fed modes, input, loss) at the axis values in ``column``, each checked.
+
+    The coherent_fraction axis gives a list of one scalar input per point: a float's
+    |alpha|^2 is C pow, not numpy's square (1 in 1000 differ).
+    """
     disorder, inp, loss, fed = spec.disorder, spec.base_input, NO_LOSS, spec.base_input.fed_modes
-    column = np.array(spec.axis_values)[:, None]
+    values = column.ravel().tolist()
     if spec.axis == "squeeze_g":
         inp = inp.replace(squeeze_strength=column)
     elif spec.axis == "disorder_s":
         disorder = disorder.replace(disorder_strength=column)
     elif spec.axis == "mode_fill_ratio":
-        outside = [f for f in spec.axis_values if not 0.0 < f <= 1.0]
+        outside = [f for f in values if not 0.0 < f <= 1.0]
         if outside:
             raise ValueError(f"mode_fill_ratio must lie in (0, 1], got {outside[0]}")
         m = disorder.channel_count
         fed = np.clip(np.rint(column * m), 1, m).astype(np.int64)  # rint rounds half to even, as round does
     elif spec.axis == "loss_rate":
         loss = LossChannel(column)
+    else:
+        outside = [f for f in values if not 0.0 <= f < 1.0]
+        if outside:
+            raise ValueError(f"coherent_fraction must lie in [0, 1), got {outside[0]}")
+        sh2 = math.sinh(inp.squeeze_strength) ** 2
+        return disorder, fed, [inp.replace(alpha_mag=math.sqrt(f * sh2 / (1.0 - f))) for f in values], loss
+    return disorder, fed, inp, loss
+
+
+def _block_points(spec: SweepSpec, draws: EnsembleDraws, params) -> list:
+    """The aggregates of each point in one block, in EnsembleSummary field order (vacuum's if dark)."""
+    disorder, fed, inp, loss = params
     sums = draws.shaped_sums(disorder, fed)
-    if spec.axis != "coherent_fraction":
-        return focus_moments(*sums, inp, loss)
-    outside = [f for f in spec.axis_values if not 0.0 <= f < 1.0]
-    if outside:
-        raise ValueError(f"coherent_fraction must lie in [0, 1), got {outside[0]}")
-    sh2 = math.sinh(inp.squeeze_strength) ** 2
-    # one scalar input per point: a float's |alpha|^2 is C pow, not numpy's square (1 in 1000 differ)
-    inputs = [inp.replace(alpha_mag=math.sqrt(f * sh2 / (1.0 - f))) for f in spec.axis_values]
-    return [np.array(rows) for rows in zip(*(focus_moments(*sums, one, loss) for one in inputs))]
-
-
-def _sweep_draws(spec: SweepSpec, draws: EnsembleDraws) -> EnsembleSummary:
-    """Every axis point in one array pass: point i is row i of the (points, trials) moments.
-
-    Row reductions along axis 1 equal numpy's 1-D reductions bit for bit, and the
-    short per-point tail stays in Python floats, so each row equals a one-point sweep.
-    """
-    means, variances = _axis_moments(spec, draws)
+    if spec.axis == "coherent_fraction":
+        means, variances = map(np.array, zip(*(focus_moments(*sums, one, loss) for one in inp)))
+    else:
+        means, variances = focus_moments(*sums, inp, loss)
     mean_n, mean_v = means.mean(axis=1), variances.mean(axis=1)
     dark = mean_n == 0.0
-    # complete loss leaves vacuum, which is Poissonian-limited (the q^2 -> 1 limit of the
-    # affine Fano law); any other dark point has no Fano factor
-    for value, is_dark in zip(spec.axis_values, dark.tolist()):
-        if is_dark and (spec.axis, value) != ("loss_rate", 1.0):
-            raise ZeroMean(f"zero mean photon number at {spec.axis} = {value!r} (dark input)")
     lit = ~dark if dark.any() else slice(None)  # rows are copied only when one is dark
     n, v = mean_n[lit], mean_v[lit]
     se_n = se_v = np.zeros(n.shape)
@@ -128,7 +130,28 @@ def _sweep_draws(spec: SweepSpec, draws: EnsembleDraws) -> EnsembleSummary:
         se_v = np.std(variances[lit] / v[:, None], axis=1, ddof=1) * v / root
     fano_trials = np.mean(variances[lit] / means[lit], axis=1)
     tails = map(_point_tail, n.tolist(), v.tolist(), se_n.tolist(), se_v.tolist(), fano_trials.tolist())
-    points = [(0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0) if is_dark else next(tails) for is_dark in dark.tolist()]
+    return [(0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0) if is_dark else next(tails) for is_dark in dark.tolist()]
+
+
+def _sweep_draws(spec: SweepSpec, draws: EnsembleDraws) -> EnsembleSummary:
+    """Every axis point in array passes: point i is row i of (points, trials) moment blocks.
+
+    Row reductions along axis 1 equal numpy's 1-D reductions bit for bit, and the
+    short per-point tail stays in Python floats, so each row equals a one-point sweep.
+    """
+    column = np.array(spec.axis_values)[:, None]
+    rows = max(1, _BLOCK_ELEMENTS // spec.trials)
+    params = _axis_params(spec, column)  # every value is checked before the first block is evaluated
+    points = []
+    for start in range(0, len(column), rows):
+        if rows < len(column):
+            params = _axis_params(spec, column[start : start + rows])
+        points += _block_points(spec, draws, params)
+    # complete loss leaves vacuum, which is Poissonian-limited (the q^2 -> 1 limit of the
+    # affine Fano law); any other dark point has no Fano factor
+    for value, point in zip(spec.axis_values, points):
+        if point[0] == 0.0 and (spec.axis, value) != ("loss_rate", 1.0):
+            raise ZeroMean(f"zero mean photon number at {spec.axis} = {value!r} (dark input)")
     columns = [np.array(column) for column in zip(*points)]
     return EnsembleSummary(spec.axis, np.array(spec.axis_values), *columns, trials=spec.trials)
 

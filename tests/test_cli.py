@@ -1,4 +1,3 @@
-import gc
 import json
 import math
 import os
@@ -598,33 +597,6 @@ class TestSingleCommandParser:
             "bogus": "invalid choice", "psf": "unrecognized arguments: --trials 3", "snr-sweep": "--axis:",
         }
         assert expected.get(argv[0], "unrecognized arguments: --foo") in errors[0]
-
-    @pytest.mark.parametrize("collecting", [True, False], ids=["gc-enabled", "gc-disabled"])
-    @pytest.mark.parametrize(
-        "argv,status",
-        [
-            (["photon-budget"], 0),
-            (["psf", "--trials", "3"], 2),
-            (["photon-budget", "--power", "1e300", "--duration", "1e300"], 3),
-        ],
-        ids=["success", "usage-error", "numerical-error"],
-    )
-    def test_main_restores_the_collector(self, tmp_path, capsys, monkeypatch, argv, status, collecting):
-        running, execute_once = [], cli.execute
-
-        def execute(config):
-            running.append(gc.isenabled())
-            return execute_once(config)
-
-        monkeypatch.setattr(cli, "execute", execute)
-        was = gc.isenabled()
-        (gc.enable if collecting else gc.disable)()
-        try:
-            assert main([*argv, "--out", str(tmp_path / "out.csv")]) == status
-            assert gc.isenabled() is collecting
-            assert running == ([] if status == 2 else [False])  # paused while the command runs
-        finally:
-            (gc.enable if was else gc.disable)()
 
 
 def test_cli_import_does_not_load_scipy_linalg():

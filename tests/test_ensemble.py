@@ -24,6 +24,7 @@ from speckleq import (
     run_sweep,
     superres_factor,
 )
+from speckleq import ensemble
 
 
 def small_spec(axis, values, *, g=1.5, s=2.0, m=50, alpha2=1e4, trials=200, seed=1):
@@ -206,9 +207,12 @@ ARRAY_PASS_CASES = [
 class TestArrayPass:
     """A sweep evaluates all its axis points at once; each row must equal the per-point loop bit for bit."""
 
+    @pytest.mark.parametrize("rows_per_block", [None, 1, 3], ids=lambda rows: f"block-{rows or 'default'}")
     @pytest.mark.parametrize("axis,values,kwargs", ARRAY_PASS_CASES, ids=lambda case: str(case))
-    def test_array_pass_equals_per_point_loop(self, axis, values, kwargs):
+    def test_array_pass_equals_per_point_loop(self, monkeypatch, axis, values, kwargs, rows_per_block):
         spec = small_spec(axis, values, **{"trials": 150, "seed": 5, **kwargs})
+        if rows_per_block is not None:  # blocks of a few rows, so the points cross block boundaries
+            monkeypatch.setattr(ensemble, "_BLOCK_ELEMENTS", rows_per_block * spec.trials)
         summary = run_sweep(spec)
         for column, expected in zip(SUMMARY_COLUMNS, zip(*per_point_sweep(spec))):
             got = getattr(summary, column)
@@ -240,6 +244,32 @@ class TestArrayPass:
         with pytest.raises((ValueError, ZeroMean)) as expected:
             per_point_sweep(spec)
         with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+            run_sweep(spec)
+
+    @pytest.mark.parametrize("rows_per_block", [None, 1], ids=["one-block", "block-per-point"])
+    @pytest.mark.parametrize(
+        "axis,values,kwargs,first_error,message",
+        [
+            ("squeeze_g", [0.0, -1.0], {"alpha2": 0.0}, ZeroMean, "squeeze_strength must be nonnegative"),
+            ("squeeze_g", [800.0, -1.0], {}, OverflowError, "squeeze_strength must be nonnegative"),
+            (
+                "mode_fill_ratio", [0.5, 1.5], {"alpha2": 0.0, "g": 0.0}, ZeroMean,
+                "mode_fill_ratio must lie in (0, 1], got 1.5",
+            ),
+        ],
+        ids=["dark-first", "overflow-first", "dark-fill-first"],
+    )
+    def test_every_value_is_checked_first(
+        self, monkeypatch, axis, values, kwargs, first_error, message, rows_per_block
+    ):
+        # the per-point loop fails at its first point; the array pass checks every value before
+        # it evaluates any block, whatever the block size, and looks for dark points after the last
+        spec = small_spec(axis, values, **{"trials": 20, **kwargs})
+        if rows_per_block is not None:
+            monkeypatch.setattr(ensemble, "_BLOCK_ELEMENTS", rows_per_block * spec.trials)
+        with pytest.raises(first_error):
+            per_point_sweep(spec)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_sweep(spec)
 
 
