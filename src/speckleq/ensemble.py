@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ZeroMean
 from . import prolate
 from .quantum_stats import NO_LOSS, LossChannel, SqueezedInput, focus_moments
-from .random_media import DisorderParams, EnsembleDraws, draw_ensemble, trial_count
+from .random_media import DisorderParams, EnsembleDraws, draw_ensemble, whole_count
 
 SWEEP_AXES = ("squeeze_g", "disorder_s", "mode_fill_ratio", "loss_rate", "coherent_fraction")
 
@@ -53,7 +53,7 @@ class SweepSpec:
         if len(values) == 0 or not all(math.isfinite(v) for v in values):
             raise ValueError("axis_values must be a nonempty sequence of finite reals")
         self.axis, self.axis_values, self.disorder, self.base_input = axis, values, disorder, base_input
-        self.trials, self.master_seed = trial_count(trials), master_seed
+        self.trials, self.master_seed = whole_count(trials, "trials"), master_seed
 
 
 class EnsembleSummary(NamedTuple):
@@ -83,11 +83,7 @@ _BLOCK_ELEMENTS = 2**16
 
 
 def _axis_params(spec: SweepSpec, column: np.ndarray):
-    """focus_moments' (disorder, fed modes, input, loss) at the axis values in ``column``, each checked.
-
-    The coherent_fraction axis gives a list of one scalar input per point: a float's
-    |alpha|^2 is C pow, not numpy's square (1 in 1000 differ).
-    """
+    """focus_moments' (disorder, fed modes, input, loss) at the axis values in ``column``, each checked."""
     disorder, inp, loss, fed = spec.disorder, spec.base_input, NO_LOSS, spec.base_input.fed_modes
     values = column.ravel().tolist()
     if spec.axis == "squeeze_g":
@@ -107,61 +103,52 @@ def _axis_params(spec: SweepSpec, column: np.ndarray):
         if outside:
             raise ValueError(f"coherent_fraction must lie in [0, 1), got {outside[0]}")
         sh2 = math.sinh(inp.squeeze_strength) ** 2
-        return disorder, fed, [inp.replace(alpha_mag=math.sqrt(f * sh2 / (1.0 - f))) for f in values], loss
+        inp = inp.replace(alpha_mag=np.sqrt(column * sh2 / (1.0 - column)))
     return disorder, fed, inp, loss
 
 
-def _block_points(spec: SweepSpec, draws: EnsembleDraws, params) -> list:
-    """The aggregates of each point in one block, in EnsembleSummary field order (vacuum's if dark)."""
+def _block_points(spec: SweepSpec, draws: EnsembleDraws, params) -> np.ndarray:
+    """A block's aggregates: a row per EnsembleSummary field, a column per point (vacuum's if dark)."""
     disorder, fed, inp, loss = params
-    sums = draws.shaped_sums(disorder, fed)
-    if spec.axis == "coherent_fraction":
-        means, variances = map(np.array, zip(*(focus_moments(*sums, one, loss) for one in inp)))
-    else:
-        means, variances = focus_moments(*sums, inp, loss)
+    means, variances = focus_moments(*draws.shaped_sums(disorder, fed), inp, loss)
     mean_n, mean_v = means.mean(axis=1), variances.mean(axis=1)
-    dark = mean_n == 0.0
-    lit = ~dark if dark.any() else slice(None)  # rows are copied only when one is dark
-    n, v = mean_n[lit], mean_v[lit]
+    # dark rows keep vacuum's aggregates: zero moments and errors, Fano and SNR ratios 1
+    points = np.tile(np.array([[0.0], [0.0], [1.0], [1.0], [0.0], [0.0], [1.0]]), len(mean_n))
+    lit = mean_n != 0.0
+    means, variances, n, v = means[lit], variances[lit], mean_n[lit], mean_v[lit]
     se_n = se_v = np.zeros(n.shape)
     if spec.trials > 1:  # std of x / mean, not of x: squaring x itself overflows near 1e154
         root = math.sqrt(spec.trials)
-        se_n = np.std(means[lit] / n[:, None], axis=1, ddof=1) * n / root
-        se_v = np.std(variances[lit] / v[:, None], axis=1, ddof=1) * v / root
-    fano_trials = np.mean(variances[lit] / means[lit], axis=1)
-    tails = map(_point_tail, n.tolist(), v.tolist(), se_n.tolist(), se_v.tolist(), fano_trials.tolist())
-    return [(0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0) if is_dark else next(tails) for is_dark in dark.tolist()]
+        se_n = np.std(means / n[:, None], axis=1, ddof=1) * n / root
+        se_v = np.std(variances / v[:, None], axis=1, ddof=1) * v / root
+    ratio = n / v
+    # quadrature-combined standard error of snr_ratio = mean(n) / mean(var)
+    stderr_snr = ratio * np.sqrt((se_n / n) ** 2 + (se_v / v) ** 2)
+    points[:, lit] = n, v, v / n, ratio, se_n, stderr_snr, np.mean(variances / means, axis=1)
+    return points
 
 
 def _sweep_draws(spec: SweepSpec, draws: EnsembleDraws) -> EnsembleSummary:
     """Every axis point in array passes: point i is row i of (points, trials) moment blocks.
 
-    Row reductions along axis 1 equal numpy's 1-D reductions bit for bit, and the
-    short per-point tail stays in Python floats, so each row equals a one-point sweep.
+    Row reductions along axis 1 equal numpy's 1-D reductions bit for bit, so each
+    point equals a one-point sweep.
     """
     column = np.array(spec.axis_values)[:, None]
     rows = max(1, _BLOCK_ELEMENTS // spec.trials)
     params = _axis_params(spec, column)  # every value is checked before the first block is evaluated
-    points = []
+    blocks = []
     for start in range(0, len(column), rows):
         if rows < len(column):
             params = _axis_params(spec, column[start : start + rows])
-        points += _block_points(spec, draws, params)
+        blocks.append(_block_points(spec, draws, params))
+    points = np.concatenate(blocks, axis=1)
     # complete loss leaves vacuum, which is Poissonian-limited (the q^2 -> 1 limit of the
     # affine Fano law); any other dark point has no Fano factor
-    for value, point in zip(spec.axis_values, points):
-        if point[0] == 0.0 and (spec.axis, value) != ("loss_rate", 1.0):
+    for value, mean_n in zip(spec.axis_values, points[0].tolist()):
+        if mean_n == 0.0 and (spec.axis, value) != ("loss_rate", 1.0):
             raise ZeroMean(f"zero mean photon number at {spec.axis} = {value!r} (dark input)")
-    columns = [np.array(column) for column in zip(*points)]
-    return EnsembleSummary(spec.axis, np.array(spec.axis_values), *columns, trials=spec.trials)
-
-
-def _point_tail(mean_n: float, mean_v: float, se_n: float, se_v: float, fano_trials: float) -> tuple:
-    """One lit point's aggregates, in EnsembleSummary field order."""
-    ratio = mean_n / mean_v
-    # quadrature-combined standard error of snr_ratio = mean(n) / mean(var)
-    stderr_snr = ratio * math.sqrt((se_n / mean_n) ** 2 + (se_v / mean_v) ** 2)
-    return mean_n, mean_v, mean_v / mean_n, ratio, se_n, stderr_snr, fano_trials
+    return EnsembleSummary(spec.axis, np.array(spec.axis_values), *points, trials=spec.trials)
 
 
 def run_fano_scatter(
@@ -221,7 +208,6 @@ def run_superres_sweep(
     :func:`~speckleq.prolate.resolve_modes` call chooses every row's Q, W is resolved
     once per sweep and W_Q once per distinct Q, from one PSF per Q.
     """
-    basis = prolate.build_basis(bandwidth, num_modes, quad_order)
     budgets = np.array([float(b) for b in budgets])
     strengths = tuple(float(s) for s in disorder_strengths)
     if not strengths:
@@ -230,7 +216,9 @@ def run_superres_sweep(
         raise ValueError("budgets must be nonempty")
     inp = SqueezedInput.from_intensity(alpha2, squeeze_strength, fed_modes=channel_count)
     disorder = DisorderParams(channel_count, strengths[0])
-    fano = run_sweep(SweepSpec("disorder_s", strengths, disorder, inp, trials, master_seed)).fano_ratio
+    spec = SweepSpec("disorder_s", strengths, disorder, inp, trials, master_seed)  # checked before the basis
+    basis = prolate.build_basis(bandwidth, num_modes, quad_order)
+    fano = run_sweep(spec).fano_ratio
     curve_s, curve_fano = np.array([0.0, *strengths]), np.array([1.0, *fano])  # coherent baseline: F = 1
 
     modes_kept = prolate.resolve_modes(basis, budgets / curve_fano[:, None], epsilon)[0].ravel()

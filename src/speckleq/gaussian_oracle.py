@@ -26,7 +26,7 @@ from .errors import TruncationError
 from .quantum_stats import NO_LOSS, LossChannel, PhotonMoments, SqueezedInput
 from .quantum_stats import focus_moments
 from .random_media import DisorderParams, EnsembleDraws, ScatteringRealization
-from .random_media import draw_ensemble, draw_oracle_cases
+from .random_media import draw_ensemble, draw_oracle_cases, whole_count
 
 _MAX_FOCK_MODES = 3
 _MAX_CUTOFF = 256
@@ -206,7 +206,7 @@ def fock_photon_moments(coeffs: ModeCoefficients, inp: SqueezedInput, cutoff: in
     vac = np.zeros(cutoff, dtype=complex)
     vac[0] = 1.0
 
-    state = fed if inp.fed_modes >= 1 else vac
+    state = fed
     for mode in range(1, k):
         factor = fed if mode < inp.fed_modes else vac
         state = np.multiply.outer(state, factor)
@@ -301,10 +301,8 @@ def run_equivalence_check(cases: int, seed: int, *, tolerance: float = 1e-10) ->
     ``focus_moments`` on ``EnsembleDraws.shaped_sums``; the oracle side is the
     stacked Gaussian-state algebra on ``EnsembleDraws.amplitudes``.
     """
-    if cases < 1:
-        raise ValueError("cases must be >= 1")
     blocks = []
-    for trials, m, n, s, g, alpha2 in draw_oracle_cases(seed, cases, _BLOCK_CASES):
+    for trials, m, n, s, g, alpha2 in draw_oracle_cases(seed, whole_count(cases, "cases"), _BLOCK_CASES):
         draws = draw_ensemble(m, trials, seed)
         blocks.append((m, n, s, g, alpha2, *_compare_block(draws, DisorderParams(m, s), n, g, alpha2)))
     return EquivalenceReport(*(np.concatenate(column) for column in zip(*blocks)), tolerance=tolerance)

@@ -32,6 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, NoCrossing, TooDim
+from .random_media import whole_count
 
 _CERTIFICATE_TOL = 1e-9  # largest distance of a retained Nystrom eigenvalue from its series value
 _SERIES_TAIL_TOL = 1e-12  # largest trailing Legendre coefficient of a retained series mode
@@ -185,8 +186,7 @@ def build_basis(bandwidth: float, num_modes: int, quad_order: int = 256) -> Prol
     """
     if not bandwidth > 0.0:
         raise ValueError("bandwidth must be positive")
-    if num_modes < 1:
-        raise ValueError("num_modes must be >= 1")
+    num_modes, quad_order = whole_count(num_modes, "num_modes"), whole_count(quad_order, "quad_order")
     if quad_order % 2 != 0:
         raise ValueError("quad_order must be even (the parity split needs symmetric nodes)")
     if num_modes > quad_order // 4:

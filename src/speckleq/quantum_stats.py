@@ -66,7 +66,7 @@ class SqueezedInput:
 
     @property
     def alpha2(self) -> float:
-        return self.alpha_mag**2
+        return self.alpha_mag * self.alpha_mag  # rounds alike for floats and arrays; a float's ** 2 is C pow
 
     @classmethod
     def from_intensity(
@@ -113,18 +113,6 @@ class LossChannel:
 
 
 NO_LOSS = LossChannel(0.0)
-
-
-def _squeeze_factors(g):
-    """sinh^2 g, cosh^2 g and 1 - e^{-2g} of a scalar g, or per element of an array.
-
-    Always evaluated with ``math``: numpy's sinh and cosh differ from it in the
-    last bit for some inputs, and the sweep outputs are pinned to its values.
-    """
-    factors = [
-        (math.sinh(x) ** 2, math.cosh(x) ** 2, 1.0 - math.exp(-2.0 * x)) for x in np.ravel(g).tolist()
-    ]
-    return np.array(factors).T.reshape((3,) + np.shape(g))
 
 
 def mean_photon(sums: CouplingSums, inp: SqueezedInput) -> float:
@@ -205,14 +193,15 @@ def focus_moments(tau, abs_sum, tau_rest, sum_r, inp: SqueezedInput, loss: LossC
     by per-case sums with an ``inp`` of per-case g and |alpha|; loss acts as
     in :func:`apply_loss`.
     """
-    sh2, ch2, damping = _squeeze_factors(inp.squeeze_strength)
-    delta = inp.alpha_phase - inp.squeeze_phase
-    if delta != 0.0:  # at Delta = 0 skip, not zero, the sin^2 term: e^{2g} may overflow, and inf * 0 is nan
-        growth = np.vectorize(math.expm1, otypes=[float])(2.0 * inp.squeeze_strength)  # e^{2g} - 1
-        damping = math.cos(delta) ** 2 * damping - math.sin(delta) ** 2 * growth
-    coherent = inp.alpha2 * abs_sum**2
-    squeezed = tau * tau * (2.0 * sh2 * ch2) + tau * sum_r * sh2 + tau * tau_rest * sh2
-    mean, variance = _loss_terms(tau * sh2 + coherent, squeezed + coherent * (1.0 - tau * damping), loss)
+    g, delta = inp.squeeze_strength, inp.alpha_phase - inp.squeeze_phase
+    with np.errstate(over="raise"):  # an overflow raises FloatingPointError, never inf moments
+        sh, ch = np.sinh(g), np.cosh(g)
+        sh2, ch2, damping = sh * sh, ch * ch, -np.expm1(-2.0 * g)  # damping = 1 - e^{-2g}
+        if delta != 0.0:  # at Delta = 0 skip, not zero, the sin^2 term: e^{2g} may overflow, and inf * 0 is nan
+            damping = math.cos(delta) ** 2 * damping - math.sin(delta) ** 2 * np.expm1(2.0 * g)
+        coherent = inp.alpha2 * (abs_sum * abs_sum)
+        squeezed = tau * tau * (2.0 * sh2 * ch2) + tau * sum_r * sh2 + tau * tau_rest * sh2
+        mean, variance = _loss_terms(tau * sh2 + coherent, squeezed + coherent * (1.0 - tau * damping), loss)
     if not (np.all(mean >= 0.0) and np.all(variance >= 0.0)):
         raise ValueError("photon-number moments must be nonnegative, not nan")
     return mean, variance

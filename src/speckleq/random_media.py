@@ -131,13 +131,13 @@ class CouplingSums(NamedTuple):
         return tau_n, float(self.cum_abs_t[fed_modes]), self.sum_T - tau_n, self.sum_R
 
 
-def trial_count(trials) -> int:
-    """``trials`` as an int, checked to be a whole number >= 1."""
-    if not trials >= 1:
-        raise ValueError("trials must be >= 1")
-    if trials % 1 != 0:
-        raise ValueError(f"trials must be an integer, got {trials}")
-    return int(trials)
+def whole_count(value, name: str) -> int:
+    """``value`` as an int, checked to be a whole number >= 1; the ValueError names the argument."""
+    if not value >= 1:
+        raise ValueError(f"{name} must be >= 1")
+    if value % 1 != 0:
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
 
 
 def mask_seed(seed: int) -> int:
@@ -502,7 +502,7 @@ def draw_ensemble(channel_count, trials, master_seed: int) -> EnsembleDraws:
     ``trials`` is a count n, meaning ``range(n)``, or a range of trial indices;
     ``channel_count`` is one M or one per trial, and rows are zero-padded to the largest M.
     """
-    indices = trials if isinstance(trials, range) else range(trial_count(trials))
+    indices = trials if isinstance(trials, range) else range(whole_count(trials, "trials"))
     if len(indices) < 1:
         raise ValueError("trials must be >= 1")
     counts = np.broadcast_to(channel_count, (len(indices),))

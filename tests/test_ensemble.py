@@ -145,42 +145,47 @@ class TestSweepStatistics:
 
 
 def per_point_sweep(spec):
-    """The sweep one axis value at a time, on scalar inputs: the reference for the array pass."""
+    """The sweep one axis value at a time, the reference for the array pass.
+
+    Each value is a one-row column, so it takes the array pass's ufunc loops: numpy squares
+    an array by multiplication but a float with C pow, and equal rows are then not luck.
+    """
     draws = draw_ensemble(spec.disorder.channel_count, spec.trials, spec.master_seed)
     rows = []
     for value in spec.axis_values:
-        disorder, inp, loss = spec.disorder, spec.base_input, LossChannel(0.0)
+        column = np.array([[value]])
+        disorder, inp, loss, fed = spec.disorder, spec.base_input, LossChannel(0.0), spec.base_input.fed_modes
         if spec.axis == "squeeze_g":
-            inp = inp.replace(squeeze_strength=value)
+            inp = inp.replace(squeeze_strength=column)
         elif spec.axis == "disorder_s":
-            disorder = disorder.replace(disorder_strength=value)
+            disorder = disorder.replace(disorder_strength=column)
         elif spec.axis == "mode_fill_ratio":
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"mode_fill_ratio must lie in (0, 1], got {value}")
             m = disorder.channel_count
-            inp = inp.replace(fed_modes=min(max(int(round(value * m)), 1), m))
+            fed = np.array([[min(max(int(round(value * m)), 1), m)]])
         elif spec.axis == "loss_rate":
-            loss = LossChannel(value)
+            loss = LossChannel(column)
         else:
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"coherent_fraction must lie in [0, 1), got {value}")
-            alpha2 = value * math.sinh(inp.squeeze_strength) ** 2 / (1.0 - value)
-            inp = inp.replace(alpha_mag=math.sqrt(alpha2))
-        means, variances = focus_moments(*draws.shaped_sums(disorder, inp.fed_modes), inp, loss)
-        mean_n, mean_v = float(np.mean(means)), float(np.mean(variances))
-        if mean_n == 0.0:
-            if loss.loss_rate != 1.0:
+            inp = inp.replace(alpha_mag=np.sqrt(column * math.sinh(inp.squeeze_strength) ** 2 / (1.0 - column)))
+        means, variances = focus_moments(*draws.shaped_sums(disorder, fed), inp, loss)
+        mean_n, mean_v = means.mean(axis=1), variances.mean(axis=1)
+        if mean_n[0] == 0.0:
+            if (spec.axis, value) != ("loss_rate", 1.0):
                 raise ZeroMean(f"zero mean photon number at {spec.axis} = {value!r} (dark input)")
-            rows.append((mean_n, mean_v, 1.0, 1.0, 0.0, 0.0, 1.0))
+            rows.append((0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0))
             continue
-        se_n = se_v = 0.0
+        se_n = se_v = np.zeros(1)
         if spec.trials > 1:
-            se_n = float(np.std(means / mean_n, ddof=1)) * mean_n / math.sqrt(spec.trials)
-            se_v = float(np.std(variances / mean_v, ddof=1)) * mean_v / math.sqrt(spec.trials)
+            se_n = np.std(means / mean_n, axis=1, ddof=1) * mean_n / math.sqrt(spec.trials)
+            se_v = np.std(variances / mean_v, axis=1, ddof=1) * mean_v / math.sqrt(spec.trials)
         ratio = mean_n / mean_v
-        stderr_snr = ratio * math.sqrt((se_n / mean_n) ** 2 + (se_v / mean_v) ** 2)
-        fano_trials = float(np.mean(variances / means))
-        rows.append((mean_n, mean_v, mean_v / mean_n, ratio, se_n, stderr_snr, fano_trials))
+        stderr_snr = ratio * np.sqrt((se_n / mean_n) ** 2 + (se_v / mean_v) ** 2)
+        fano_trials = np.mean(variances / means, axis=1)
+        row = (mean_n, mean_v, mean_v / mean_n, ratio, se_n, stderr_snr, fano_trials)
+        rows.append(tuple(float(x[0]) for x in row))
     return rows
 
 
@@ -197,7 +202,7 @@ ARRAY_PASS_CASES = [
     ("mode_fill_ratio", [0.01, 0.5], {"trials": 1}),
     ("loss_rate", [0.0, 0.3, 1.0, 0.5], {}),
     ("loss_rate", [1.0, 0.25], {"trials": 1}),
-    # 0.01187 is a fraction whose |alpha| squares differently under C pow and numpy's square
+    # 0.01187's |alpha| squares differently under C pow and multiplication, so a scalar path shows here
     ("coherent_fraction", [0.0, 0.01187, 0.5, 0.98, 0.99, 0.995], {"alpha2": 0.0}),
     ("coherent_fraction", [0.99], {"alpha2": 0.0, "trials": 1}),
     ("squeeze_g", [1.0, 2.0], {"trials": 1}),
@@ -223,10 +228,8 @@ class TestArrayPass:
             vacuum = np.array(values) == 1.0
             assert np.all(summary.snr_ratio[vacuum] == 1.0) and np.all(summary.mean_n[vacuum] == 0.0)
 
-    def test_array_pass_cases_reach_ties_and_pow(self):
+    def test_array_pass_cases_reach_ties(self):
         assert all(value * 50 % 1 == 0.5 for value in HALF_FILLS)
-        alpha = math.sqrt(0.01187 * math.sinh(1.5) ** 2 / (1.0 - 0.01187))
-        assert alpha**2 != float(np.square(np.array([alpha]))[0])
 
     @pytest.mark.parametrize(
         "axis,values,kwargs",
@@ -251,7 +254,7 @@ class TestArrayPass:
         "axis,values,kwargs,first_error,message",
         [
             ("squeeze_g", [0.0, -1.0], {"alpha2": 0.0}, ZeroMean, "squeeze_strength must be nonnegative"),
-            ("squeeze_g", [800.0, -1.0], {}, OverflowError, "squeeze_strength must be nonnegative"),
+            ("squeeze_g", [800.0, -1.0], {}, ArithmeticError, "squeeze_strength must be nonnegative"),
             (
                 "mode_fill_ratio", [0.5, 1.5], {"alpha2": 0.0, "g": 0.0}, ZeroMean,
                 "mode_fill_ratio must lie in (0, 1], got 1.5",
@@ -357,6 +360,26 @@ class TestSuperresSweep:
         # F-bar(s) comes from a disorder_s sweep, which needs at least one point
         with pytest.raises(ValueError, match="nonempty"):
             run_superres_sweep(1.5, [], [1e8], 1.0, 0.01, 50, 1)
+
+    @pytest.mark.parametrize(
+        "g,strengths,budgets,trials,message",
+        [
+            (1.5, [], [1e8], 50, "disorder_strengths must be nonempty"),
+            (1.5, [2.0], [], 50, "budgets must be nonempty"),
+            (1.5, [2.0], [1e8], 2.5, "trials must be an integer, got 2.5"),
+            (-1.0, [2.0], [1e8], 50, "squeeze_strength must be nonnegative"),
+        ],
+        ids=["no-strengths", "no-budgets", "fractional-trials", "negative-g"],
+    )
+    def test_inputs_are_checked_before_the_basis_is_built(
+        self, monkeypatch, g, strengths, budgets, trials, message
+    ):
+        def no_basis(*args):
+            raise AssertionError("build_basis called before the inputs were checked")
+
+        monkeypatch.setattr(ensemble.prolate, "build_basis", no_basis)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_superres_sweep(g, strengths, budgets, 1.0, 0.01, trials, 1)
 
     def test_deterministic(self):
         kwargs = dict(trials=100, master_seed=9)

@@ -235,6 +235,14 @@ class TestEquivalenceSweep:
         with pytest.raises(ValueError):
             run_equivalence_check(0, seed=1)
 
+    @pytest.mark.parametrize(
+        "cases,message", [(2.5, "cases must be an integer, got 2.5"), (float("nan"), "cases must be >= 1")]
+    )
+    def test_cases_must_be_a_whole_number(self, cases, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_equivalence_check(cases, seed=1)
+        assert run_equivalence_check(2.0, seed=1).cases == 2
+
 
 class TestStackedAlgebra:
     @pytest.mark.parametrize("lossy", [False, True])

@@ -40,6 +40,23 @@ LAM_C1_REFERENCE = np.array([
 
 
 class TestSpectrum:
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((2.5,), "num_modes must be an integer, got 2.5"),
+            ((float("nan"),), "num_modes must be >= 1"),
+            ((7, 255.5), "quad_order must be an integer, got 255.5"),
+            ((7, float("nan")), "quad_order must be >= 1"),
+        ],
+    )
+    def test_counts_must_be_whole_numbers(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_basis(1.0, *args)
+
+    def test_whole_float_counts_build_the_same_basis(self, basis_c1):
+        basis = build_basis(1.0, 7.0, 256.0)
+        assert basis.phi.tobytes() == basis_c1.phi.tobytes() and basis.lam.tobytes() == basis_c1.lam.tobytes()
+
     def test_spectral_bounds_c1_k8(self):
         basis = build_basis(1.0, 8, 256)
         lam = basis.lam

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -451,11 +452,27 @@ class TestPerCaseInputs:
             mean, variance = focus_moments(*(float(x[i]) for x in sums), inp, channel)
             assert means[i] == mean and variances[i] == variance
 
+    def test_alpha2_rounds_alike_for_floats_and_arrays(self):
+        # this |alpha| squares differently under C pow (a float's ** 2) and multiplication
+        alpha = math.sqrt(0.01187 * math.sinh(1.5) ** 2 / (1.0 - 0.01187))
+        assert alpha**2 != alpha * alpha
+        assert SqueezedInput(alpha).alpha2 == SqueezedInput(np.array([alpha])).alpha2[0] == alpha * alpha
+
     def test_rejects_negative_cases(self):
         with pytest.raises(ValueError):
             SqueezedInput(np.array([1.0, 1.0]), np.array([0.5, -0.1]))
         with pytest.raises(ValueError):
             SqueezedInput(np.array([1.0, -1.0]), np.array([0.5, 0.1]))
+
+    @pytest.mark.parametrize("g", [400.0, 800.0, np.array([0.5, 800.0])], ids=["400", "800", "array"])
+    def test_overflow_raises_outside_errstate(self, g):
+        # e^{2g} overflows sinh^2 g (g = 400) or sinh g itself (g = 800): an error, not inf
+        # moments and not only a warning, under numpy's default error state
+        assert np.geterr()["over"] != "raise"
+        sums = (np.array([0.4, 0.2]), np.array([1.0, 0.5]), np.zeros(2), np.array([0.6, 0.8]))
+        with warnings.catch_warnings(), pytest.raises(ArithmeticError):
+            warnings.simplefilter("ignore")
+            focus_moments(*sums, SqueezedInput(10.0, g), LossChannel(0.0))
 
     def test_rejects_nan_moments(self):
         # a nan sum gives nan moments, which are not data
