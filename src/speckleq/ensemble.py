@@ -206,7 +206,9 @@ def run_superres_sweep(
 
     Each row equals :func:`~speckleq.prolate.superres_factor` at its budget, but one
     :func:`~speckleq.prolate.resolve_modes` call chooses every row's Q, W is resolved
-    once per sweep and W_Q once per distinct Q, from one PSF per Q.
+    once per sweep, and W_Q once per distinct Q: the reconstruction kernel is formed
+    once per sweep and projected once per distinct Q.  Budgets and epsilon are
+    checked before the basis is built or the ensemble drawn.
     """
     budgets = np.array([float(b) for b in budgets])
     strengths = tuple(float(s) for s in disorder_strengths)
@@ -214,6 +216,7 @@ def run_superres_sweep(
         raise ValueError("disorder_strengths must be nonempty")
     if budgets.shape[0] == 0:
         raise ValueError("budgets must be nonempty")
+    prolate.checked_budget(budgets, epsilon)
     inp = SqueezedInput.from_intensity(alpha2, squeeze_strength, fed_modes=channel_count)
     disorder = DisorderParams(channel_count, strengths[0])
     spec = SweepSpec("disorder_s", strengths, disorder, inp, trials, master_seed)  # checked before the basis
@@ -224,8 +227,7 @@ def run_superres_sweep(
     modes_kept = prolate.resolve_modes(basis, budgets / curve_fano[:, None], epsilon)[0].ravel()
     classical_w = prolate.half_width(prolate.classical_psf_curve(basis.bandwidth))
     distinct_q, which = np.unique(modes_kept, return_inverse=True)
-    w_q = [prolate.half_width(prolate.reconstruction_psf_curve(basis, q)) for q in distinct_q.tolist()]
-    recon_w = np.array(w_q)[which]
+    recon_w = np.array(prolate.reconstruction_half_widths(basis, distinct_q.tolist()))[which]
     return SuperresTable(
         disorder_strength=np.repeat(curve_s, budgets.shape[0]),
         mean_n=np.tile(budgets, curve_s.shape[0]),

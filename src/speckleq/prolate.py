@@ -5,7 +5,11 @@ K(z, z') = sin(c (z - z')) / (pi (z - z')) on [-1, 1] are computed with a
 Nystrom discretization on Gauss-Legendre nodes: the symmetrized matrix
 sqrt(w_i) K(z_i, z_j) sqrt(w_j) shares the operator's eigenvalues, and the
 eigenvector components divided by sqrt(w) sample the eigenfunctions, unit
-normalized under the quadrature inner product.
+normalized under the quadrature inner product.  The nodes and weights come
+from numpy's own Gauss-Legendre algorithm, written out here so that no
+command imports numpy.polynomial: companion-matrix eigenvalues, one Newton
+step, then weights from P_n' and P_{n-1}; under numpy 2 they equal
+``leggauss`` bit for bit.
 
 The kernel commutes with the coordinate flip z -> -z, so the eigenproblem is
 solved separately on the even and odd subspaces.  This keeps the parity of
@@ -47,6 +51,33 @@ def _sinc_kernel(bandwidth: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(diff == 0.0, bandwidth / np.pi, np.sin(bandwidth * diff) / (np.pi * safe))
 
 
+def _legval(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_l coef[l] P_l(x) by numpy's Clenshaw recurrence (legval), its products grouped alike."""
+    nd = coef.shape[0]
+    c0, c1 = coef[-2], coef[-1]
+    for i in range(3, nd + 1):
+        tmp, nd = c0, nd - 1
+        c0 = coef[-i] - c1 * ((nd - 1) / nd)
+        c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1]: numpy 2's leggauss(order), bit for bit."""
+    scl = 1.0 / np.sqrt(2 * np.arange(order) + 1)
+    band = np.arange(1, order) * scl[:-1] * scl[1:]  # the symmetric companion matrix of P_order
+    x = np.linalg.eigvalsh(np.diag(band, -1) + np.diag(band, 1))
+    unit, der = np.zeros(order + 1), np.zeros(order)
+    unit[order] = 1.0
+    der[order - 1 :: -2] = np.arange(2 * order - 1, 0, -4)  # P_n' = sum (2k + 1) P_k, k = n - 1, n - 3, ...
+    df = _legval(x, der)
+    x -= _legval(x, unit) / df  # one Newton step
+    fm = _legval(x, unit[1:])
+    w = 1 / (fm / np.abs(fm).max() * (df / np.abs(df).max()))
+    w = (w + w[::-1]) / 2
+    return (x - x[::-1]) / 2, w * (2.0 / w.sum())
+
+
 def _kernel_z_derivative(bandwidth: float, x: float, y: np.ndarray) -> np.ndarray:
     """d/dx of the kernel at (x, y); only used away from the diagonal."""
     diff = x - y
@@ -76,18 +107,12 @@ class ProlateBasis(NamedTuple):
     def mode_count(self) -> int:
         return self.lam.shape[0]
 
-    def evaluate(self, z, max_modes: int | None = None) -> np.ndarray:
-        """Sample phi_k(z) for k < max_modes; zero outside [-1, 1].
+    def support_kernel(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """The weighted sinc kernel at z, (len(z), quad_order), and the mask of |z| > 1.
 
-        Nystrom interpolation reproduces the grid samples exactly at the
-        quadrature nodes.  The weighted sinc kernel is formed only for the
-        points with |z| <= 1 (NaN included), in blocks of at most 128 rows
-        written into one zeroed (len(z), quad_order) array; points outside
-        the support read +0.0.  Shape: (len(z), max_modes).
+        The kernel is formed only for the points with |z| <= 1 (NaN included), in
+        blocks of at most 128 rows; the rows outside the support stay zero.
         """
-        k = self.mode_count if max_modes is None else max_modes
-        if not 1 <= k <= self.mode_count:
-            raise ValueError(f"max_modes must lie in [1, {self.mode_count}]")
         pts = np.atleast_1d(np.asarray(z, dtype=float))
         outside = np.abs(pts) > 1.0
         inside = np.flatnonzero(~outside)  # NaN points count as inside, as in the full kernel
@@ -95,15 +120,30 @@ class ProlateBasis(NamedTuple):
         for start in range(0, inside.shape[0], _KERNEL_BLOCK_ROWS):
             rows = inside[start : start + _KERNEL_BLOCK_ROWS]
             weighted[rows] = _sinc_kernel(self.bandwidth, pts[rows], self.grid) * self.weights
+        return weighted, outside
+
+    def project(self, kernel: tuple[np.ndarray, np.ndarray], max_modes: int | None = None) -> np.ndarray:
+        """phi_k for k < max_modes at a :meth:`support_kernel`'s points, +0.0 outside [-1, 1]."""
+        k = self.mode_count if max_modes is None else max_modes
+        if not 1 <= k <= self.mode_count:
+            raise ValueError(f"max_modes must lie in [1, {self.mode_count}]")
+        weighted, outside = kernel
         # the matmul runs on every row: its shape, not just its inputs, fixes the output bits
         values = weighted @ self.phi[:, :k] / self.lam[:k]
         values[outside, :] = 0.0
         return values
 
+    def evaluate(self, z, max_modes: int | None = None) -> np.ndarray:
+        """Sample phi_k(z) for k < max_modes; zero outside [-1, 1].  Shape: (len(z), max_modes).
+
+        Nystrom interpolation, which reproduces the grid samples exactly at the quadrature nodes.
+        """
+        return self.project(self.support_kernel(z), max_modes)
+
 
 def _solve_spectrum(bandwidth: float, quad_order: int, num_modes: int):
     """The num_modes leading eigenpairs, from one eigh per parity block of the half grid."""
-    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
+    nodes, weights = _gauss_legendre(quad_order)
     half = quad_order // 2
     nodes_pos = nodes[half:]
     sqrt_w = np.sqrt(weights[half:])
@@ -277,10 +317,25 @@ def classical_psf_curve(bandwidth: float) -> PsfCurve:
     return PsfCurve(z, classical_psf(bandwidth, z))
 
 
+def _reconstruction_z() -> np.ndarray:
+    """z samples of a reconstruction PSF curve: the support [0, 1], then (1, 1.05]."""
+    return np.arange(0.0, 1.05 + _PSF_STEP, _PSF_STEP)
+
+
 def reconstruction_psf_curve(basis: ProlateBasis, modes_kept: int) -> PsfCurve:
     """Reconstruction PSF sampled on [0, 1.05]: the support [0, 1], then exact zeros."""
-    z = np.arange(0.0, 1.05 + _PSF_STEP, _PSF_STEP)
+    z = _reconstruction_z()
     return PsfCurve(z, reconstruction_psf(basis, modes_kept, z))
+
+
+def reconstruction_half_widths(basis: ProlateBasis, modes) -> list[float]:
+    """half_width(reconstruction_psf_curve(basis, Q)) for each Q in modes, bit for bit.
+
+    The weighted kernel on the curve grid is formed once and projected once per Q.
+    """
+    z = _reconstruction_z()
+    kernel = basis.support_kernel(z)
+    return [half_width(PsfCurve(z, basis.project(kernel, q) @ basis.phi_at_zero[:q])) for q in modes]
 
 
 def half_width(curve: PsfCurve) -> float:
@@ -319,6 +374,16 @@ class ReconstructionReport(NamedTuple):
     recon_snr: float
 
 
+def checked_budget(budget, epsilon: float) -> np.ndarray:
+    """The budget as a float array; ValueError unless it is finite and positive and 0 < epsilon < 1."""
+    budget = np.asarray(budget, dtype=float)
+    if not np.all(np.isfinite(budget) & (budget > 0.0)):
+        raise ValueError("budget must be finite and positive")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    return budget
+
+
 def resolve_modes(basis: ProlateBasis, budget, epsilon: float, forced_modes: int | None = None):
     """SNR-limited mode count Q (unless ``forced_modes`` pins it) and its SNR for a point object.
 
@@ -331,11 +396,7 @@ def resolve_modes(basis: ProlateBasis, budget, epsilon: float, forced_modes: int
     an array one Q and one SNR per element.  Raises ValueError unless every budget is finite
     and positive, and TooDim when no Q qualifies.
     """
-    budget = np.asarray(budget, dtype=float)
-    if not np.all(np.isfinite(budget) & (budget > 0.0)):
-        raise ValueError("budget must be finite and positive")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    budget = checked_budget(budget, epsilon)
     if forced_modes is not None and not 1 <= forced_modes <= basis.mode_count:
         raise ValueError(f"forced_modes must lie in [1, {basis.mode_count}]")
     with np.errstate(divide="ignore", invalid="ignore", over="raise"):

@@ -599,43 +599,48 @@ class TestSingleCommandParser:
         assert expected.get(argv[0], "unrecognized arguments: --foo") in errors[0]
 
 
-def test_cli_import_does_not_load_scipy_linalg():
-    # scipy.linalg is needed only by the truncated-Fock oracle, which no command uses
+def run_python(code):
+    """Stdout of ``python -c code`` in a fresh interpreter that imports this checkout's speckleq."""
     src = str(Path(speckleq.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, speckleq.cli; print('scipy.linalg' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+def test_cli_import_does_not_load_scipy_linalg():
+    # scipy.linalg is needed only by the truncated-Fock oracle, which no command uses
+    assert run_python("import sys, speckleq.cli; print('scipy.linalg' in sys.modules)") == "False"
 
 
 def test_cli_import_does_not_load_numpy_random():
     # numpy.random is loaded by the first draw; psf and prolate-basis never need it
-    src = str(Path(speckleq.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
         "import sys, numpy; eager = 'numpy.random' in sys.modules; import speckleq.cli; "
         "print(eager or 'numpy.random' not in sys.modules)"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout.strip() == "True"
+    assert run_python(code) == "True"
 
 
 def test_cli_import_does_not_load_dataclasses_or_copy():
     # records are NamedTuples and slotted classes: creating dataclasses was a large share of the import
-    src = str(Path(speckleq.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
         "import sys, numpy, argparse, json; eager = {'dataclasses', 'copy'} & set(sys.modules); "
         "import speckleq.cli; print(sorted({'dataclasses', 'copy'} & set(sys.modules) - eager))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert run_python(code) == "[]"
+
+
+def test_slepian_commands_do_not_import_numpy_polynomial(tmp_path):
+    # the Gauss-Legendre rule is computed in prolate; numpy 2 imports numpy.polynomial lazily
+    out = tmp_path / "out.txt"
+    code = (
+        "import sys, numpy; eager = 'numpy.polynomial' in sys.modules; from speckleq.cli import main; "
+        f"codes = [main([c, '--out', {str(out)!r}]) for c in ('psf', 'prolate-basis')]; "
+        "print(codes, eager or 'numpy.polynomial' not in sys.modules)"
     )
-    assert result.stdout.strip() == "[]"
+    assert run_python(code).splitlines()[-1] == "[0, 0] True"  # after each command's status line
 
 
 # parse_args([command]).options of every command, captured from the CLI before

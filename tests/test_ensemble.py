@@ -381,6 +381,23 @@ class TestSuperresSweep:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_superres_sweep(g, strengths, budgets, 1.0, 0.01, trials, 1)
 
+    @pytest.mark.parametrize(
+        "budgets,epsilon,message",
+        [
+            ([1e8, math.nan], 0.01, "budget must be finite and positive"),
+            ([1e8, -1.0], 0.01, "budget must be finite and positive"),
+            ([1e8], 1.5, "epsilon must lie in (0, 1), got 1.5"),
+        ],
+        ids=["nan-budget", "negative-budget", "epsilon-above-1"],
+    )
+    def test_budgets_and_epsilon_are_checked_before_any_work(self, monkeypatch, budgets, epsilon, message):
+        called = []
+        monkeypatch.setattr(ensemble.prolate, "build_basis", lambda *args: called.append("build_basis"))
+        monkeypatch.setattr(ensemble, "draw_ensemble", lambda *args: called.append("draw_ensemble"))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_superres_sweep(1.5, [2.0], budgets, 1.0, epsilon, 50, 1)
+        assert called == []
+
     def test_deterministic(self):
         kwargs = dict(trials=100, master_seed=9)
         a = run_superres_sweep(1.5, [2.0], [1e8], 1.0, 0.01, kwargs["trials"], 9)
@@ -403,18 +420,20 @@ class TestSuperresWidthCache:
             assert table.resolution_gain[i] == report.resolution_gain
 
     def test_one_psf_evaluation_per_distinct_q(self, basis_c1, monkeypatch):
-        calls = []
-        original = ProlateBasis.evaluate
+        calls = {"support_kernel": [], "project": []}
+        for name, log in calls.items():
+            original = getattr(ProlateBasis, name)
 
-        def counting(self, *args, **kwargs):
-            calls.append(args)
-            return original(self, *args, **kwargs)
+            def counting(self, *args, _original=original, _log=log, **kwargs):
+                _log.append(args)
+                return _original(self, *args, **kwargs)
 
-        monkeypatch.setattr(ProlateBasis, "evaluate", counting)
+            monkeypatch.setattr(ProlateBasis, name, counting)
         half_width(classical_psf_curve(basis_c1.bandwidth))
-        assert calls == []  # the classical PSF is closed-form
+        assert calls == {"support_kernel": [], "project": []}  # the classical PSF is closed-form
         budgets = np.geomspace(1e6, 3.5e10, 7)
         table = run_superres_sweep(1.5, [2.0, 8.0], budgets, 1.0, 0.01, 100, 1)
-        distinct_q = len(set(table.modes_kept.tolist()))
-        assert distinct_q >= 2
-        assert len(calls) == distinct_q
+        distinct_q = sorted(set(table.modes_kept.tolist()))
+        assert len(distinct_q) >= 2
+        assert len(calls["support_kernel"]) == 1
+        assert [args[1] for args in calls["project"]] == distinct_q

@@ -175,12 +175,25 @@ class TestSeriesCertificate:
 
     def test_one_nystrom_solve_and_no_doubled_quadrature(self, monkeypatch):
         solves, orders = [], []
-        solve, leggauss = prolate._solve_spectrum, np.polynomial.legendre.leggauss
+        solve, rule = prolate._solve_spectrum, prolate._gauss_legendre
         monkeypatch.setattr(prolate, "_solve_spectrum", lambda *args: solves.append(args) or solve(*args))
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: orders.append(n) or leggauss(n))
+        monkeypatch.setattr(prolate, "_gauss_legendre", lambda n: orders.append(n) or rule(n))
         build_basis(1.0, 7, 256)
         assert solves == [(1.0, 256, 7)]
         assert orders == [256]
+
+    @pytest.mark.parametrize("order", [2, 4, 8, 128, 256, 512])
+    def test_gauss_legendre_rule_is_numpy_leggauss_bit_for_bit(self, order):
+        nodes, weights = prolate._gauss_legendre(order)
+        expected_nodes, expected_weights = np.polynomial.legendre.leggauss(order)
+        if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+            assert nodes.tobytes() == expected_nodes.tobytes()
+            assert weights.tobytes() == expected_weights.tobytes()
+        else:
+            # numpy 1.x's legval groups its Clenshaw products as (c1 * (nd - 1)) / nd, which
+            # moves the last bits of the Newton step and of the weights
+            np.testing.assert_allclose(nodes, expected_nodes, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(weights, expected_weights, rtol=1e-9, atol=0.0)
 
     def test_rejects_exactly_where_doubling_moves_eigenvalues(self):
         # the certificate replaced a Nystrom re-solve at 2 * quad_order; it must reject
