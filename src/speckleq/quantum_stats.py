@@ -2,10 +2,12 @@
 
 The focus mode is a fixed linear combination of N squeezed-coherent inputs
 (amplitude weights |t|) plus vacuum from the remaining transmission channels
-and all reflection channels.  Mean and variance keep every term of the
-exact second-moment expansion and are evaluated in one place,
-:func:`focus_moments`, on arrays of per-trial coupling sums or on the scalar
-sums of one realization alike.
+and all reflection channels.  Exact flux normalization makes that vacuum
+share 1 - tau_N, so a realization enters only through two numbers: the fed
+transmission tau = tau_N = sum_{a<=N} |t_a|^2 and the amplitude sum
+S = sum_{a<=N} |t_a|.  Mean and variance keep every term of the exact
+second-moment expansion and are evaluated in one place, :func:`focus_moments`,
+on per-trial arrays of (tau, S) or on the scalar pair of one realization alike.
 
 Only the coherent variance term depends on phase, through the angle
 Delta = alpha_phase - squeeze_phase between the coherent amplitude and the
@@ -127,10 +129,11 @@ def mean_photon(sums: CouplingSums, inp: SqueezedInput) -> float:
 def variance_photon(sums: CouplingSums, inp: SqueezedInput) -> float:
     """Exact photon-number variance of the shaped focus mode, all terms kept.
 
-    tau_N^2 2 sinh^2 g cosh^2 g + tau_N (sum_R + tau_rest) sinh^2 g
+    tau_N sinh^2 g (1 + tau_N cosh 2g)
     + |alpha|^2 S^2 [1 + tau_N (cos^2 Delta (e^{-2g} - 1) + sin^2 Delta (e^{2g} - 1))]
-    with S = sum_{a<=N} |t_a| and Delta = alpha_phase - squeeze_phase; tau_rest,
-    the transmission of the unfed channels, vanishes at full filling N = M.
+    with S = sum_{a<=N} |t_a| and Delta = alpha_phase - squeeze_phase.  The
+    squeezed term is tau_N^2 2 sinh^2 g cosh^2 g + tau_N (1 - tau_N) sinh^2 g:
+    the unfed transmission plus all reflection is the vacuum share 1 - tau_N.
     """
     return float(focus_moments(*sums.shaped_sums(inp.fed_modes), inp, NO_LOSS)[1])
 
@@ -185,12 +188,13 @@ def apply_loss(moments: PhotonMoments, loss: LossChannel) -> PhotonMoments:
     return PhotonMoments(*_loss_terms(moments.mean, moments.variance, loss))
 
 
-def focus_moments(tau, abs_sum, tau_rest, sum_r, inp: SqueezedInput, loss: LossChannel):
+def focus_moments(tau, abs_sum, inp: SqueezedInput, loss: LossChannel):
     """(mean, variance) of the shaped focus after loss: the one closed-form evaluation.
 
-    Fed by :meth:`EnsembleDraws.shaped_sums` (per-trial arrays) or
+    ``tau`` is the fed transmission tau_N and ``abs_sum`` is sum_{a<=N} |t_a|,
+    from :meth:`EnsembleDraws.shaped_sums` (per-trial arrays) or
     :meth:`CouplingSums.shaped_sums` (scalars) at N = ``inp.fed_modes``, or
-    by per-case sums with an ``inp`` of per-case g and |alpha|; loss acts as
+    per-case pairs with an ``inp`` of per-case g and |alpha|; loss acts as
     in :func:`apply_loss`.
     """
     g, delta = inp.squeeze_strength, inp.alpha_phase - inp.squeeze_phase
@@ -200,7 +204,7 @@ def focus_moments(tau, abs_sum, tau_rest, sum_r, inp: SqueezedInput, loss: LossC
         if delta != 0.0:  # at Delta = 0 skip, not zero, the sin^2 term: e^{2g} may overflow, and inf * 0 is nan
             damping = math.cos(delta) ** 2 * damping - math.sin(delta) ** 2 * np.expm1(2.0 * g)
         coherent = inp.alpha2 * (abs_sum * abs_sum)
-        squeezed = tau * tau * (2.0 * sh2 * ch2) + tau * sum_r * sh2 + tau * tau_rest * sh2
+        squeezed = tau * sh2 * (1.0 + tau * (2.0 * ch2 - 1.0))  # tau sinh^2 g (1 + tau cosh 2g)
         mean, variance = _loss_terms(tau * sh2 + coherent, squeezed + coherent * (1.0 - tau * damping), loss)
     if not (np.all(mean >= 0.0) and np.all(variance >= 0.0)):
         raise ValueError("photon-number moments must be nonnegative, not nan")

@@ -106,16 +106,15 @@ class ScatteringRealization:
 
 
 class CouplingSums(NamedTuple):
-    """Shaped coupling sums entering the focus-mode photon statistics.
+    """Shaped coupling sums of one realization entering the focus-mode photon statistics.
 
     ``cum_T[n]`` and ``cum_abs_t[n]`` hold the partial sums over the first n
     transmission channels (index 0 is zero), so the full sums are exactly the
-    last cumulative entries and partial/full formulas agree bitwise.
+    last cumulative entries and partial/full formulas agree bitwise.  The
+    unfed transmission plus all reflection is the rest of the flux, 1 - tau_N,
+    so no other sum is kept.
     """
 
-    sum_T: float
-    sum_abs_t: float
-    sum_R: float
     cum_T: np.ndarray
     cum_abs_t: np.ndarray
 
@@ -124,11 +123,10 @@ class CouplingSums(NamedTuple):
         return self.cum_T.shape[0] - 1
 
     def shaped_sums(self, fed_modes: int):
-        """(tau_N, sum_{a<=N} |t_a|, tau_rest, sum_R) at N = ``fed_modes``, as in EnsembleDraws."""
+        """(tau_N, sum_{a<=N} |t_a|) at N = ``fed_modes``, as in EnsembleDraws."""
         if not 0 <= fed_modes <= self.channel_count:
             raise ValueError(f"fed_modes={fed_modes} outside [0, {self.channel_count}]")
-        tau_n = float(self.cum_T[fed_modes])
-        return tau_n, float(self.cum_abs_t[fed_modes]), self.sum_T - tau_n, self.sum_R
+        return float(self.cum_T[fed_modes]), float(self.cum_abs_t[fed_modes])
 
 
 def whole_count(value, name: str) -> int:
@@ -445,16 +443,9 @@ def sample_realization(params: DisorderParams, seed: int) -> ScatteringRealizati
 
 
 def coupling_sums(real: ScatteringRealization) -> CouplingSums:
-    """Transmission/reflection sums of a realization, with partials."""
-    trans = real.t_amp**2
-    cum_t = np.concatenate(([0.0], np.cumsum(trans)))
-    cum_a = np.concatenate(([0.0], np.cumsum(real.t_amp)))
+    """Prefix sums of |t|^2 and |t| over a realization's transmission channels."""
     return CouplingSums(
-        sum_T=float(cum_t[-1]),
-        sum_abs_t=float(cum_a[-1]),
-        sum_R=float(np.sum(real.r_amp**2)),
-        cum_T=cum_t,
-        cum_abs_t=cum_a,
+        np.concatenate(([0.0], np.cumsum(real.t_amp**2))), np.concatenate(([0.0], np.cumsum(real.t_amp)))
     )
 
 
@@ -474,10 +465,12 @@ class EnsembleDraws(NamedTuple):
     sum_R: np.ndarray
 
     def shaped_sums(self, params: DisorderParams, fed_modes):
-        """Per-trial (tau_N, sum_{a<=N} |t_a|, tau_rest, sum_R), exactly flux-normalized.
+        """Per-trial (tau_N, sum_{a<=N} |t_a|), exactly flux-normalized.
 
         M and s (``params``) and N = ``fed_modes`` are each one value or one per row,
-        or s or N a (points, 1) column, which gives (points, trials) arrays.
+        or s or N a (points, 1) column, which gives (points, trials) arrays.  The
+        normalization is checked here; the rest of each row's flux, unfed
+        transmission plus reflection, is 1 - tau_N.
         """
         m, rows = params.channel_count, np.arange(self.sum_R.shape[0])
         if np.any(self.channel_counts != m) or not np.all((1 <= fed_modes) & (fed_modes <= m)):
@@ -485,9 +478,8 @@ class EnsembleDraws(NamedTuple):
             raise ValueError(f"M={m}, N={fed_modes} do not fit draws of M in {drawn}")
         raw_T, raw_T_n = self.cum_T[rows, m - 1], self.cum_T[rows, fed_modes - 1]
         t_scale, r_scale = _flux_scales(raw_T, self.sum_R, m, params.disorder_strength)
-        tau_all, tau_n, sum_r = t_scale * raw_T, t_scale * raw_T_n, r_scale * self.sum_R
-        _require_flux(tau_all + sum_r)
-        return tau_n, np.sqrt(t_scale) * self.cum_abs_t[rows, fed_modes - 1], tau_all - tau_n, sum_r
+        _require_flux(t_scale * raw_T + r_scale * self.sum_R)
+        return t_scale * raw_T_n, np.sqrt(t_scale) * self.cum_abs_t[rows, fed_modes - 1]
 
     def amplitudes(self, disorder_strength) -> tuple[np.ndarray, np.ndarray]:
         """Per-row |t| and |r|, zero past the row's M, formed and checked as ``sample_realization`` does."""

@@ -822,9 +822,12 @@ class TestOptionDomains:
 
 
 class TestNumericalFailures:
-    @pytest.mark.parametrize("args", [["--g", "200"], ["--g", "400", "--trials", "5"]])
+    @pytest.mark.parametrize(
+        "args", [["--g", "200"], ["--g", "400", "--trials", "5"], ["--g", "800", "--trials", "5"]]
+    )
     def test_overflowing_squeeze_exits_3(self, tmp_path, capsys, args):
-        # g = 200 overflows sinh^2 cosh^2 in numpy, g = 400 overflows math.sinh itself
+        # g = 200 overflows the squeezed variance term tau sinh^2 g (1 + tau cosh 2g) ~ tau^2 e^{4g} / 8,
+        # g = 400 overflows sinh^2 g, and g = 800 sinh g itself
         out = tmp_path / "f.csv"
         assert main(["fano-scatter", *args, "--out", str(out)]) == 3
         assert list(tmp_path.iterdir()) == []
@@ -835,10 +838,11 @@ class TestNumericalFailures:
     @pytest.mark.parametrize(
         "args",
         [["superres", "--alpha2", "1e153"], ["superres", "--alpha2", "1e300"],
-         ["snr-sweep", "--axis", "s", "--alpha2", "1e160"]],
+         ["snr-sweep", "--axis", "s", "--alpha2", "1e160"], ["fano-scatter", "--g", "178"]],
     )
     def test_bright_sweeps_write_finite_rows(self, tmp_path, args):
-        # the standard errors are formed from x / mean, so squaring x ~ 1e154 cannot overflow
+        # the standard errors are formed from x / mean, so squaring x ~ 1e154 cannot overflow;
+        # at g = 178 the squeezed term ~ tau^2 e^{4g} / 8 is finite, though 2 sinh^2 g cosh^2 g is not
         rc, out = run_cli(tmp_path, *args, "--trials", "200")
         assert rc == 0
         header, rows = read_csv(out)

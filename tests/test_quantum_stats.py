@@ -440,8 +440,7 @@ class TestPerCaseInputs:
         # per-case g and |alpha|^2 in one call give each row the bits of its own scalar call
         rng = np.random.default_rng(9)
         cases = 50
-        tau = 0.5 * rng.random(cases)
-        sums = (tau, rng.random(cases), 0.3 * rng.random(cases), 1.0 - tau)
+        sums = (0.5 * rng.random(cases), rng.random(cases))
         inputs = [SqueezedInput(300.0 * rng.random(), 2.0 * rng.random()) for _ in range(cases)]
         batch = SqueezedInput(
             np.array([inp.alpha_mag for inp in inputs]), np.array([inp.squeeze_strength for inp in inputs])
@@ -469,7 +468,7 @@ class TestPerCaseInputs:
         # e^{2g} overflows sinh^2 g (g = 400) or sinh g itself (g = 800): an error, not inf
         # moments and not only a warning, under numpy's default error state
         assert np.geterr()["over"] != "raise"
-        sums = (np.array([0.4, 0.2]), np.array([1.0, 0.5]), np.zeros(2), np.array([0.6, 0.8]))
+        sums = (np.array([0.4, 0.2]), np.array([1.0, 0.5]))
         with warnings.catch_warnings(), pytest.raises(ArithmeticError):
             warnings.simplefilter("ignore")
             focus_moments(*sums, SqueezedInput(10.0, g), LossChannel(0.0))
@@ -477,7 +476,7 @@ class TestPerCaseInputs:
     def test_rejects_nan_moments(self):
         # a nan sum gives nan moments, which are not data
         tau = np.array([0.4, np.nan])
-        sums = (tau, np.array([1.0, 1.0]), np.zeros(2), np.array([0.6, 0.6]))
+        sums = (tau, np.array([1.0, 1.0]))
         inp = SqueezedInput.from_intensity(100.0, 0.5)
         with pytest.raises(ValueError, match="nan"):
             focus_moments(*sums, inp, LossChannel(0.0))

@@ -94,43 +94,48 @@ class TestSampling:
 
 class TestCouplingSums:
     def test_perfect_transmission(self):
-        sums = coupling_sums(make_realization([1.0], [0.0]))
-        assert sums.sum_T == 1.0
-        assert sums.sum_abs_t == 1.0
-        assert sums.sum_R == 0.0
+        real = make_realization([1.0], [0.0])
+        sums = coupling_sums(real)
+        assert sums.cum_T[-1] == 1.0
+        assert sums.cum_abs_t[-1] == 1.0
+        assert np.sum(real.r_amp**2) == 1.0 - sums.cum_T[-1] == 0.0
 
     def test_two_channel_arithmetic(self):
-        sums = coupling_sums(make_realization([0.5, 0.5], [np.sqrt(0.5), 0.0]))
-        assert sums.sum_T == pytest.approx(0.5, abs=1e-15)
-        assert sums.sum_abs_t == pytest.approx(1.0, abs=1e-15)
-        assert sums.sum_R == pytest.approx(0.5, abs=1e-15)
+        real = make_realization([0.5, 0.5], [np.sqrt(0.5), 0.0])
+        sums = coupling_sums(real)
+        assert sums.cum_T[-1] == pytest.approx(0.5, abs=1e-15)
+        assert sums.cum_abs_t[-1] == pytest.approx(1.0, abs=1e-15)
+        assert np.sum(real.r_amp**2) == pytest.approx(1.0 - sums.cum_T[-1], abs=1e-15)
 
     def test_sums_to_one(self):
         params = DisorderParams(32, 4.0)
         for i in range(50):
-            sums = coupling_sums(sample_realization(params, i))
-            assert abs(sums.sum_T + sums.sum_R - 1.0) < 1e-12
+            real = sample_realization(params, i)
+            assert abs(coupling_sums(real).cum_T[-1] + np.sum(real.r_amp**2) - 1.0) < 1e-12
 
     def test_abs_sum_dominates_intensity_sum(self):
         # (sum |t|)^2 >= sum |t|^2, equality only for a single active channel
         params = DisorderParams(32, 4.0)
         for i in range(50):
-            sums = coupling_sums(sample_realization(params, i))
-            assert sums.sum_abs_t**2 >= sums.sum_T
-        single = coupling_sums(make_realization([1.0], [0.0]))
-        assert single.sum_abs_t**2 == single.sum_T
+            tau, abs_sum = coupling_sums(sample_realization(params, i)).shaped_sums(32)
+            assert abs_sum**2 >= tau
+        tau, abs_sum = coupling_sums(make_realization([1.0], [0.0])).shaped_sums(1)
+        assert abs_sum**2 == tau
 
     def test_partial_sums_monotone_and_consistent(self):
-        sums = coupling_sums(sample_realization(DisorderParams(20, 2.0), 11))
-        partial_t, partial_a, rest_t, sum_r = np.array([sums.shaped_sums(n) for n in range(21)]).T
+        real = sample_realization(DisorderParams(20, 2.0), 11)
+        sums = coupling_sums(real)
+        partial_t, partial_a = np.array([sums.shaped_sums(n) for n in range(21)]).T
         assert partial_t[0] == 0.0 and partial_a[0] == 0.0
         assert np.all(np.diff(partial_t) >= 0.0)
         assert np.all(np.diff(partial_a) >= 0.0)
-        # full sums are exactly the last cumulative entries; the unfed rest is the complement
-        assert partial_t[-1] == sums.sum_T and rest_t[-1] == 0.0
-        assert partial_a[-1] == sums.sum_abs_t
-        assert np.array_equal(rest_t, sums.sum_T - partial_t)
-        assert np.all(sum_r == sums.sum_R)
+        # each pair is read off the prefix arrays, so the full sums are exactly their last entries
+        assert np.array_equal(partial_t, sums.cum_T) and np.array_equal(partial_a, sums.cum_abs_t)
+        assert partial_t[-1] == pytest.approx(np.sum(real.t_amp**2), rel=1e-14)
+        assert partial_a[-1] == pytest.approx(np.sum(real.t_amp), rel=1e-14)
+        # the unfed transmission plus all reflection is the rest of the flux, 1 - tau_N
+        rest = np.sum(real.t_amp**2) - partial_t + np.sum(real.r_amp**2)
+        assert np.max(np.abs(rest - (1.0 - partial_t))) <= 1e-12
 
     def test_partial_sum_range_checked(self):
         sums = coupling_sums(make_realization([1.0], [0.0]))
@@ -142,9 +147,10 @@ class TestCouplingSums:
     def test_direct_construction_partial_access(self):
         cum_t = np.array([0.0, 0.3, 0.5])
         cum_a = np.array([0.0, 0.6, 1.1])
-        sums = CouplingSums(0.5, 1.1, 0.5, cum_t, cum_a)
+        sums = CouplingSums(cum_t, cum_a)
         assert sums.channel_count == 2
-        assert sums.shaped_sums(1) == (0.3, 0.6, 0.2, 0.5)
+        assert sums.shaped_sums(1) == (0.3, 0.6)
+        assert sums.shaped_sums(2) == (0.5, 1.1)
 
 
 class TestEnsembleStats:
@@ -161,11 +167,14 @@ class TestEnsembleStats:
         assert sum_t.shape == (400,)
 
     def test_reflection_mean_complement(self):
-        # every realization conserves flux, so sum_R is exactly the complement of sum_T
+        # every realization conserves flux, so its reflected sum is the complement of sum_T
         params = DisorderParams(50, 6.0)
-        tau, _, tau_rest, sum_r = draw_ensemble(50, 100, 4).shaped_sums(params, 50)
-        assert np.all(tau_rest == 0.0)
-        assert np.max(np.abs(tau + sum_r - 1.0)) <= 1e-12
+        draws = draw_ensemble(50, 100, 4)
+        tau = draws.shaped_sums(params, 50)[0]
+        t_amp, r_amp = draws.amplitudes(6.0)
+        sum_t, sum_r = np.sum(t_amp**2, axis=1), np.sum(r_amp**2, axis=1)
+        assert np.max(np.abs(sum_t + sum_r - 1.0)) <= 1e-12
+        np.testing.assert_allclose(tau, sum_t, rtol=1e-14)
         assert np.mean(sum_r) == pytest.approx(1.0 - np.mean(tau), abs=1e-12)
 
     @pytest.mark.parametrize("s,band", [(2.0, 0.01), (6.0, 0.005)])
