@@ -15,7 +15,6 @@ from .errors import (
     TruncationError,
     UsageError,
     ZeroMean,
-    ZeroVariance,
 )
 from .random_media import (
     CouplingSums,
@@ -39,7 +38,6 @@ from .quantum_stats import (
     mean_photon,
     mean_photon_partial,
     photon_budget,
-    snr,
     variance_photon,
     variance_photon_partial,
 )

@@ -9,13 +9,12 @@ ensemble once (:func:`~speckleq.random_media.draw_ensemble`) and evaluates
 its axis points as the rows of (points, trials) arrays, a block of rows at a time.
 
 The ensemble Fano factor is a ratio of means - mean variance over mean
-photon number - matching the averaged SNR definition
-R-bar = n-bar / F-bar; the mean of per-trial Fano factors is kept as a
-diagnostic field.  The reported ``stderr_snr`` combines the standard errors
-of the numerator and denominator means in quadrature; the two means are
-positively correlated, so this combined error is conservative and also
-absorbs the O(1/M) finite-size offset between the sampled ensemble and the
-asymptotic large-M formulas.
+photon number - matching the averaged SNR definition R-bar = n-bar / F-bar.
+The reported ``stderr_snr`` combines the standard errors of the numerator
+and denominator means in quadrature; the two means are positively
+correlated, so this combined error is conservative and also absorbs the
+O(1/M) finite-size offset between the sampled ensemble and the asymptotic
+large-M formulas.
 """
 
 from __future__ import annotations
@@ -62,12 +61,9 @@ class EnsembleSummary(NamedTuple):
     axis: str
     axis_values: np.ndarray
     mean_n: np.ndarray
-    mean_variance: np.ndarray
     fano_ratio: np.ndarray
     snr_ratio: np.ndarray
-    stderr_mean_n: np.ndarray
     stderr_snr: np.ndarray
-    fano_trial_mean: np.ndarray
     trials: int
 
 
@@ -112,8 +108,8 @@ def _block_points(spec: SweepSpec, draws: EnsembleDraws, params) -> np.ndarray:
     disorder, fed, inp, loss = params
     means, variances = focus_moments(*draws.shaped_sums(disorder, fed), inp, loss)
     mean_n, mean_v = means.mean(axis=1), variances.mean(axis=1)
-    # dark rows keep vacuum's aggregates: zero moments and errors, Fano and SNR ratios 1
-    points = np.tile(np.array([[0.0], [0.0], [1.0], [1.0], [0.0], [0.0], [1.0]]), len(mean_n))
+    # dark rows keep vacuum's aggregates: zero mean and error, Fano and SNR ratios 1
+    points = np.tile(np.array([[0.0], [1.0], [1.0], [0.0]]), len(mean_n))
     lit = mean_n != 0.0
     means, variances, n, v = means[lit], variances[lit], mean_n[lit], mean_v[lit]
     se_n = se_v = np.zeros(n.shape)
@@ -124,7 +120,7 @@ def _block_points(spec: SweepSpec, draws: EnsembleDraws, params) -> np.ndarray:
     ratio = n / v
     # quadrature-combined standard error of snr_ratio = mean(n) / mean(var)
     stderr_snr = ratio * np.sqrt((se_n / n) ** 2 + (se_v / v) ** 2)
-    points[:, lit] = n, v, v / n, ratio, se_n, stderr_snr, np.mean(variances / means, axis=1)
+    points[:, lit] = n, v / n, ratio, stderr_snr
     return points
 
 
@@ -178,7 +174,6 @@ class SuperresTable(NamedTuple):
     classical_width: np.ndarray
     recon_width: np.ndarray
     resolution_gain: np.ndarray
-    fano_by_curve: dict
 
 
 def run_superres_sweep(
@@ -204,11 +199,10 @@ def run_superres_sweep(
     ratio is insensitive to the exact intensity) by a ``disorder_s``
     :func:`run_sweep`.
 
-    Each row equals :func:`~speckleq.prolate.superres_factor` at its budget, but one
-    :func:`~speckleq.prolate.resolve_modes` call chooses every row's Q, W is resolved
-    once per sweep, and W_Q once per distinct Q: the reconstruction kernel is formed
-    once per sweep and projected once per distinct Q.  Budgets and epsilon are
-    checked before the basis is built or the ensemble drawn.
+    One :func:`~speckleq.prolate.superres_factor` call on every row's budget
+    mean_n / F-bar(s) gives the rows' Q, W, W_Q and J: it forms the reconstruction
+    kernel once per sweep and projects it once per distinct Q.  Budgets and epsilon
+    are checked before the basis is built or the ensemble drawn.
     """
     budgets = np.array([float(b) for b in budgets])
     strengths = tuple(float(s) for s in disorder_strengths)
@@ -223,20 +217,8 @@ def run_superres_sweep(
     basis = prolate.build_basis(bandwidth, num_modes, quad_order)
     fano = run_sweep(spec).fano_ratio
     curve_s, curve_fano = np.array([0.0, *strengths]), np.array([1.0, *fano])  # coherent baseline: F = 1
-
-    modes_kept = prolate.resolve_modes(basis, budgets / curve_fano[:, None], epsilon)[0].ravel()
-    classical_w = prolate.half_width(prolate.classical_psf_curve(basis.bandwidth))
-    distinct_q, which = np.unique(modes_kept, return_inverse=True)
-    recon_w = np.array(prolate.reconstruction_half_widths(basis, distinct_q.tolist()))[which]
-    return SuperresTable(
-        disorder_strength=np.repeat(curve_s, budgets.shape[0]),
-        mean_n=np.tile(budgets, curve_s.shape[0]),
-        modes_kept=modes_kept,
-        classical_width=np.full(modes_kept.shape[0], classical_w),
-        recon_width=recon_w,
-        resolution_gain=classical_w / recon_w,
-        fano_by_curve=dict(zip(curve_s.tolist(), curve_fano.tolist())),
-    )
+    report = prolate.superres_factor(basis, (budgets / curve_fano[:, None]).ravel(), epsilon)
+    return SuperresTable(np.repeat(curve_s, budgets.shape[0]), np.tile(budgets, curve_s.shape[0]), *report)
 
 
 class LossSweepTable(NamedTuple):

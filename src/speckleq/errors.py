@@ -9,10 +9,6 @@ class ZeroMean(SpeckleQError):
     """Fano factor undefined for zero mean photon number."""
 
 
-class ZeroVariance(SpeckleQError):
-    """SNR undefined for zero photon-number variance."""
-
-
 class TruncationError(SpeckleQError):
     """Fock-space cutoff too small for the requested state."""
 

@@ -328,16 +328,6 @@ def reconstruction_psf_curve(basis: ProlateBasis, modes_kept: int) -> PsfCurve:
     return PsfCurve(z, reconstruction_psf(basis, modes_kept, z))
 
 
-def reconstruction_half_widths(basis: ProlateBasis, modes) -> list[float]:
-    """half_width(reconstruction_psf_curve(basis, Q)) for each Q in modes, bit for bit.
-
-    The weighted kernel on the curve grid is formed once and projected once per Q.
-    """
-    z = _reconstruction_z()
-    kernel = basis.support_kernel(z)
-    return [half_width(PsfCurve(z, basis.project(kernel, q) @ basis.phi_at_zero[:q])) for q in modes]
-
-
 def half_width(curve: PsfCurve) -> float:
     """Smallest z > 0 where the curve drops to half its z = 0 peak.
 
@@ -365,13 +355,12 @@ def half_width(curve: PsfCurve) -> float:
 
 
 class ReconstructionReport(NamedTuple):
-    """Resolution summary: classical vs reconstruction PSF half-widths."""
+    """Resolution summary: classical vs reconstruction PSF half-widths, per budget of :func:`superres_factor`."""
 
     modes_kept: int
     classical_width: float
     recon_width: float
     resolution_gain: float
-    recon_snr: float
 
 
 def checked_budget(budget, epsilon: float) -> np.ndarray:
@@ -414,23 +403,28 @@ def resolve_modes(basis: ProlateBasis, budget, epsilon: float, forced_modes: int
 
 
 def superres_factor(
-    basis: ProlateBasis, budget: float, epsilon: float, *, forced_modes: int | None = None
+    basis: ProlateBasis, budget, epsilon: float, *, forced_modes: int | None = None
 ) -> ReconstructionReport:
-    """Super-resolution factor J = W / W_Q for a point object at the origin.
+    """Super-resolution factor J = W / W_Q for a point object at the origin, per budget.
 
-    Composes :func:`resolve_modes` with both PSF half-widths, resolved anew on each call;
-    :func:`~speckleq.ensemble.run_superres_sweep` resolves W once and W_Q once per Q.
+    One :func:`resolve_modes` call chooses every budget's Q and W is resolved once; the
+    reconstruction kernel on the curve grid is formed once by :meth:`ProlateBasis.support_kernel`
+    and projected once per distinct Q, so W_Q equals half_width(reconstruction_psf_curve(basis, Q))
+    bit for bit.  A scalar budget gives int and float fields, a 1-D budget array one array
+    element per budget in each field.
     """
-    modes_kept, snr_value = resolve_modes(basis, budget, epsilon, forced_modes)
+    modes_kept = resolve_modes(basis, budget, epsilon, forced_modes)[0]
     classical_w = half_width(classical_psf_curve(basis.bandwidth))
-    recon_w = half_width(reconstruction_psf_curve(basis, modes_kept))
-    return ReconstructionReport(
-        modes_kept=modes_kept,
-        classical_width=classical_w,
-        recon_width=recon_w,
-        resolution_gain=classical_w / recon_w,
-        recon_snr=snr_value,
-    )
+    z = _reconstruction_z()
+    kernel = basis.support_kernel(z)
+    distinct_q, which = np.unique(np.ravel(modes_kept), return_inverse=True)
+    widths = [
+        half_width(PsfCurve(z, basis.project(kernel, q) @ basis.phi_at_zero[:q])) for q in distinct_q.tolist()
+    ]
+    if np.ndim(modes_kept) == 0:
+        return ReconstructionReport(modes_kept, classical_w, widths[0], classical_w / widths[0])
+    recon_w = np.array(widths)[which]
+    return ReconstructionReport(modes_kept, np.full(recon_w.shape, classical_w), recon_w, classical_w / recon_w)
 
 
 def export_basis(basis: ProlateBasis, path) -> Path:

@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .errors import ZeroMean, ZeroVariance
+from .errors import ZeroMean
 from .random_media import CouplingSums, ScatteringRealization, coupling_sums
 
 PLANCK_CONSTANT = 6.62607015e-34  # J s, exact SI
@@ -153,13 +153,6 @@ def fano(moments: PhotonMoments) -> float:
     if moments.mean == 0.0:
         raise ZeroMean("Fano factor undefined at zero mean photon number")
     return moments.variance / moments.mean
-
-
-def snr(moments: PhotonMoments) -> float:
-    """mean^2 / variance, i.e. mean / Fano."""
-    if moments.variance == 0.0:
-        raise ZeroVariance("SNR undefined at zero variance")
-    return moments.mean**2 / moments.variance
 
 
 def asymptotic_avg_fano(disorder_strength: float, squeeze_strength: float) -> float:

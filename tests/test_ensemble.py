@@ -80,7 +80,7 @@ class TestReproducibility:
         ):
             a = run_sweep(spec)
             b = run_sweep(spec)
-            for field in ("mean_n", "mean_variance", "fano_ratio", "snr_ratio", "stderr_snr"):
+            for field in ("mean_n", "fano_ratio", "snr_ratio", "stderr_snr"):
                 assert np.array_equal(getattr(a, field), getattr(b, field))
         assert np.array_equal(
             run_fano_scatter(50, 2.0, 1.5, 1e4, 150, 3), run_fano_scatter(50, 2.0, 1.5, 1e4, 150, 3)
@@ -124,10 +124,6 @@ class TestSweepStatistics:
     def test_coherent_baseline_exact(self):
         summary = run_sweep(small_spec("disorder_s", [2.0, 6.0], g=0.0, trials=200))
         assert np.abs(summary.fano_ratio - 1.0).max() < 1e-10
-
-    def test_diagnostic_mean_of_fanos_close_to_ratio(self):
-        summary = run_sweep(small_spec("squeeze_g", [1.5], trials=500))
-        assert summary.fano_trial_mean[0] == pytest.approx(summary.fano_ratio[0], abs=0.02)
 
     def test_mode_fill_monotonic(self):
         ratios = np.arange(0.1, 1.01, 0.1)
@@ -175,7 +171,7 @@ def per_point_sweep(spec):
         if mean_n[0] == 0.0:
             if (spec.axis, value) != ("loss_rate", 1.0):
                 raise ZeroMean(f"zero mean photon number at {spec.axis} = {value!r} (dark input)")
-            rows.append((0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0))
+            rows.append((0.0, 1.0, 1.0, 0.0))
             continue
         se_n = se_v = np.zeros(1)
         if spec.trials > 1:
@@ -183,15 +179,12 @@ def per_point_sweep(spec):
             se_v = np.std(variances / mean_v, axis=1, ddof=1) * mean_v / math.sqrt(spec.trials)
         ratio = mean_n / mean_v
         stderr_snr = ratio * np.sqrt((se_n / mean_n) ** 2 + (se_v / mean_v) ** 2)
-        fano_trials = np.mean(variances / means, axis=1)
-        row = (mean_n, mean_v, mean_v / mean_n, ratio, se_n, stderr_snr, fano_trials)
+        row = (mean_n, mean_v / mean_n, ratio, stderr_snr)
         rows.append(tuple(float(x[0]) for x in row))
     return rows
 
 
-SUMMARY_COLUMNS = (
-    "mean_n", "mean_variance", "fano_ratio", "snr_ratio", "stderr_mean_n", "stderr_snr", "fano_trial_mean",
-)
+SUMMARY_COLUMNS = ("mean_n", "fano_ratio", "snr_ratio", "stderr_snr")
 # fills whose value * 50 is exactly a tie, which round() and np.rint take to the even neighbour
 HALF_FILLS = [0.01, 0.03, 0.05, 0.09, 0.45, 0.51, 0.99]
 ARRAY_PASS_CASES = [
@@ -223,7 +216,7 @@ class TestArrayPass:
             got = getattr(summary, column)
             assert got.dtype == np.float64 and got.tobytes() == np.array(expected).tobytes(), column
         if spec.trials == 1:
-            assert not summary.stderr_mean_n.any() and not summary.stderr_snr.any()
+            assert not summary.stderr_snr.any()
         if axis == "loss_rate":
             vacuum = np.array(values) == 1.0
             assert np.all(summary.snr_ratio[vacuum] == 1.0) and np.all(summary.mean_n[vacuum] == 0.0)
@@ -318,6 +311,12 @@ def table():
     return run_superres_sweep(1.5, [2.0, 4.0, 6.0, 8.0], budgets, 1.0, 0.01, 300, 1)
 
 
+@pytest.fixture(scope="module")
+def table_fano():
+    """F-bar(s) of the table's curves, as run_superres_sweep takes it: run_sweep's fano_ratio."""
+    return run_sweep(small_spec("disorder_s", [2.0, 4.0, 6.0, 8.0], trials=300, seed=1)).fano_ratio
+
+
 class TestSuperresSweep:
     def test_squeezed_beats_coherent(self, table):
         coherent = table.resolution_gain[table.disorder_strength == 0.0]
@@ -338,10 +337,9 @@ class TestSuperresSweep:
             gains = table.resolution_gain[table.disorder_strength == s]
             assert np.all(np.diff(gains) >= 0.0)
 
-    def test_fano_by_curve_ordering(self, table):
-        fanos = table.fano_by_curve
-        assert fanos[0.0] == 1.0
-        assert fanos[2.0] < fanos[4.0] < fanos[6.0] < fanos[8.0] < 1.0
+    def test_fano_bar_ordering(self, table_fano):
+        # each curve divides its budgets by F-bar(s); the gain ordering in s rests on this one
+        assert np.all(np.diff(table_fano) > 0.0) and table_fano[-1] < 1.0
 
     def test_tiny_budget_raises(self):
         with pytest.raises(TooDim):
@@ -409,11 +407,11 @@ class TestSuperresSweep:
 class TestSuperresWidthCache:
     """The sweep resolves W once and W_Q once per Q; rows must not notice."""
 
-    def test_rows_equal_per_row_superres_factor(self, table, basis_c1):
+    def test_rows_equal_per_row_superres_factor(self, table, table_fano, basis_c1):
         assert len(set(table.modes_kept.tolist())) >= 2
+        fano_bar = dict(zip([0.0, 2.0, 4.0, 6.0, 8.0], [1.0, *table_fano.tolist()]))  # s = 0: coherent
         for i in range(table.mean_n.shape[0]):
-            fano_bar = table.fano_by_curve[table.disorder_strength[i]]
-            report = superres_factor(basis_c1, table.mean_n[i] / fano_bar, 0.01)
+            report = superres_factor(basis_c1, table.mean_n[i] / fano_bar[table.disorder_strength[i]], 0.01)
             assert table.modes_kept[i] == report.modes_kept
             assert table.classical_width[i] == report.classical_width
             assert table.recon_width[i] == report.recon_width
@@ -437,3 +435,18 @@ class TestSuperresWidthCache:
         assert len(distinct_q) >= 2
         assert len(calls["support_kernel"]) == 1
         assert [args[1] for args in calls["project"]] == distinct_q
+
+    @pytest.mark.parametrize("forced_modes", [None, 1, 4, 7])
+    def test_superres_factor_on_a_budget_array_equals_scalar_calls(self, basis_c1, forced_modes):
+        budgets = np.geomspace(1e3, 1e14, 23)
+        report = superres_factor(basis_c1, budgets, 0.01, forced_modes=forced_modes)
+        scalar = [superres_factor(basis_c1, b, 0.01, forced_modes=forced_modes) for b in budgets.tolist()]
+        if forced_modes is None:
+            assert len(set(report.modes_kept.tolist())) >= 3
+        for field, column in zip(report._fields, zip(*scalar)):
+            expected = np.array(column)
+            got = getattr(report, field)
+            assert got.shape == budgets.shape and got.tobytes() == expected.tobytes(), field
+        for one in scalar:
+            assert type(one.modes_kept) is int
+            assert all(type(value) is float for value in one[1:])

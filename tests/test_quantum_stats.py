@@ -12,7 +12,6 @@ from speckleq import (
     PhotonMoments,
     SqueezedInput,
     ZeroMean,
-    ZeroVariance,
     apply_loss,
     apply_loss_channel,
     asymptotic_avg_fano,
@@ -30,7 +29,6 @@ from speckleq import (
     output_gaussian_state,
     photon_budget,
     sample_realization,
-    snr,
     variance_photon,
     variance_photon_partial,
 )
@@ -230,16 +228,6 @@ class TestFanoAndSnr:
         oracle = oracle_moments(real, inp)
         assert value == pytest.approx(fano(oracle), rel=1e-12)
         assert abs(value - (1.0 - 0.5 * (1.0 - math.exp(-3.0)))) < 3e-3
-
-    def test_snr_of_coherent_equals_mean(self):
-        assert snr(PhotonMoments(250.0, 250.0)) == pytest.approx(250.0, rel=1e-15)
-
-    def test_snr_scales_inverse_fano(self):
-        assert snr(PhotonMoments(1e4, 0.5e4)) == pytest.approx(2e4, rel=1e-15)
-
-    def test_zero_variance_raises(self):
-        with pytest.raises(ZeroVariance):
-            snr(PhotonMoments(1.0, 0.0))
 
 
 class TestAsymptotics:

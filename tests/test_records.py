@@ -245,13 +245,13 @@ class TestResultTuples:
         assert callable(cls.count) and callable(cls.index)
 
     def test_tuple_equality_unpacking_and_replace(self):
-        report = ReconstructionReport(3, 1.9, 0.9, 1.9 / 0.9, 12.5)
+        report = ReconstructionReport(3, 1.9, 0.9, 1.9 / 0.9)
         assert report == ReconstructionReport(
-            modes_kept=3, classical_width=1.9, recon_width=0.9, resolution_gain=1.9 / 0.9, recon_snr=12.5
+            modes_kept=3, classical_width=1.9, recon_width=0.9, resolution_gain=1.9 / 0.9
         )
-        modes_kept, *_, snr = report
-        assert (modes_kept, snr) == (3, 12.5)
-        assert report._replace(recon_snr=1.0).recon_snr == 1.0 and report.recon_snr == 12.5
+        modes_kept, *_, gain = report
+        assert (modes_kept, gain) == (3, 1.9 / 0.9)
+        assert report._replace(recon_width=1.0).recon_width == 1.0 and report.recon_width == 0.9
 
     def test_evaluate_is_a_reassignable_class_attribute(self, monkeypatch):
         # a tracer may wrap ProlateBasis.evaluate from outside the package
