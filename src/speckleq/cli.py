@@ -29,7 +29,14 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
+# One BLAS thread for the command's process: its LAPACK and BLAS calls are small (a 256 x 256
+# eigvalsh at the defaults), and a second OpenBLAS thread only spins.  OpenBLAS reads this
+# once, when numpy loads, so it is set before that; a user's own setting of either variable
+# is kept.  Importing the library (``import speckleq``) leaves the threading alone.
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402  (after the BLAS thread count is set)
 
 from . import ensemble, gaussian_oracle, prolate, quantum_stats
 from .errors import SpeckleQError, UsageError

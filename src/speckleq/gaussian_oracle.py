@@ -36,9 +36,15 @@ _NORM_TOL = 1e-10  # probability the Fock oracle may lose past its cutoff
 
 
 class GaussianModeState:
-    """Quadrature mean vector and 2x2 covariance of one bosonic mode."""
+    """Quadrature mean vector and 2x2 covariance of one bosonic mode.
 
-    __slots__ = ("d", "V")
+    The state also holds its excess covariance ``E = V - I/2`` and ``tr E``, which the photon
+    moments are taken from.  Near vacuum, V rounds to I/2 and loses E's low digits, so the
+    states this module forms carry E and tr E from their own formulas; a state built from V
+    takes E = V - I/2.
+    """
+
+    __slots__ = ("d", "V", "excess", "tr_excess")
 
     def __init__(self, d: np.ndarray, V: np.ndarray) -> None:
         self.d, self.V = np.asarray(d, dtype=float), np.asarray(V, dtype=float)
@@ -46,37 +52,51 @@ class GaussianModeState:
             raise ValueError("d must have shape (2,) and V shape (2, 2)")
         if abs(self.V[0, 1] - self.V[1, 0]) > 1e-12:
             raise ValueError("covariance matrix must be symmetric")
+        self.excess = self.V - np.eye(2) / 2.0
+        self.tr_excess = float(np.trace(self.excess))
+
+    @classmethod
+    def _from_excess(cls, d, excess, tr_excess) -> GaussianModeState:
+        state = cls(d, excess + np.eye(2) / 2.0)
+        state.excess, state.tr_excess = excess, float(tr_excess)
+        return state
 
 
 def _output_states(tau, abs_sum, g, alpha_mag, alpha_phase, squeeze_phase):
-    """Stacked means d (..., 2) and covariances V (..., 2, 2) over scalar or per-case arguments."""
-    a, b = np.exp(-2.0 * g) / 2.0, np.exp(2.0 * g) / 2.0
+    """Stacked means d (..., 2), excess covariances E (..., 2, 2) and tr E over scalar or per-case arguments.
+
+    E = tau R(phi) diag(expm1(-2g), expm1(2g))/2 R(phi)^T, and tr E = 2 tau sinh^2 g: the sum
+    of E's diagonal would cancel to a relative error of eps / g at weak squeezing.
+    """
+    a, b = tau * np.expm1(-2.0 * g) / 2.0, tau * np.expm1(2.0 * g) / 2.0
     cos_p, sin_p = np.cos(squeeze_phase), np.sin(squeeze_phase)
-    vacuum = (1.0 - tau) / 2.0
-    cov = np.empty(np.broadcast_shapes(np.shape(tau), np.shape(a), np.shape(cos_p)) + (2, 2))
-    cov[..., 0, 0] = tau * (cos_p * cos_p * a + sin_p * sin_p * b) + vacuum
-    cov[..., 0, 1] = cov[..., 1, 0] = tau * (cos_p * sin_p * (a - b))
-    cov[..., 1, 1] = tau * (sin_p * sin_p * a + cos_p * cos_p * b) + vacuum
+    excess = np.empty(np.broadcast_shapes(np.shape(a), np.shape(cos_p)) + (2, 2))
+    excess[..., 0, 0] = cos_p * cos_p * a + sin_p * sin_p * b
+    excess[..., 0, 1] = excess[..., 1, 0] = cos_p * sin_p * (a - b)
+    excess[..., 1, 1] = sin_p * sin_p * a + cos_p * cos_p * b
     amp = np.sqrt(2.0) * alpha_mag * abs_sum
-    return np.stack((amp * np.cos(alpha_phase), amp * np.sin(alpha_phase)), -1), cov
+    d = np.stack((amp * np.cos(alpha_phase), amp * np.sin(alpha_phase)), -1)
+    return d, excess, 2.0 * tau * np.sinh(g) ** 2
 
 
-def _photon_moments(d, cov):
+def _photon_moments(d, excess, tr_excess):
     """Photon-number (mean, variance) of stacked states, as :func:`gaussian_photon_moments`."""
+    cov = excess + np.eye(2) / 2.0
     det = np.linalg.det(cov)
     if np.any(det < 0.25 - _PHYSICAL_TOL):
         raise ValueError(f"unphysical covariance matrix: det V = {np.min(det)!r} < 1/4")
-    mean = (np.trace(cov, axis1=-2, axis2=-1) - 1.0) / 2.0 + np.einsum("...i,...i", d, d) / 2.0
-    var = (np.trace(cov @ cov, axis1=-2, axis2=-1) - 0.5) / 2.0 + np.einsum("...i,...ij,...j", d, cov, d)
-    # exact zeros (vacuum) may round to tiny negatives
-    return tuple(np.where((-1e-12 < x) & (x < 0.0), 0.0, x) for x in (mean, var))
+    mean = tr_excess / 2.0 + np.einsum("...i,...i", d, d) / 2.0
+    var = (tr_excess + np.einsum("...ij,...ij", excess, excess)) / 2.0 + np.einsum("...i,...ij,...j", d, cov, d)
+    return mean, var
 
 
-def _lossy_states(d, cov, loss_rate):
-    """Stacked states after beam-splitter vacuum channels of per-case (or one) loss rate."""
-    q2 = np.asarray(loss_rate)[..., None, None]
-    p2 = 1.0 - q2
-    return np.sqrt(p2[..., 0]) * d, p2 * cov + q2 * np.eye(2) / 2.0
+def _lossy_states(d, excess, tr_excess, loss_rate):
+    """Stacked states after beam-splitter vacuum channels of per-case (or one) loss rate.
+
+    The channel takes V to (1 - loss) V + loss I/2, so it scales E and tr E by 1 - loss.
+    """
+    p2 = 1.0 - np.asarray(loss_rate)
+    return np.sqrt(p2)[..., None] * d, p2[..., None, None] * excess, p2 * tr_excess
 
 
 def output_gaussian_state(real: ScatteringRealization, inp: SqueezedInput) -> GaussianModeState:
@@ -93,21 +113,23 @@ def output_gaussian_state(real: ScatteringRealization, inp: SqueezedInput) -> Ga
     amps = real.t_amp[:n]
     phases = (inp.alpha_phase, inp.squeeze_phase)
     state = _output_states(np.sum(amps**2), np.sum(amps), inp.squeeze_strength, inp.alpha_mag, *phases)
-    return GaussianModeState(*state)
+    return GaussianModeState._from_excess(*state)
 
 
 def gaussian_photon_moments(state: GaussianModeState) -> PhotonMoments:
     """Photon-number mean and variance of a single-mode Gaussian state.
 
-    mean = (V11 + V22 - 1)/2 + |d|^2/2 and
-    var = (tr(V^2) - 1/2)/2 + d^T V d in the vacuum-variance-1/2 convention.
+    With the excess covariance E = V - I/2, mean = tr E/2 + |d|^2/2 and
+    var = (tr E + tr E^2)/2 + d^T V d in the vacuum-variance-1/2 convention; for a physical
+    state each term is nonnegative, so nothing cancels.
     """
-    return PhotonMoments(*map(float, _photon_moments(state.d, state.V)))
+    return PhotonMoments(*map(float, _photon_moments(state.d, state.excess, state.tr_excess)))
 
 
 def apply_loss_channel(state: GaussianModeState, loss: LossChannel) -> GaussianModeState:
     """Beam-splitter vacuum channel acting on the Gaussian state."""
-    return GaussianModeState(*_lossy_states(state.d, state.V, loss.loss_rate))
+    lossy = _lossy_states(state.d, state.excess, state.tr_excess, loss.loss_rate)
+    return GaussianModeState._from_excess(*lossy)
 
 
 class ModeCoefficients:

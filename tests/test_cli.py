@@ -599,10 +599,15 @@ class TestSingleCommandParser:
         assert expected.get(argv[0], "unrecognized arguments: --foo") in errors[0]
 
 
-def run_python(code):
-    """Stdout of ``python -c code`` in a fresh interpreter that imports this checkout's speckleq."""
+def run_python(code, env=None):
+    """Stdout of ``python -c code`` in a fresh interpreter that imports this checkout's speckleq.
+
+    ``env`` updates the child's environment; a variable mapped to None is removed from it.
+    """
     src = str(Path(speckleq.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path, **(env or {})}
+    env = {name: value for name, value in env.items() if value is not None}
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
@@ -641,6 +646,79 @@ def test_slepian_commands_do_not_import_numpy_polynomial(tmp_path):
         "print(codes, eager or 'numpy.polynomial' not in sys.modules)"
     )
     assert run_python(code).splitlines()[-1] == "[0, 0] True"  # after each command's status line
+
+
+def test_package_import_loads_neither_numpy_nor_a_submodule():
+    code = (
+        "import sys, speckleq; "
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith(('numpy.', 'speckleq.'))))"
+    )
+    assert run_python(code) == "[]"
+
+
+def test_package_import_exports_are_the_submodules_objects():
+    # each export is resolved from the module that defines it, and submodules resolve as attributes
+    code = (
+        "import importlib, speckleq; "
+        "print([n for n in speckleq.__all__ if getattr(importlib.import_module("
+        "getattr(speckleq, n).__module__), n) is not getattr(speckleq, n)], "
+        "len(speckleq.__all__) == len(set(speckleq.__all__)), "
+        "speckleq.prolate.build_basis is speckleq.build_basis, "
+        "set(speckleq.__all__) | {'cli', 'prolate', 'errors'} <= set(dir(speckleq)))"
+    )
+    assert run_python(code) == "[] True True True"
+
+
+def test_package_star_import_binds_all_exports():
+    code = (
+        "import speckleq; ns = {}; exec('from speckleq import *', ns); "
+        "print(sorted(set(ns) - {'__builtins__'} ^ set(speckleq.__all__)), len(speckleq.__all__))"
+    )
+    assert run_python(code) == "[] 58"
+
+
+def test_package_import_of_an_unknown_name_raises_attribute_error():
+    code = (
+        "import speckleq\n"
+        "try:\n    speckleq.bogus\nexcept AttributeError as error:\n    print(error)\n"
+        "try:\n    from speckleq import bogus\nexcept ImportError as error:\n    print(type(error).__name__)"
+    )
+    assert run_python(code).splitlines() == ["module 'speckleq' has no attribute 'bogus'", "ImportError"]
+
+
+NO_BLAS_ENV = {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+BLAS_ENV_CODE = "import os; print(os.environ.get('OPENBLAS_NUM_THREADS'), os.environ.get('OMP_NUM_THREADS'))"
+
+
+def test_cli_import_runs_blas_on_one_thread():
+    assert run_python("import speckleq.cli; " + BLAS_ENV_CODE, NO_BLAS_ENV) == "1 None"
+
+
+@pytest.mark.parametrize(
+    "env, expected",
+    [({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None}, "3 None"),
+     ({"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "2"}, "None 2")],
+)
+def test_cli_import_keeps_a_users_blas_threads(env, expected):
+    assert run_python("import speckleq.cli; " + BLAS_ENV_CODE, env) == expected
+
+
+def test_library_import_keeps_the_default_blas_threads():
+    code = "import speckleq; speckleq.build_basis, speckleq.run_sweep; " + BLAS_ENV_CODE
+    assert run_python(code, NO_BLAS_ENV) == "None None"
+
+
+def test_cli_import_thread_count_leaves_slepian_outputs_unchanged(tmp_path):
+    # the one-thread policy must not change bytes: psf and prolate-basis are the commands that call LAPACK
+    outputs = {}
+    for threads in ("1", "2"):
+        for command in ("psf", "prolate-basis"):
+            out = tmp_path / f"{command}-{threads}.csv"
+            code = f"from speckleq.cli import main; raise SystemExit(main([{command!r}, '--out', {str(out)!r}]))"
+            run_python(code, {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": None})
+            outputs[command, threads] = out.read_bytes()
+    for command in ("psf", "prolate-basis"):
+        assert outputs[command, "1"] == outputs[command, "2"]
 
 
 # parse_args([command]).options of every command, captured from the CLI before

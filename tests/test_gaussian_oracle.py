@@ -267,13 +267,14 @@ class TestStackedAlgebra:
         loss = rng.random(cases) if lossy else np.zeros(cases)
         fed = [r.t_amp[: inp.fed_modes] for r, inp in zip(reals, inputs)]
         fields = ("squeeze_strength", "alpha_mag", "alpha_phase", "squeeze_phase")
-        d, cov = gaussian_oracle._output_states(
+        d, excess, tr_excess = gaussian_oracle._output_states(
             np.array([np.sum(a**2) for a in fed]),
             np.array([np.sum(a) for a in fed]),
             *(np.array([getattr(inp, name) for inp in inputs]) for name in fields),
         )
-        assert d.shape == (cases, 2) and cov.shape == (cases, 2, 2)
-        means, variances = gaussian_oracle._photon_moments(*gaussian_oracle._lossy_states(d, cov, loss))
+        assert d.shape == (cases, 2) and excess.shape == (cases, 2, 2) and tr_excess.shape == (cases,)
+        lossy = gaussian_oracle._lossy_states(d, excess, tr_excess, loss)
+        means, variances = gaussian_oracle._photon_moments(*lossy)
         for i, (real, inp) in enumerate(zip(reals, inputs)):
             single = gaussian_photon_moments(
                 apply_loss_channel(output_gaussian_state(real, inp), LossChannel(float(loss[i])))
@@ -282,9 +283,40 @@ class TestStackedAlgebra:
             assert variances[i] == pytest.approx(single.variance, rel=1e-13, abs=1e-300)
 
     def test_rejects_one_unphysical_state_in_a_stack(self):
-        cov = np.stack([np.eye(2) / 2.0, np.eye(2) / 4.0, np.eye(2)])
+        excess = np.stack([np.zeros((2, 2)), -np.eye(2) / 4.0, np.eye(2) / 2.0])
         with pytest.raises(ValueError, match="unphysical"):
-            gaussian_oracle._photon_moments(np.zeros((3, 2)), cov)
+            gaussian_oracle._photon_moments(np.zeros((3, 2)), excess, np.trace(excess, axis1=1, axis2=2))
+
+
+class TestWeakSqueezing:
+    """The oracle keeps full relative accuracy where V is within rounding of I/2."""
+
+    def test_corner_grid_agrees_with_the_closed_form(self):
+        # M in {1, 2, 64}, N in {1, M}, s from just above 1 to 10, g and alpha^2 down to 1e-150 and 1e-300
+        cases = [
+            (m, n, s, g, alpha2)
+            for m in (1, 2, 64)
+            for n in sorted({1, m})
+            for s in (1.0 + 1e-9, 1.001, 10.0)
+            for g in (0.0, 1e-150, 1e-8, 1e-6, 1e-3, 2.0)
+            for alpha2 in (0.0, 1e-300, 1e-8, 1e5)
+        ]
+        m, n, s, g, alpha2 = (np.array(column) for column in zip(*cases))
+        draws = random_media.draw_ensemble(m, len(cases), 3)
+        rel_mean, rel_var = gaussian_oracle._compare_block(draws, DisorderParams(m, s), n, g, alpha2)
+        assert np.max(rel_mean) < 1e-12 and np.max(rel_var) < 1e-12
+
+    @pytest.mark.parametrize("g", [1e-3, 1e-6, 1e-8, 1e-150])
+    def test_squeezed_vacuum_moments_at_weak_squeezing(self, g):
+        real = sample_realization(DisorderParams(64, 10.0), 5)
+        tau = float(np.sum(real.t_amp**2))
+        state = output_gaussian_state(real, SqueezedInput(0.0, g, fed_modes=64))
+        moments = gaussian_photon_moments(state)
+        mean = tau * math.sinh(g) ** 2
+        assert moments.mean == pytest.approx(mean, rel=1e-14, abs=0.0)
+        assert moments.variance == pytest.approx(mean * (1.0 + tau * math.cosh(2.0 * g)), rel=1e-14, abs=0.0)
+        lossy = gaussian_photon_moments(apply_loss_channel(state, LossChannel(0.25)))
+        assert lossy.mean == pytest.approx(0.75 * mean, rel=1e-14, abs=0.0)
 
 
 def _scalar_parameters(cases, rng):
