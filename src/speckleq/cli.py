@@ -1,8 +1,10 @@
 """Command-line surface: one subcommand per data product.
 
 Each command is declared once, in ``_COMMANDS``: its help text, its flags and
-its runner.  A flag's type enforces its domain (finite numbers inside the
-flag's own range), so a bad value is a usage error before anything runs.
+its runner.  ``_read_flags`` reads the command line from that table alone, and
+``-h`` renders help from it.  A flag's domain enforces its range (finite
+numbers inside the flag's own range), so a bad value is a usage error before
+anything runs.
 Results go to one CSV or JSON file with fixed schemas, through a temporary
 file renamed into place, so a failed run never leaves a truncated file.
 Exit codes and SPECKLE_SEED work as ``_DESCRIPTION`` (the top-level help) says.
@@ -19,11 +21,11 @@ on the conversion, and 17 significant digits re-parse to the exact values.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
+import textwrap
 import time
 from functools import partial
 from pathlib import Path
@@ -42,11 +44,6 @@ from . import ensemble, gaussian_oracle, prolate, quantum_stats
 from .errors import SpeckleQError, UsageError
 from .quantum_stats import SqueezedInput
 from .random_media import DisorderParams
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # noqa: D102 - argparse hook
-        raise UsageError(message)
 
 
 class RunConfig(NamedTuple):
@@ -135,14 +132,16 @@ class _Flag(NamedTuple):
 _RUN = (
     _Flag("--seed", _Domain(int, lambda n: True, ""), 1),
     _Flag("--workers", _COUNT, 1, "accepted for compatibility; no effect"),
-    _Flag("--out", None, None),
-    _Flag("--format", _Domain(str, ("csv", "json").__contains__, "must be csv or json"), None),
+    _Flag("--out", None, None, "default COMMAND.FORMAT, or prolate-basis.txt"),
+    _Flag("--format", _Domain(str, ("csv", "json").__contains__, "must be csv or json"), None,
+          "default csv; prolate-basis takes none"),
 )
 _ENSEMBLE = (_Flag("--trials", _COUNT, 1000), _Flag("--m", _COUNT, 50))
 _MONTE_CARLO = (*_ENSEMBLE, _Flag("--alpha2", _NONNEGATIVE, 10000.0))
 _G = _Flag("--g", _NONNEGATIVE, 1.5)
 _S = _Flag("--s", _Domain(_finite, lambda s: s > 1.0, "disorder strength must exceed 1"), 2.0)
 _BASIS = (_Flag("--c", _POSITIVE, 1.0), _Flag("--modes", _COUNT, 7), _Flag("--quad-order", _EVEN, 256))
+_AXIS_VALUES = {"g": "0:1.5:0.1", "s": "2:8:0.5"}  # snr-sweep's --values default, by --axis
 
 
 _DESCRIPTION = (
@@ -154,30 +153,93 @@ _DESCRIPTION = (
 )
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The CLI parser, with ``command``'s subparser alone (every command's when None)."""
-    parser = _Parser(prog="speckleq", description=_DESCRIPTION)
-    subs = parser.add_subparsers(dest="command")
-    for name in _COMMANDS if command is None else [command]:
-        spec = _COMMANDS[name]
-        sub = subs.add_parser(name, help=spec.help)
-        for flag in spec.flags + _RUN:
-            kind = flag.domain and partial(flag.domain, flag.name)
-            sub.add_argument(flag.name, type=kind, default=flag.default, help=flag.help)
-    return parser
+_HELP = ("-h", "--help")
+
+
+def _flag_note(flag: _Flag) -> str:
+    """A flag's line of help: its default, its domain's rule and its help text."""
+    default = flag.default is not None and f"default {flag.default}"
+    return "; ".join(filter(None, (default, flag.domain and flag.domain.rule, flag.help)))
+
+
+def _help(command: str | None) -> str:
+    """Help rendered from ``_COMMANDS``: the command list when ``command`` is None, else its flags."""
+    if command is None:
+        lines = [textwrap.fill(_DESCRIPTION, 79, break_on_hyphens=False), "", "commands:"]
+        rows = [(name, spec.help) for name, spec in _COMMANDS.items()]
+        footer = ["", "Flags follow the command, in full, as --name value or --name=value.",
+                  'Run "speckleq COMMAND --help" for a command\'s flags and their defaults.']
+    else:
+        lines = [_COMMANDS[command].help, "", "flags:"]
+        rows = [(flag.name, _flag_note(flag)) for flag in _COMMANDS[command].flags + _RUN]
+        footer = []
+    width = max(len(name) for name, _ in rows) + 2
+    lines += [f"  {name:<{width}}{text}" for name, text in rows] + footer
+    usage = f"usage: speckleq {command or 'COMMAND'} [--name value | --name=value ...]"
+    return "\n".join([usage, "", *lines])
+
+
+def _takes_value(text: str) -> bool:
+    """Whether ``text``, after a flag, is its value.  As in argparse, a word that starts with "-"
+    is a flag unless it is "-" alone, holds a space or is a number such as -1 or -.5 (not -1.)."""
+    if not text.startswith("-") or text == "-" or " " in text:
+        return True
+    whole, point, fraction = text[1:].partition(".")
+    return (whole + fraction).isdecimal() and (fraction != "" or not point)
+
+
+def _dest(flag: _Flag) -> str:
+    return flag.name[2:].replace("-", "_")
+
+
+def _read_flags(argv: list[str]) -> tuple[str, dict]:
+    """The command that ``argv[0]`` names and its options, keyed ``quad_order`` for ``--quad-order``.
+
+    Flags follow the command in full, as ``--name value`` or ``--name=value``, and the last of a
+    repeated flag wins.  Values, and text defaults, are read through the flag's domain.
+    """
+    if not argv:
+        raise UsageError(f"missing command; choose one of {', '.join(_COMMANDS)}")
+    command = argv[0]
+    if command in _HELP:
+        print(_help(None))
+        raise SystemExit(0)
+    if command.startswith("-"):
+        raise UsageError(f"unrecognized arguments: {command} (flags follow the command)")
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise UsageError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    flags = {flag.name: flag for flag in _COMMANDS[command].flags + _RUN}
+    options = {
+        _dest(flag): flag.domain(flag.name, flag.default) if flag.domain and isinstance(flag.default, str)
+        else flag.default
+        for flag in flags.values()
+    }
+    unrecognized = []
+    words = iter(argv[1:])
+    for word in words:
+        if word in _HELP:
+            print(_help(command))
+            raise SystemExit(0)
+        name, inline, value = word.partition("=")
+        flag = flags.get(name)
+        if flag is None:
+            unrecognized.append(word)
+            continue
+        if not inline:
+            value = next(words, None)
+            if value is None or not _takes_value(value):
+                raise UsageError(f"argument {name}: expected one argument")
+        options[_dest(flag)] = flag.domain(name, value) if flag.domain else value
+    if unrecognized:
+        raise UsageError(f"unrecognized arguments: {' '.join(unrecognized)}")
+    return command, options
 
 
 def parse_args(argv) -> RunConfig:
-    """Parse argv into a RunConfig and check the rules that span flags (types check each flag)."""
-    argv = list(argv)
-    # The top level takes no flag but -h, so a valid command line names its command in argv[0].
-    # Any other argv is help or an error, built with every command so that its text is unchanged.
-    named = argv[0] if argv and argv[0] in _COMMANDS else None
-    namespace = build_parser(named).parse_args(argv)
-    if namespace.command is None:
-        raise UsageError(f"missing command; choose one of {', '.join(_COMMANDS)}")
-    options = vars(namespace).copy()
-    command, fmt, out = options.pop("command"), options.pop("format"), options.pop("out")
+    """Parse argv into a RunConfig and check the rules that span flags (domains check each flag)."""
+    command, options = _read_flags(list(argv))
+    fmt, out = options.pop("format"), options.pop("out")
     env_seed = os.environ.get("SPECKLE_SEED")
     if env_seed is not None:
         try:
@@ -187,7 +249,7 @@ def parse_args(argv) -> RunConfig:
     if "axis" in options:  # snr-sweep: --values are points of the swept axis
         g_axis = options["axis"] == "g"
         if options["values"] is None:
-            options["values"] = "0:1.5:0.1" if g_axis else "2:8:0.5"
+            options["values"] = _AXIS_VALUES[options["axis"]]
         options["values"] = (_SQUEEZES if g_axis else _DISORDERS)("--values", options["values"])
     if "q" in options and options["q"] > options["modes"]:
         raise UsageError("--q: must lie in [1, --modes]")
@@ -379,7 +441,8 @@ _COMMANDS = {
     "snr-sweep": _Command(  # parse_args defaults and checks --values by --axis
         "average SNR over mean photons vs squeezing or disorder", _run_sweep,
         (_Flag("--axis", _Domain(str, ("g", "s").__contains__, "must be g or s"), "g"),
-         _Flag("--values", None, None), _G, _S, *_MONTE_CARLO)),
+         _Flag("--values", None, None, "default {g} with --axis g, {s} with --axis s".format(**_AXIS_VALUES)),
+         _G, _S, *_MONTE_CARLO)),
     "nm-sweep": _Command(
         "average SNR ratio vs mode fill N/M", partial(_run_sweep, axis="mode_fill_ratio"),
         (_Flag("--values", _FILLS, "0.1:1.0:0.1"), _G, _S, *_MONTE_CARLO)),

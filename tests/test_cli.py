@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +47,18 @@ class TestParseValues:
     def test_malformed(self, bad):
         with pytest.raises(UsageError):
             VALUES("--x", bad)
+
+
+# A dark input: some axis point has g = 0 and zero coherent intensity.
+DARK_INPUTS = [
+    ["universal-fano", "--g", "0"],
+    ["snr-sweep", "--alpha2", "0", "--values", "0,1"],
+    ["snr-sweep", "--axis", "s", "--alpha2", "0", "--g", "0"],
+    ["nm-sweep", "--alpha2", "0", "--g", "0"],
+    ["fano-scatter", "--alpha2", "0", "--g", "0"],
+    ["loss-sweep", "--alpha2", "0", "--g", "0,1"],
+    ["superres", "--alpha2", "0", "--g", "0"],
+]
 
 
 class TestParseArgs:
@@ -97,18 +111,7 @@ class TestParseArgs:
         with pytest.raises(UsageError):
             parse_args(["superres", "--epsilon", "2"])
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["universal-fano", "--g", "0"],
-            ["snr-sweep", "--alpha2", "0", "--values", "0,1"],
-            ["snr-sweep", "--axis", "s", "--alpha2", "0", "--g", "0"],
-            ["nm-sweep", "--alpha2", "0", "--g", "0"],
-            ["fano-scatter", "--alpha2", "0", "--g", "0"],
-            ["loss-sweep", "--alpha2", "0", "--g", "0,1"],
-            ["superres", "--alpha2", "0", "--g", "0"],
-        ],
-    )
+    @pytest.mark.parametrize("args", DARK_INPUTS)
     def test_rejects_dark_input(self, tmp_path, capsys, args):
         rc, out = run_cli(tmp_path, *args, "--trials", "10")
         assert rc == 2
@@ -533,72 +536,6 @@ class TestBlockWriterJsonCsv:
         assert peak < 4_000_000
 
 
-def build_every_command_flags(monkeypatch):
-    """Make parse_args build every command's flags, as it did before it built only the named one's."""
-    exact = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: exact())
-
-
-class TestSingleCommandParser:
-    @pytest.mark.parametrize("args", JSON_COMMANDS, ids=lambda args: " ".join(args[:3]))
-    def test_config_equals_every_command_parser(self, monkeypatch, args):
-        monkeypatch.delenv("SPECKLE_SEED", raising=False)
-        argv = [*args, "--seed", "4", "--format", "json"]
-        single = parse_args(argv)
-        build_every_command_flags(monkeypatch)
-        assert parse_args(argv) == single
-
-    def test_only_the_named_command_gets_flags(self):
-        # a parser built for one command has no other command, flags or not
-        with pytest.raises(UsageError, match="invalid choice"):
-            cli.build_parser("psf").parse_args(["snr-sweep", "--trials", "3"])
-        with pytest.raises(UsageError, match="unrecognized arguments: --trials 3"):
-            cli.build_parser("psf").parse_args(["psf", "--trials", "3"])
-        assert cli.build_parser().parse_args(["snr-sweep", "--trials", "3"]).trials == 3
-
-    @pytest.mark.parametrize(
-        "argv", [["--help"], *([name, "--help"] for name in cli._COMMANDS)], ids=" ".join
-    )
-    def test_help_text_unchanged(self, monkeypatch, capsys, argv):
-        texts = []
-        for every_command in (False, True):
-            if every_command:
-                build_every_command_flags(monkeypatch)
-            with pytest.raises(SystemExit) as exit_info:
-                main(argv)
-            assert exit_info.value.code == 0
-            texts.append(capsys.readouterr().out)
-        assert texts[0] == texts[1] and texts[0].startswith("usage: speckleq")
-
-    def test_top_level_help_is_for_users(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["--help"])
-        assert exit_info.value.code == 0
-        text = capsys.readouterr().out
-        assert "``" not in text and "_COMMANDS" not in text
-        assert "SPECKLE_SEED overrides --seed" in text
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["bogus"], ["bogus", "--trials", "3"], ["--foo", "psf", "--step", "1"], ["psf", "--trials", "3"],
-            ["snr-sweep", "--axis", "x"],
-        ],
-    )
-    def test_usage_errors_unchanged(self, monkeypatch, capsys, argv):
-        errors = []
-        for every_command in (False, True):
-            if every_command:
-                build_every_command_flags(monkeypatch)
-            assert main(argv) == 2
-            errors.append(capsys.readouterr().err)
-        assert errors[0] == errors[1] and errors[0].startswith("speckleq: usage error: ")
-        expected = {
-            "bogus": "invalid choice", "psf": "unrecognized arguments: --trials 3", "snr-sweep": "--axis:",
-        }
-        assert expected.get(argv[0], "unrecognized arguments: --foo") in errors[0]
-
-
 def run_python(code, env=None):
     """Stdout of ``python -c code`` in a fresh interpreter that imports this checkout's speckleq.
 
@@ -626,6 +563,15 @@ def test_cli_import_does_not_load_numpy_random():
         "print(eager or 'numpy.random' not in sys.modules)"
     )
     assert run_python(code) == "True"
+
+
+def test_cli_import_does_not_load_argparse_or_gettext():
+    # the command line is read from the flag table; argparse cost milliseconds of gettext lookups per start
+    code = (
+        "import sys, numpy, json; eager = {'argparse', 'gettext'} & set(sys.modules); "
+        "import speckleq.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules) - eager))"
+    )
+    assert run_python(code) == "[]"
 
 
 def test_cli_import_does_not_load_dataclasses_or_copy():
@@ -799,6 +745,50 @@ LIST_FLAGS = [
 ]
 
 
+NON_FINITE = ["inf", "-inf", "nan", "1e400"]
+NON_FINITE_LISTS = ["2,nan", "2,inf", "0.5:inf:0.5", "1:1e400:log3", ""]
+# argparse read an unambiguous prefix as the whole flag; flags are now written in full.
+ABBREVIATIONS = [
+    ["fano-scatter", "--tri", "3"], ["fano-scatter", "--tri=3"], ["psf", "--st", "0.5"],
+    ["superres", "--budget", "1e7"], ["photon-budget", "--form", "json"],
+]
+# Options before the command (USAGE_ERRORS holds one more).
+OPTIONS_FIRST = [["--seed", "3", "psf"], ["--format", "json", "photon-budget"]]
+OUT_OF_RANGE = [
+    ["fano-scatter", "--trials", "0"], ["fano-scatter", "--m", "0"],
+    ["fano-scatter", "--workers", "0"], ["fano-scatter", "--alpha2=-1"],
+    ["fano-scatter", "--g=-0.5"], ["nm-sweep", "--s", "1"], ["snr-sweep", "--g=-1"],
+    ["snr-sweep", "--values=-0.1,1"], ["snr-sweep", "--axis", "s", "--values", "1,2"],
+    ["snr-sweep", "--axis", "q"], ["nm-sweep", "--values", "0,0.5"],
+    ["nm-sweep", "--values", "0.5,1.5"], ["universal-fano", "--values", "0.5,1"],
+    ["loss-sweep", "--loss-grid", "0,1.5"], ["loss-sweep", "--g=-1,1"],
+    ["superres", "--budgets", "0,10"], ["superres", "--epsilon", "1"],
+    ["superres", "--modes", "0"], ["superres", "--quad-order", "0"],
+    ["psf", "--c", "0"], ["psf", "--step", "0"], ["psf", "--q", "0"], ["psf", "--q", "8"],
+    ["psf", "--modes", "3", "--q", "4"], ["oracle-check", "--cases", "0"],
+    ["photon-budget", "--fraction", "0"], ["photon-budget", "--fraction", "1.5"],
+    ["photon-budget", "--wavelength", "0"], ["photon-budget", "--format", "xml"],
+    ["fano-scatter", "--trials", "1.5"], ["fano-scatter", "--seed", "x"],
+    *ABBREVIATIONS, *OPTIONS_FIRST,
+]
+BAD_BASIS = [
+    ["prolate-basis", "--quad-order", "255"], ["prolate-basis", "--quad-order", "1"],
+    ["prolate-basis", "--quad-order", "2"], ["prolate-basis", "--modes", "70"],
+    ["psf", "--quad-order", "24", "--modes", "7"], ["superres", "--quad-order", "28", "--modes", "8"],
+]
+# Malformed command lines, each with a fragment of its one-line message.
+USAGE_ERRORS = [
+    (["bogus"], "invalid choice"), (["bogus", "--trials", "3"], "invalid choice"),
+    (["--foo", "psf", "--step", "1"], "unrecognized arguments: --foo"),
+    (["psf", "--trials", "3"], "unrecognized arguments: --trials 3"),
+    (["snr-sweep", "--axis", "x"], "--axis:"),
+    (["psf", "--step"], "expected one argument"),
+    (["psf", "--out", "-x", "--step", "1"], "expected one argument"),
+    (["snr-sweep", "--values", "-0.5,1"], "expected one argument"),
+    (["psf", "--c", "--q", "3"], "expected one argument"),
+]
+
+
 def assert_usage_error(tmp_path, capsys, args):
     out = tmp_path / "out.dat"
     assert main([*args, "--out", str(out)]) == 2
@@ -816,46 +806,21 @@ class TestOptionDomains:
         assert options == expected
         assert {k: type(v) for k, v in options.items()} == {k: type(v) for k, v in expected.items()}
 
-    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+    @pytest.mark.parametrize("value", NON_FINITE)
     @pytest.mark.parametrize("command,flag", FLOAT_FLAGS)
     def test_non_finite_value_exits_2(self, tmp_path, capsys, command, flag, value):
         assert_usage_error(tmp_path, capsys, [*command.split(), f"{flag}={value}"])
 
-    @pytest.mark.parametrize("value", ["2,nan", "2,inf", "0.5:inf:0.5", "1:1e400:log3", ""])
+    @pytest.mark.parametrize("value", NON_FINITE_LISTS)
     @pytest.mark.parametrize("command,flag", LIST_FLAGS)
     def test_non_finite_or_empty_list_exits_2(self, tmp_path, capsys, command, flag, value):
         assert_usage_error(tmp_path, capsys, [*command.split(), f"{flag}={value}"])
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["fano-scatter", "--trials", "0"], ["fano-scatter", "--m", "0"],
-            ["fano-scatter", "--workers", "0"], ["fano-scatter", "--alpha2=-1"],
-            ["fano-scatter", "--g=-0.5"], ["nm-sweep", "--s", "1"], ["snr-sweep", "--g=-1"],
-            ["snr-sweep", "--values=-0.1,1"], ["snr-sweep", "--axis", "s", "--values", "1,2"],
-            ["snr-sweep", "--axis", "q"], ["nm-sweep", "--values", "0,0.5"],
-            ["nm-sweep", "--values", "0.5,1.5"], ["universal-fano", "--values", "0.5,1"],
-            ["loss-sweep", "--loss-grid", "0,1.5"], ["loss-sweep", "--g=-1,1"],
-            ["superres", "--budgets", "0,10"], ["superres", "--epsilon", "1"],
-            ["superres", "--modes", "0"], ["superres", "--quad-order", "0"],
-            ["psf", "--c", "0"], ["psf", "--step", "0"], ["psf", "--q", "0"], ["psf", "--q", "8"],
-            ["psf", "--modes", "3", "--q", "4"], ["oracle-check", "--cases", "0"],
-            ["photon-budget", "--fraction", "0"], ["photon-budget", "--fraction", "1.5"],
-            ["photon-budget", "--wavelength", "0"], ["photon-budget", "--format", "xml"],
-            ["fano-scatter", "--trials", "1.5"], ["fano-scatter", "--seed", "x"],
-        ],
-    )
+    @pytest.mark.parametrize("args", OUT_OF_RANGE)
     def test_out_of_range_exits_2(self, tmp_path, capsys, args):
         assert_usage_error(tmp_path, capsys, args)
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["prolate-basis", "--quad-order", "255"], ["prolate-basis", "--quad-order", "1"],
-            ["prolate-basis", "--quad-order", "2"], ["prolate-basis", "--modes", "70"],
-            ["psf", "--quad-order", "24", "--modes", "7"], ["superres", "--quad-order", "28", "--modes", "8"],
-        ],
-    )
+    @pytest.mark.parametrize("args", BAD_BASIS)
     def test_bad_basis_flags_exit_2(self, tmp_path, capsys, args):
         # the library would raise ValueError (exit 3); the CLI rejects these before running
         assert_usage_error(tmp_path, capsys, args)
@@ -897,6 +862,127 @@ class TestOptionDomains:
         for bad in ["0:inf:1", "nan:1:0.1", "0:1:inf", "1:inf:log3", "1,nan", ""]:
             with pytest.raises(UsageError):
                 VALUES("--x", bad)
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+def reference_read_flags(argv):
+    """``cli._read_flags`` as argparse did it, from the same tables, before the CLI read them itself."""
+    parser = _ReferenceParser(prog="speckleq", description=cli._DESCRIPTION)
+    subs = parser.add_subparsers(dest="command")
+    for name, spec in cli._COMMANDS.items():
+        sub = subs.add_parser(name, help=spec.help)
+        for flag in spec.flags + cli._RUN:
+            kind = flag.domain and partial(flag.domain, flag.name)
+            sub.add_argument(flag.name, type=kind, default=flag.default)
+    namespace = parser.parse_args(argv)
+    if namespace.command is None:
+        raise UsageError("missing command")
+    options = vars(namespace)
+    return options.pop("command"), options
+
+
+def reference_parse_args(monkeypatch, argv):
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_read_flags", reference_read_flags)
+        return parse_args(argv)
+
+
+# Both spellings, repeated flags (the last wins) and values that start with "-".
+FLAG_FORMS = [
+    ["fano-scatter", "--trials", "20", "--g", "0.5"], ["fano-scatter", "--trials=20", "--g=0.5"],
+    ["fano-scatter", "--trials", "20", "--trials=30", "--m", "4", "--m", "5"],
+    ["fano-scatter", "--seed=-3"], ["fano-scatter", "--seed", "-3"], ["fano-scatter", "--alpha2=-0"],
+    ["snr-sweep", "--g", "-.0", "--alpha2", "1"], ["loss-sweep", "--g=-0.0,1"],
+    ["snr-sweep", "--axis=s", "--values", "2:3:0.5"], ["nm-sweep", "--values=0.5", "--values", "0.25,1"],
+    ["superres", "--s=3", "--budgets", "1e7:1e9:log3", "--format=json", "--out", "x.json"],
+    ["psf", "--out", "-"], ["psf", "--out", "-a b.csv"], ["psf", "--out=--q", "--q=3", "--q", "4"],
+    ["prolate-basis", "--modes=3", "--quad-order", "16"],
+    ["photon-budget", "--power", "2e-3", "--power=3e-3"],
+    ["oracle-check", "--cases", "40", "--workers=2", "--format", "json", "--format", "csv"],
+]
+DEFAULTS_AND_FORMS = [[name] for name in cli._COMMANDS] + JSON_COMMANDS + FLAG_FORMS
+EXIT_2 = [
+    *DARK_INPUTS, *OUT_OF_RANGE, *BAD_BASIS, *(argv for argv, _ in USAGE_ERRORS),
+    *([*command.split(), f"{flag}={value}"] for command, flag in FLOAT_FLAGS for value in NON_FINITE),
+    *([*command.split(), f"{flag}={value}"] for command, flag in LIST_FLAGS for value in NON_FINITE_LISTS),
+    ["prolate-basis", "--format", "json"], ["prolate-basis", "--format", "csv"], [],
+]
+
+
+class TestReferenceParser:
+    """parse_args against argparse reading the same flag tables: the reference it replaced."""
+
+    @pytest.fixture(autouse=True)
+    def no_env_seed(self, monkeypatch):
+        monkeypatch.delenv("SPECKLE_SEED", raising=False)
+
+    @pytest.mark.parametrize("argv", DEFAULTS_AND_FORMS, ids=" ".join)
+    def test_config_equals_reference(self, monkeypatch, argv):
+        assert parse_args(argv) == reference_parse_args(monkeypatch, argv)
+
+    @pytest.mark.parametrize("argv", [argv for argv in EXIT_2 if argv not in ABBREVIATIONS], ids=" ".join)
+    def test_both_reject(self, monkeypatch, argv):
+        with pytest.raises(UsageError):
+            parse_args(argv)
+        with pytest.raises(UsageError):
+            reference_parse_args(monkeypatch, argv)
+
+    @pytest.mark.parametrize("argv", ABBREVIATIONS, ids=" ".join)
+    def test_abbreviations_are_usage_errors(self, monkeypatch, argv):
+        reference_parse_args(monkeypatch, argv)  # argparse read the prefix as the whole flag
+        with pytest.raises(UsageError, match="unrecognized arguments: --"):
+            parse_args(argv)
+
+    @pytest.mark.parametrize("argv, fragment", USAGE_ERRORS)
+    def test_usage_error_messages(self, monkeypatch, capsys, argv, fragment):
+        with pytest.raises(UsageError, match=re.escape(fragment)):
+            reference_parse_args(monkeypatch, argv)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("speckleq: usage error: ") and err.count("\n") == 1 and fragment in err
+
+
+def help_rows(capsys, argv, indent):
+    """The (name, text) rows that ``main(argv)`` prints as help: its lines that start with ``indent``."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    return [line.split(maxsplit=1) for line in lines if line.startswith(indent)]
+
+
+class TestHelp:
+    @pytest.mark.parametrize("asked", [["--help"], ["--seed", "3", "-h"]], ids=" ".join)
+    @pytest.mark.parametrize("command", cli._COMMANDS)
+    def test_command_help_lists_every_flag_with_its_default(self, tmp_path, monkeypatch, capsys, command, asked):
+        monkeypatch.chdir(tmp_path)
+        rows = help_rows(capsys, [command, *asked], "  --")
+        assert list(tmp_path.iterdir()) == []
+        flags = cli._COMMANDS[command].flags + cli._RUN
+        assert [name for name, _ in rows] == [flag.name for flag in flags]
+        for flag, (_, text) in zip(flags, rows):
+            notes = text.split("; ")
+            if flag.default is None:
+                assert any(note.startswith("default ") for note in notes)
+            else:
+                assert f"default {flag.default}" in notes
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["-h", "psf"]])
+    def test_top_level_help_lists_every_command(self, capsys, argv):
+        rows = help_rows(capsys, argv, "  ")
+        assert rows == [[name, spec.help] for name, spec in cli._COMMANDS.items()] and len(rows) == 10
+
+    def test_top_level_help_is_for_users(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        text = capsys.readouterr().out
+        assert "``" not in text and "_COMMANDS" not in text
+        assert "SPECKLE_SEED overrides --seed" in text
 
 
 class TestNumericalFailures:
