@@ -21,6 +21,7 @@ on the conversion, and 17 significant digits re-parse to the exact values.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -327,6 +328,8 @@ def _write_table(path: Path, fmt: str, command: str, header: list[str], columns)
 
 def _write_atomic(path: Path, write) -> None:
     """Let ``write(tmp)`` fill a temporary file beside ``path``, then rename it over ``path``."""
+    if not path.name:  # "", "." and "/" name a directory, not a file
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         write(tmp)

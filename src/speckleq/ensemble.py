@@ -200,8 +200,8 @@ def run_superres_sweep(
     :func:`run_sweep`.
 
     One :func:`~speckleq.prolate.superres_factor` call on every row's budget
-    mean_n / F-bar(s) gives the rows' Q, W, W_Q and J: it forms the reconstruction
-    kernel once per sweep and projects it once per distinct Q.  Budgets and epsilon
+    mean_n / F-bar(s) gives the rows' Q, W, W_Q and J: it evaluates the Slepian modes
+    once per sweep and sums them once per distinct Q.  Budgets and epsilon
     are checked before the basis is built or the ensemble drawn.
     """
     budgets = np.array([float(b) for b in budgets])

@@ -18,7 +18,7 @@ the numerical floor (eigenvalues decay superexponentially, reaching ~1e-13
 by k = 6 for c = 1).  Eigenfunctions vanish identically outside [-1, 1];
 off-grid values inside the interval come from Nystrom interpolation, whose
 sinc kernel is formed only for the points inside the support, in blocks of
-at most 128 points.
+at most 128 points, each projected on every mode as soon as it is formed.
 
 Accuracy is certified against an independent eigenvalue source: the prolate
 differential operator, which commutes with the kernel, is a symmetric
@@ -107,38 +107,24 @@ class ProlateBasis(NamedTuple):
     def mode_count(self) -> int:
         return self.lam.shape[0]
 
-    def support_kernel(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """The weighted sinc kernel at z, (len(z), quad_order), and the mask of |z| > 1.
+    def evaluate(self, z, max_modes: int | None = None) -> np.ndarray:
+        """Sample phi_k(z) for k < max_modes; +0.0 outside [-1, 1].  Shape: (len(z), max_modes).
 
-        The kernel is formed only for the points with |z| <= 1 (NaN included), in
-        blocks of at most 128 rows; the rows outside the support stay zero.
+        Nystrom interpolation, exact at the quadrature nodes.  The weighted sinc kernel is formed
+        for the points with |z| <= 1 (NaN included) in blocks of at most 128 rows, each projected
+        on all K modes at once, so the result is the first max_modes columns of evaluate(z).
         """
-        pts = np.atleast_1d(np.asarray(z, dtype=float))
-        outside = np.abs(pts) > 1.0
-        inside = np.flatnonzero(~outside)  # NaN points count as inside, as in the full kernel
-        weighted = np.zeros((pts.shape[0], self.grid.shape[0]))
-        for start in range(0, inside.shape[0], _KERNEL_BLOCK_ROWS):
-            rows = inside[start : start + _KERNEL_BLOCK_ROWS]
-            weighted[rows] = _sinc_kernel(self.bandwidth, pts[rows], self.grid) * self.weights
-        return weighted, outside
-
-    def project(self, kernel: tuple[np.ndarray, np.ndarray], max_modes: int | None = None) -> np.ndarray:
-        """phi_k for k < max_modes at a :meth:`support_kernel`'s points, +0.0 outside [-1, 1]."""
         k = self.mode_count if max_modes is None else max_modes
         if not 1 <= k <= self.mode_count:
             raise ValueError(f"max_modes must lie in [1, {self.mode_count}]")
-        weighted, outside = kernel
-        # the matmul runs on every row: its shape, not just its inputs, fixes the output bits
-        values = weighted @ self.phi[:, :k] / self.lam[:k]
-        values[outside, :] = 0.0
-        return values
-
-    def evaluate(self, z, max_modes: int | None = None) -> np.ndarray:
-        """Sample phi_k(z) for k < max_modes; zero outside [-1, 1].  Shape: (len(z), max_modes).
-
-        Nystrom interpolation, which reproduces the grid samples exactly at the quadrature nodes.
-        """
-        return self.project(self.support_kernel(z), max_modes)
+        pts = np.atleast_1d(np.asarray(z, dtype=float))
+        inside = np.flatnonzero(~(np.abs(pts) > 1.0))  # NaN points count as inside and stay NaN
+        values = np.zeros((pts.shape[0], self.mode_count))
+        for start in range(0, inside.shape[0], _KERNEL_BLOCK_ROWS):
+            rows = inside[start : start + _KERNEL_BLOCK_ROWS]
+            kernel = _sinc_kernel(self.bandwidth, pts[rows], self.grid) * self.weights
+            values[rows] = kernel @ self.phi / self.lam
+        return values[:, :k]
 
 
 def _solve_spectrum(bandwidth: float, quad_order: int, num_modes: int):
@@ -407,20 +393,18 @@ def superres_factor(
 ) -> ReconstructionReport:
     """Super-resolution factor J = W / W_Q for a point object at the origin, per budget.
 
-    One :func:`resolve_modes` call chooses every budget's Q and W is resolved once; the
-    reconstruction kernel on the curve grid is formed once by :meth:`ProlateBasis.support_kernel`
-    and projected once per distinct Q, so W_Q equals half_width(reconstruction_psf_curve(basis, Q))
-    bit for bit.  A scalar budget gives int and float fields, a 1-D budget array one array
-    element per budget in each field.
+    One :func:`resolve_modes` call chooses every budget's Q and W is resolved once; one
+    :meth:`ProlateBasis.evaluate` call samples the modes on the curve grid, summed once per
+    distinct Q as :func:`reconstruction_psf` sums them, so W_Q equals
+    half_width(reconstruction_psf_curve(basis, Q)) bit for bit.  A scalar budget gives int and
+    float fields, a 1-D budget array one array element per budget in each field.
     """
     modes_kept = resolve_modes(basis, budget, epsilon, forced_modes)[0]
     classical_w = half_width(classical_psf_curve(basis.bandwidth))
     z = _reconstruction_z()
-    kernel = basis.support_kernel(z)
+    modes = basis.evaluate(z)
     distinct_q, which = np.unique(np.ravel(modes_kept), return_inverse=True)
-    widths = [
-        half_width(PsfCurve(z, basis.project(kernel, q) @ basis.phi_at_zero[:q])) for q in distinct_q.tolist()
-    ]
+    widths = [half_width(PsfCurve(z, modes[:, :q] @ basis.phi_at_zero[:q])) for q in distinct_q.tolist()]
     if np.ndim(modes_kept) == 0:
         return ReconstructionReport(modes_kept, classical_w, widths[0], classical_w / widths[0])
     recon_w = np.array(widths)[which]

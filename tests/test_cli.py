@@ -282,7 +282,18 @@ class TestRoundTripAndReproducibility:
         assert a.read_bytes() == b.read_bytes()
 
 
+NAMELESS_OUTS = [["--out="], ["--out", "."], ["--out", "./"], ["--out", "/"]]
+
+
 class TestOutputFailures:
+    @pytest.mark.parametrize("out", NAMELESS_OUTS, ids=" ".join)
+    def test_nameless_out_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, out):
+        monkeypatch.chdir(tmp_path)
+        assert main(["photon-budget", *out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("speckleq photon-budget: error: cannot write")
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_directory_exits_2_with_one_line(self, tmp_path, capsys):
         out = tmp_path / "nodir" / "x.csv"
         assert main(["fano-scatter", "--trials", "5", "--out", str(out)]) == 2
