@@ -267,6 +267,8 @@ def parse_args(argv) -> RunConfig:
     fmt = fmt or "csv"  # None only tells an explicit --format from the default
     if out is None:
         out = f"{command}.{'txt' if command == 'prolate-basis' else fmt}"
+    elif out.endswith((os.sep, os.altsep or os.sep)):  # Path(out) would drop the separator
+        raise UsageError(f"--out: {out!r} ends in a path separator, so it names a directory, not a file")
     return RunConfig(command=command, options=options, out=Path(out), fmt=fmt)
 
 

@@ -25,7 +25,8 @@ The stream is numpy's: trial i's seed is
 algorithms (O'Neill's seed_seq hash, PCG64's ``srandom``), so they are
 computed here for a whole batch of trials at once as uint32 array
 arithmetic.  Normals are drawn per trial (one PCG64 generator is set to
-each trial's state in turn) and squared and summed per chunk of trials.
+each trial's state in turn), back to back into one flat buffer per chunk
+of trials, which is squared and summed in pairs in one pass.
 ``draw_ensemble`` checks trial 0 against numpy's own seeding once per master seed.
 ``oracle-check``'s case parameters are five scalar draws per case from
 ``default_rng(master)``; ``draw_oracle_cases`` replays them from the
@@ -223,35 +224,33 @@ def _draw_trials(out: np.ndarray, seeds: np.ndarray, channel_counts) -> None:
     ``np.square(default_rng(seed).standard_normal((2, M, 2))).sum(axis=2)``
     with seed ``seeds[j]``.  Normals are drawn per trial: one PCG64 generator
     is set to each trial's state in turn and writes the trial's 4 M normals
-    into a row of a zeroed slab of ``_CHUNK_TRIALS`` rows.  Each chunk is then
-    squared and summed in pairs in one pass, and row j's first M sums
-    (transmission) and next M (reflection) are gathered into ``out``.
+    back to back into one flat buffer, reused by each chunk of ``_CHUNK_TRIALS``
+    trials.  The chunk is squared in place and its pair sums (M transmission,
+    then M reflection, per trial) go into ``out`` by a reshape when every M
+    fills the row, else into the filled entries after the padding is zeroed.
     ``Generator`` keeps no normals between calls, so splitting the draws
     this way leaves the stream unchanged.
     """
     generator = np.random.Generator(np.random.PCG64(0))
-    bit_generator = generator.bit_generator
+    bit_generator, pcg = generator.bit_generator, {}  # pcg takes each trial's state and inc in turn
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     counts, width = np.asarray(channel_counts), out.shape[-1]
-    slab = np.empty((min(_CHUNK_TRIALS, out.shape[0]), 4 * width))
+    flat = np.empty(min(_CHUNK_TRIALS, out.shape[0]) * 4 * width)  # reused by every chunk
     channel, states = np.arange(width), _pcg64_states(seeds)
     for start in range(0, out.shape[0], _CHUNK_TRIALS):
         m = counts[start : start + _CHUNK_TRIALS]
-        block = slab[: m.shape[0]]
-        block.fill(0.0)  # padding squares to zero, whatever the previous chunk left
-        for row, (state, inc), m_j in zip(block, states, m.tolist()):
-            bit_generator.state = {
-                "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                "has_uint32": 0, "uinteger": 0,
-            }
-            generator.standard_normal(out=row[: 4 * m_j])
-        np.square(block, out=block)
-        sums = block[:, 0::2] + block[:, 1::2]  # row j: M_j transmission sums, M_j reflection, zeros
-        # side 0 channel k reads sum k and side 1 sum M_j + k; padding reads the row's last sum,
-        # which is zero wherever M_j < width
-        m = m[:, None, None]
-        index = np.where(channel < m, np.arange(2)[:, None] * m + channel, 2 * width - 1)
-        index += np.arange(0, sums.size, sums.shape[1])[:, None, None]  # each row's flat offset
-        np.take(sums, index, out=out[start : start + m.shape[0]])
+        ends = np.cumsum(4 * m).tolist()
+        chunk, rows = flat[: ends[-1]], out[start : start + m.shape[0]]
+        for begin, end, (pcg["state"], pcg["inc"]) in zip([0, *ends], ends, states):
+            bit_generator.state = state
+            generator.standard_normal(out=chunk[begin:end])
+        np.square(chunk, out=chunk)
+        if m.min() == width:
+            np.add(chunk[0::2], chunk[1::2], out=rows.reshape(-1))
+        else:
+            filled = np.broadcast_to(channel < m[:, None, None], rows.shape)
+            rows[~filled] = 0.0
+            rows[filled] = chunk[0::2] + chunk[1::2]
 
 
 _verified_seeds: set[int] = set()  # master seeds that passed _check_stream in this process

@@ -282,7 +282,7 @@ class TestRoundTripAndReproducibility:
         assert a.read_bytes() == b.read_bytes()
 
 
-NAMELESS_OUTS = [["--out="], ["--out", "."], ["--out", "./"], ["--out", "/"]]
+NAMELESS_OUTS = [["--out="], ["--out", "."]]
 
 
 class TestOutputFailures:
@@ -293,6 +293,20 @@ class TestOutputFailures:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("speckleq photon-budget: error: cannot write")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(("out", "existing"), [("sub/", False), ("sub/", True), ("./", False), ("/", False)])
+    def test_trailing_separator_is_a_usage_error(self, tmp_path, monkeypatch, capsys, out, existing):
+        # Path("sub/") is Path("sub"), so only the raw text shows that a directory was named
+        monkeypatch.chdir(tmp_path)
+        if existing:
+            (tmp_path / "sub").mkdir()
+        assert main(["photon-budget", "--out", out]) == 2
+        assert main(["photon-budget", f"--out={out}"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"speckleq: usage error: --out: {out!r} ends in a path separator, "
+                       "so it names a directory, not a file"] * 2
+        assert list(tmp_path.iterdir()) == ([tmp_path / "sub"] if existing else [])
+        assert not existing or list((tmp_path / "sub").iterdir()) == []
 
     def test_missing_directory_exits_2_with_one_line(self, tmp_path, capsys):
         out = tmp_path / "nodir" / "x.csv"

@@ -311,12 +311,14 @@ class TestBatchedStream:
 
     @pytest.mark.parametrize("m", [1, 7, 50])
     def test_draws_equal_per_trial_default_rng(self, m):
-        expected = reference_intensities(m, 200, 11)
-        intensity = np.empty((200, 2, m))
-        seeds = random_media._trial_seeds(11, np.arange(200, dtype=np.uint64))
-        random_media._draw_trials(intensity, seeds, [m] * 200)
+        # 1100 trials cross the 256-trial chunks and the 1024-trial block of PCG64 states
+        trials = random_media._STATE_BLOCK + 76
+        expected = reference_intensities(m, trials, 11)
+        intensity = np.full((trials, 2, m), np.nan)
+        seeds = random_media._trial_seeds(11, np.arange(trials, dtype=np.uint64))
+        random_media._draw_trials(intensity, seeds, [m] * trials)
         assert np.array_equal(intensity, expected)
-        draws = draw_ensemble(m, 200, 11)
+        draws = draw_ensemble(m, trials, 11)
         assert np.array_equal(draws.cum_T, np.cumsum(expected[:, 0], axis=1))
         assert np.array_equal(draws.cum_abs_t, np.cumsum(np.sqrt(expected[:, 0]), axis=1))
         assert np.array_equal(draws.sum_R, expected[:, 1].sum(axis=1))
@@ -334,10 +336,13 @@ class TestBatchedStream:
             assert np.all(out[j, :, m:] == 0.0)
 
     def test_chunked_draw_matches_per_trial_draws_across_chunks(self):
-        # 640 trials span three slab chunks; a slab row that held a larger M in the
-        # previous chunk must not leak into the padding of a smaller one
-        counts = np.random.default_rng(12).integers(1, 65, 640)
-        counts[[0, 255, 256, 511, 512, 639]] = [64, 1, 1, 64, 64, 1]
+        # 640 trials span three chunks of one reused buffer.  The first chunk is all M = 64,
+        # so it fills the whole buffer and takes the reshape path; the second holds only
+        # M <= 3, so the buffer past it still holds the first chunk's normals, which must
+        # not reach that chunk's padding; the third mixes M = 64 with M = 1 at its edges
+        rng = np.random.default_rng(12)
+        counts = np.concatenate((np.full(256, 64), rng.integers(1, 4, 256), rng.integers(1, 65, 128)))
+        counts[[256, 511, 512, 639]] = [1, 3, 64, 1]
         seeds = random_media._trial_seeds(13, np.arange(640, dtype=np.uint64))
         out = np.full((640, 2, 64), np.nan)
         with np.errstate(over="raise", invalid="raise"):
