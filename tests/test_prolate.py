@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from speckleq import (
 )
 from speckleq import prolate
 from speckleq.errors import ConvergenceError
-from speckleq.prolate import _series_eigenvalues, _sinc_kernel, _solve_spectrum
+from speckleq.prolate import _legval, _series_eigenvalues, _sinc_kernel, _solve_spectrum
 
 # Sinc-kernel eigenvalues at c = 1, k < 7, to 50 digits: Rayleigh-Ritz on the integral
 # operator in Legendre polynomials up to degree 60, with the spherical-Bessel overlap
@@ -182,7 +183,7 @@ class TestSeriesCertificate:
         assert solves == [(1.0, 256, 7)]
         assert orders == [256]
 
-    @pytest.mark.parametrize("order", [2, 4, 8, 128, 256, 512])
+    @pytest.mark.parametrize("order", [2, 4, 6, 8, 128, 256, 512, 1024])
     def test_gauss_legendre_rule_is_numpy_leggauss_bit_for_bit(self, order):
         nodes, weights = prolate._gauss_legendre(order)
         expected_nodes, expected_weights = np.polynomial.legendre.leggauss(order)
@@ -194,6 +195,18 @@ class TestSeriesCertificate:
             # moves the last bits of the Newton step and of the weights
             np.testing.assert_allclose(nodes, expected_nodes, rtol=1e-14, atol=0.0)
             np.testing.assert_allclose(weights, expected_weights, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("order", [2, 3, 6, 64, 257, 1024])
+    def test_zero_padded_derivative_column_keeps_each_series_bits(self, order):
+        # _gauss_legendre's one Clenshaw pass for P_n and P_n' = sum (2k + 1) P_k, k = n - 1,
+        # n - 3, ...: at any numpy version, each column equals its own legval bit for bit
+        unit, der = np.zeros(order + 1), np.zeros(order)
+        unit[order] = 1.0
+        der[order - 1 :: -2] = np.arange(2 * order - 1, 0, -4)
+        x = np.concatenate([np.random.default_rng(order).uniform(-1.0, 1.0, 200), [-1.0, -0.0, 0.0, 1.0]])
+        both = _legval(x, np.stack([unit, np.append(der, 0.0)], axis=1)[..., None])
+        assert both[0].tobytes() == _legval(x, unit).tobytes()
+        assert both[1].tobytes() == _legval(x, der).tobytes()
 
     def test_rejects_exactly_where_doubling_moves_eigenvalues(self):
         # the certificate replaced a Nystrom re-solve at 2 * quad_order; it must reject
@@ -314,6 +327,23 @@ def full_kernel_evaluate(basis, z):
     return values
 
 
+def where_sinc_kernel(bandwidth, x, y):
+    """Reference kernel: the 0 / 0 avoided by a safe denominator, c / pi chosen by np.where."""
+    diff = np.subtract.outer(np.atleast_1d(x), np.atleast_1d(y))
+    safe = np.where(diff == 0.0, 1.0, diff)
+    return np.where(diff == 0.0, bandwidth / np.pi, np.sin(bandwidth * diff) / (np.pi * safe))
+
+
+# rows and columns with exact zero differences (0 against 0 and -0.0, 1 against 1), NaN rows
+# and columns, and an off-grid block as evaluate forms it
+KERNEL_GRIDS = {
+    "zeros": (np.array([0.0, -0.0, 1.0, -1.0, 0.5]), np.array([-0.0, 0.0, 1.0, -0.5, 0.25])),
+    "nan": (np.array([np.nan, 0.0, -0.0, np.nan]), np.array([0.0, np.nan, -0.0, 0.75])),
+    "block": (np.linspace(-1.0, 1.0, 129), np.polynomial.legendre.leggauss(256)[0]),
+    "square": (np.linspace(-1.0, 1.0, 64),) * 2,
+}
+
+
 def assert_within_conditioning(basis, values, reference):
     """Per column, max|values - reference| <= quad_order eps (lam_0 / lam_k) max|phi_k|.
 
@@ -375,6 +405,19 @@ class TestBlockedEvaluation:
     def test_full_kernel_within_conditioning(self, evaluation_basis, grid):
         reference = full_kernel_evaluate(evaluation_basis, grid)
         assert_within_conditioning(evaluation_basis, evaluation_basis.evaluate(grid), reference)
+
+    @pytest.mark.parametrize("state", [{}, {"over": "raise", "invalid": "raise"}], ids=["default", "cli"])
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS.values(), ids=KERNEL_GRIDS.keys())
+    @pytest.mark.parametrize("c", [0.5, 1.0, 7.3])
+    def test_sinc_kernel_is_the_where_formula_bit_for_bit(self, c, grid, state):
+        # cli.execute runs in the raising state, where an unguarded 0 / 0 would exit 3
+        x, y = grid
+        expected = where_sinc_kernel(c, x, y)
+        with warnings.catch_warnings(), np.errstate(**state):
+            warnings.simplefilter("error")
+            kernel = _sinc_kernel(c, x, y)
+        assert kernel.tobytes() == expected.tobytes()
+        assert np.array_equal(np.isnan(kernel), np.isnan(np.subtract.outer(x, y)))
 
     def test_support_ends_are_inside(self, basis_c1):
         values = basis_c1.evaluate(np.array([-1.0, 1.0]))
