@@ -13,16 +13,18 @@ Runners hand ``_table`` columns, which ``_write_table`` writes in blocks of
 ``_WRITE_BLOCK_ROWS`` rows, so its memory does not depend on the row count.
 Each block takes one ``%`` conversion per column and formats each row with one
 ``%`` against a row template: ``%d`` for exact ``int``, ``%.17g`` (CSV) or
-``%r`` (JSON, finite values only) for exact ``float``.  Other columns (mixed,
-bool or numpy scalars, or JSON nan and inf, which become null) go cell by cell,
-as ``json.dumps`` and ``format(x, ".17g")`` write them: the bytes never depend
-on the conversion, and 17 significant digits re-parse to the exact values.
+``%r`` (JSON, finite values only) for exact ``float``.  A numpy ``int64`` or
+``float64`` column takes its conversion from its dtype; any other column is
+scanned for one exact type.  Other columns (mixed, bool or numpy scalars, or
+JSON nan and inf, which become null) go cell by cell, as ``json.dumps`` and
+``format(x, ".17g")`` write them: the bytes never depend on the conversion,
+and 17 significant digits re-parse to the exact values.  Command names and
+header keys are ASCII literals, which JSON quotes as they are.
 """
 
 from __future__ import annotations
 
 import errno
-import json
 import math
 import os
 import sys
@@ -291,14 +293,19 @@ def _typed_columns(columns, json_output: bool):
     cell = _json_cell if json_output else _format_cell
     specs, typed = [], []
     for column in columns:
-        column = column.tolist() if isinstance(column, np.ndarray) else column
-        kinds = set(map(type, column))
-        if kinds == {int}:
+        if isinstance(column, np.ndarray) and column.dtype in (np.int64, np.float64):
+            kind = int if column.dtype == np.int64 else float
+            finite = kind is int or not json_output or np.isfinite(column).all()
+            column = column.tolist()
+        else:
+            column = column.tolist() if isinstance(column, np.ndarray) else column
+            kinds = set(map(type, column))
+            kind = kinds.pop() if len(kinds) == 1 else None
+            finite = kind is not float or not json_output or all(map(math.isfinite, column))
+        if kind is int:
             specs.append("%d")
-        elif kinds == {float} and not json_output:
-            specs.append("%.17g")
-        elif kinds == {float} and all(map(math.isfinite, column)):
-            specs.append("%r")
+        elif kind is float and finite:
+            specs.append("%r" if json_output else "%.17g")
         else:
             specs.append("%s")
             column = tuple(map(cell, column))
@@ -312,9 +319,9 @@ _WRITE_BLOCK_ROWS = 1024  # rows converted, formatted and written at a time
 def _write_table(path: Path, fmt: str, command: str, header: list[str], columns) -> None:
     """Write ``columns`` (numpy arrays or sequences) as CSV or as ``json.dumps(indent=2)`` bytes."""
     json_output, count = fmt == "json", len(columns[0])
-    keys = [json.dumps(key).replace("%", "%%") for key in header]
+    keys = [f'"{key}"'.replace("%", "%%") for key in header]
     with open(path, "w", encoding="utf-8") as f:
-        opening = f'{{\n  "command": {json.dumps(command)},\n  "rows": ['
+        opening = f'{{\n  "command": "{command}",\n  "rows": ['
         f.write(opening if json_output else ",".join(header))
         for start in range(0, count, _WRITE_BLOCK_ROWS):  # each row opens with its separator
             specs, cells = _typed_columns([c[start : start + _WRITE_BLOCK_ROWS] for c in columns], json_output)

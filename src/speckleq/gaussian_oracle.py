@@ -294,9 +294,9 @@ def _relative_error(value, reference):
     return np.where(reference == 0.0, np.where(value == 0.0, 0.0, np.inf), err)
 
 
-# Cases evaluated at once, which bounds peak memory.  The size also fixes the last bits of rel_err_*:
-# rows are padded to the block's largest M, whose width orders the row sums, so it changes output bytes.
-_BLOCK_CASES = 256
+# Cases evaluated at once, which bounds peak memory.  It fixes no output bits: draw_ensemble pads
+# every row with M <= 64 to 64 columns, so each row's sums run over the same width in any block.
+_BLOCK_CASES = 512
 
 
 def _compare_block(draws: EnsembleDraws, params: DisorderParams, n, g, alpha2):

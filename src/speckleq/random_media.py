@@ -52,7 +52,7 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _STATE_BLOCK = 1024  # trials whose PCG64 states are held as Python ints at once
 _CHUNK_TRIALS = 256  # trials whose normals are squared and summed in one pass
-_CASE_CHANNELS = 64  # oracle-check draws M in {1..64}
+_CASE_CHANNELS = 64  # oracle-check draws M in {1..64}; ragged rows are padded to at least this width
 
 
 class DisorderParams:
@@ -455,6 +455,7 @@ class EnsembleDraws(NamedTuple):
     ``sample_realization(params, derive_trial_seed(master_seed, trials[j]))``:
     raw |z_t|^2 and |z_r|^2 (``intensity``, zero past the row's M), prefix
     sums of |z_t|^2 and |z_t| over the transmission channels, and the total |z_r|^2.
+    Rows are M wide for one M, and padded as :func:`draw_ensemble` says for one M per row.
     """
 
     intensity: np.ndarray
@@ -491,14 +492,18 @@ def draw_ensemble(channel_count, trials, master_seed: int) -> EnsembleDraws:
     """Draw each trial once and keep its raw intensities and prefix sums.
 
     ``trials`` is a count n, meaning ``range(n)``, or a range of trial indices;
-    ``channel_count`` is one M or one per trial, and rows are zero-padded to the largest M.
+    ``channel_count`` is one M, which sets the row width, or one per trial.  Then rows are
+    zero-padded to 64 columns, or to the largest M where that is more: every sum along a
+    row runs over the padded width, so a row with M <= 64 has the same bits whichever
+    trials share its call.
     """
     indices = trials if isinstance(trials, range) else range(whole_count(trials, "trials"))
     if len(indices) < 1:
         raise ValueError("trials must be >= 1")
     counts = np.broadcast_to(channel_count, (len(indices),))
+    width = int(counts.max()) if np.ndim(channel_count) == 0 else max(_CASE_CHANNELS, int(counts.max()))
     _check_stream(master_seed)
-    intensity = np.empty((len(indices), 2, int(counts.max())))
+    intensity = np.empty((len(indices), 2, width))
     _draw_trials(intensity, _trial_seeds(master_seed, np.array(indices, dtype=np.uint64)), counts)
     transmitted = intensity[:, 0]
     return EnsembleDraws(

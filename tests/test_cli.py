@@ -443,6 +443,14 @@ class TestJsonEncoding:
         rc, out, written = run_recorded(tmp_path, monkeypatch, *args, "--format", "json")
         assert rc == 0 and len(written) == 1
         assert out.read_text() == json_dumps_reference(*written[0])
+        # the writer quotes the command name and the header keys itself, so each is its own json.dumps
+        command, header, _ = written[0]
+        for name in (command, *header):
+            assert json.dumps(name) == f'"{name}"'
+
+    def test_command_names_are_their_own_json_strings(self):
+        for name in cli._COMMANDS:
+            assert json.dumps(name) == f'"{name}"'
 
     def test_edge_cells_equal_json_dumps(self, tmp_path):
         for rows in EDGE_TABLES:
@@ -544,6 +552,28 @@ class TestBlockWriterJsonCsv:
                          "%d", "%s"]
         assert last == ["%d", "%d", "%s" if json_output else "%.17g", "%s", "%s", "%s"]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_numpy_columns_take_their_conversion_from_the_dtype(self, tmp_path, fmt):
+        # int64 and float64 arrays take one conversion from their dtype; in JSON, a float64 block
+        # holding nan or inf goes cell by cell (to null), and a bool array always does
+        floats = np.array([0.1, -0.0, 5e-324, -1.5e-300, 1e300, 2.0**53 + 1, 1 / 3])
+        holed = floats.copy()
+        holed[[1, 4, 6]] = math.nan, math.inf, -math.inf
+        ints = np.array([0, -(2**63), 2**63 - 1, 7, -1, 2**53 + 1, 3])
+        columns, header = (ints, floats, holed, np.arange(7) % 3 == 0), ["M", "x", "y", "flag"]
+        json_output = fmt == "json"
+        specs, _ = cli._typed_columns(columns, json_output)
+        exact = "%r" if json_output else "%.17g"
+        assert specs == ["%d", exact, "%s" if json_output else exact, "%s"]
+        out = tmp_path / f"t.{fmt}"
+        cli._write_table(out, fmt, "oracle-check", header, columns)
+        rows = list(zip(*(column.tolist() for column in columns)))
+        if json_output:
+            assert out.read_text() == json_dumps_reference("oracle-check", header, rows)
+            assert [row["y"] for row in json.loads(out.read_text())["rows"]][4:] == [None, 2.0**53 + 1, None]
+        else:
+            assert out.read_text() == csv_reference(header, rows)
+
     def test_oracle_table_memory_does_not_grow_with_rows(self, tmp_path):
         # 100,000 rows of oracle-check's 8 columns take 25 MB of JSON; writing them in blocks
         # holds a block's rows at a time (about 1 MB), where formatting the whole table at once
@@ -590,11 +620,12 @@ def test_cli_import_does_not_load_numpy_random():
     assert run_python(code) == "True"
 
 
-def test_cli_import_does_not_load_argparse_or_gettext():
-    # the command line is read from the flag table; argparse cost milliseconds of gettext lookups per start
+def test_cli_import_does_not_load_argparse_gettext_or_json():
+    # the command line is read from the flag table; argparse cost milliseconds of gettext lookups per
+    # start; the JSON writer quotes its ASCII names itself
     code = (
-        "import sys, numpy, json; eager = {'argparse', 'gettext'} & set(sys.modules); "
-        "import speckleq.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules) - eager))"
+        "import sys, numpy; eager = {'argparse', 'gettext', 'json'} & set(sys.modules); "
+        "import speckleq.cli; print(sorted({'argparse', 'gettext', 'json'} & set(sys.modules) - eager))"
     )
     assert run_python(code) == "[]"
 

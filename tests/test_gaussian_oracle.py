@@ -355,6 +355,12 @@ _REPORT_COLUMNS = (
 )
 
 
+# Master seed: (edge, buffered).  Case edge - 1 draws M = 1, last in a block of ``edge`` cases.
+# With buffered 1 it took M from a new word's low half, so the high half stays buffered across
+# the block edge; with 0 it took the half buffered before it, so the next block opens a new word.
+_BLOCK_EDGES = {81: (256, 1), 96: (256, 1), 64: (512, 1), 12: (512, 0)}
+
+
 class TestBatchedEquivalence:
     @pytest.mark.parametrize("seed", [3, 20260810])
     def test_equals_per_case_reference(self, seed):
@@ -378,23 +384,29 @@ class TestBatchedEquivalence:
             return exact(out, block_seeds, channel_counts)
 
         monkeypatch.setattr(random_media, "_draw_trials", recording)
-        # seeds 81 and 96 put M = 1 last in the first block, so its buffered half crosses the edge
-        for master in (7, 81, 96):
+        for master in (7, *_BLOCK_EDGES):
             seeds.clear()
             longer = run_equivalence_check(2 * block + 1, master)
             # case i draws trial i of the master seed, in every block
             assert seeds == [derive_trial_seed(master, i) for i in range(2 * block + 1)]
-            assert master == 7 or longer.channel_counts[block - 1] == 1
             for cases in (block - 1, block, block + 1):
                 report = run_equivalence_check(cases, master)
                 for name in _REPORT_COLUMNS:
                     np.testing.assert_array_equal(getattr(report, name), getattr(longer, name)[:cases])
-            # the case parameters do not depend on the block size either (the errors may, by an ulp)
-            with monkeypatch.context() as patch:
-                patch.setattr(gaussian_oracle, "_BLOCK_CASES", 100)
-                reblocked = run_equivalence_check(2 * block + 1, master)
-            for name in _REPORT_COLUMNS[:5]:
-                np.testing.assert_array_equal(getattr(reblocked, name), getattr(longer, name))
+            # every row, errors included, is bitwise the same in blocks of any size
+            for size in (100, 256, 512):
+                with monkeypatch.context() as patch:
+                    patch.setattr(gaussian_oracle, "_BLOCK_CASES", size)
+                    reblocked = run_equivalence_check(2 * block + 1, master)
+                for name in _REPORT_COLUMNS:
+                    np.testing.assert_array_equal(getattr(reblocked, name), getattr(longer, name))
+
+    @pytest.mark.parametrize("master", _BLOCK_EDGES)
+    def test_block_edge_seeds(self, master):
+        edge, buffered = _BLOCK_EDGES[master]
+        rng = np.random.default_rng(master)
+        m = [case[0] for case in _scalar_parameters(edge, rng)]
+        assert m[-1] == 1 and rng.bit_generator.state["has_uint32"] == buffered
 
     def test_catches_a_perturbed_variance(self, monkeypatch):
         # a 1e-8 relative error in every 7th case's analytic variance must fail the check
@@ -436,10 +448,10 @@ class TestBatchedEquivalence:
 
 # Seeds 12 and 27 draw M = 1 twice in a row (the second takes M from the half
 # the first left buffered); 81 and 96 put M = 1 at case 255, last in the first
-# block; 2**32 + 5 seeds PCG64 from two entropy words; negative seeds are masked
-# to 64 bits.
-_REPLAY_SEEDS = [*range(1, 21), 27, 81, 96, 2**32 + 5, -3, -20260810]
-_SINGLE_CHANNEL_CASES = {12: [41, 42], 27: [32, 33], 81: [255], 96: [255]}
+# block, and 12 and 64 at case 511, last in the second; 2**32 + 5 seeds PCG64
+# from two entropy words; negative seeds are masked to 64 bits.
+_REPLAY_SEEDS = [*range(1, 21), 27, 64, 81, 96, 2**32 + 5, -3, -20260810]
+_SINGLE_CHANNEL_CASES = {12: [41, 42, 511], 27: [32, 33], 64: [511], 81: [255], 96: [255]}
 
 
 class TestCaseParameterReplay:

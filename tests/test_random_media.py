@@ -230,6 +230,23 @@ class TestDrawEntryPoint:
         for j, m in enumerate(counts):
             self.assert_rows_match(draws, j, draw_ensemble(m, len(counts), 5), j, m)
 
+    def test_ragged_row_does_not_depend_on_the_rows_beside_it(self):
+        # rows with M <= 64 are padded to 64 columns, so each row is summed over the same width
+        alone = draw_ensemble([20], range(7, 8), 4)
+        for counts in ([20, 3], [1, 20], [64, 20, 5], [2, 2, 20]):
+            j = counts.index(20)
+            draws = draw_ensemble(counts, range(7 - j, 7 - j + len(counts)), 4)
+            assert draws.intensity.shape[-1] == 64
+            for name in ("intensity", "cum_T", "cum_abs_t", "sum_R"):
+                assert np.array_equal(getattr(draws, name)[j], getattr(alone, name)[0])
+            for got, want in zip(draws.amplitudes(3.0), alone.amplitudes(3.0)):
+                assert np.array_equal(got[j], want[0])
+
+    def test_padding_width(self):
+        assert draw_ensemble(20, 3, 4).intensity.shape[-1] == 20  # one M: no padding
+        assert draw_ensemble([20, 20], 2, 4).intensity.shape[-1] == 64
+        assert draw_ensemble([3, 100], 2, 4).intensity.shape[-1] == 100
+
     def test_range_rows_equal_fixed_m_rows(self):
         fixed = draw_ensemble(9, 40, 3)
         draws = draw_ensemble(9, range(17, 40), 3)
