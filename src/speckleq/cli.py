@@ -281,8 +281,8 @@ def _format_cell(value) -> str:
 
 
 def _json_cell(value) -> str:
-    """One cell as ``json.dumps`` writes it: ints stay ints, and non-finite floats become null."""
-    if isinstance(value, (int, np.integer)):
+    """One cell as ``json.dumps`` writes it: ints and bools as ints (as in CSV), non-finite floats as null."""
+    if isinstance(value, (int, np.integer, np.bool_)):
         return str(int(value))
     value = float(value)
     return repr(value) if math.isfinite(value) else "null"

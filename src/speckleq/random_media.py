@@ -23,11 +23,15 @@ The stream is numpy's: trial i's seed is
 ``SeedSequence((master, i)).generate_state(1, uint64)``, and its normals are
 ``default_rng(seed).standard_normal((2, M, 2))``.  Both seedings are fixed
 algorithms (O'Neill's seed_seq hash, PCG64's ``srandom``), so they are
-computed here for a whole batch of trials at once as uint32 array
-arithmetic.  Normals are drawn per trial (one PCG64 generator is set to
-each trial's state in turn), back to back into one flat buffer per chunk
-of trials, which is squared and summed in pairs in one pass.
-``draw_ensemble`` checks trial 0 against numpy's own seeding once per master seed.
+computed here for a whole batch of trials at once as uint32 and uint64
+array arithmetic, with no 128-bit Python int.  Normals are drawn per trial:
+each trial's state is written as four uint64 words straight into one PCG64
+generator's struct (0.13-0.20 µs a trial on a 2-vCPU Xeon, where the
+``.state`` dict setter took 1.4-2.6 µs), and its normals go back to back
+into one flat buffer per chunk of trials, which is squared and summed in
+pairs in one pass.
+``draw_ensemble`` checks trial 0's seed, words and their layout against
+numpy's own seeding once per master seed.
 ``oracle-check``'s case parameters are five scalar draws per case from
 ``default_rng(master)``; ``draw_oracle_cases`` replays them from the
 generator's raw words (Lemire's bounded integers on buffered 32-bit halves,
@@ -37,6 +41,7 @@ replay against numpy's own calls once per process.
 
 from __future__ import annotations
 
+import ctypes  # numpy imports it too
 from typing import NamedTuple
 
 import numpy as np
@@ -45,12 +50,11 @@ from .errors import StreamMismatch
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 _U32_MASK = 0xFFFFFFFF
-_U128_MASK = (1 << 128) - 1
-# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier, also as its two words
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_STATE_BLOCK = 1024  # trials whose PCG64 states are held as Python ints at once
+_PCG_MULT_LO, _PCG_MULT_HI = np.uint64(_PCG_MULT & _U64_MASK), np.uint64(_PCG_MULT >> 64)
 _CHUNK_TRIALS = 256  # trials whose normals are squared and summed in one pass
 _CASE_CHANNELS = 64  # oracle-check draws M in {1..64}; ragged rows are padded to at least this width
 
@@ -200,20 +204,64 @@ def _trial_seeds(master_seed: int, indices: np.ndarray) -> np.ndarray:
     return _join_words(*_seed_sequence_words(entropy, 2))
 
 
-def _pcg64_states(seeds: np.ndarray):
-    """Yield (state, inc) of ``np.random.default_rng(seed)``'s PCG64 for each uint64 seed.
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high word of each 128-bit product of uint64 arrays ``a`` and ``b``, from 32-bit halves."""
+    low, shift = np.uint64(_U32_MASK), np.uint64(32)
+    a_lo, a_hi, b_lo, b_hi = a & low, a >> shift, b & low, b >> shift
+    cross_a, cross_b = a_hi * b_lo, a_lo * b_hi
+    middle = (a_lo * b_lo >> shift) + (cross_a & low) + (cross_b & low)
+    return a_hi * b_hi + (cross_a >> shift) + (cross_b >> shift) + (middle >> shift)
 
-    The 4 x uint64 SeedSequence state is (initstate high, low, initseq high, low);
-    pcg_setseq_128_srandom_r sets inc = 2 initseq + 1 and state = (inc + initstate)
-    * MULT + inc, mod 2**128.
+
+def _add128(a_lo, a_hi, b_lo, b_hi):
+    """(low, high) words of a + b mod 2**128."""
+    low = a_lo + b_lo
+    return low, a_hi + b_hi + (low < b_lo)
+
+
+def _pcg64_step(lo, hi, inc_lo, inc_hi):
+    """(low, high) words of PCG64's step, state * MULT + inc mod 2**128."""
+    high = _mulhi(lo, _PCG_MULT_LO) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+    return _add128(lo * _PCG_MULT_LO, high, inc_lo, inc_hi)
+
+
+def _pcg64_states(seeds: np.ndarray) -> np.ndarray:
+    """``np.random.default_rng(seed)``'s PCG64 words (state_lo, state_hi, inc_lo, inc_hi) per uint64 seed.
+
+    Returns (n, 4) uint64.  The 4 x uint64 SeedSequence state is (initstate high,
+    low, initseq high, low); pcg_setseq_128_srandom_r sets inc = 2 initseq + 1 and
+    state = (initstate + inc) * MULT + inc, mod 2**128.  All of it is uint64 array
+    arithmetic on every seed at once: sums carry into the high word, and the
+    product's high word comes from ``_mulhi``; no 128-bit Python int is formed.
+    0.13-0.19 µs a trial at 10,000 trials.
     """
-    for start in range(0, seeds.shape[0], _STATE_BLOCK):
-        entropy = np.zeros((4, min(_STATE_BLOCK, seeds.shape[0] - start)), dtype=np.uint32)
-        entropy[0], entropy[1] = _split_words(seeds[start : start + _STATE_BLOCK])
-        words = _seed_sequence_words(entropy, 8)
-        for s_high, s_low, i_high, i_low in zip(*_join_words(words[0::2], words[1::2]).tolist()):
-            inc = ((i_high << 64 | i_low) << 1 | 1) & _U128_MASK
-            yield ((s_high << 64 | s_low) + inc) * _PCG_MULT + inc & _U128_MASK, inc
+    entropy = np.zeros((4, seeds.shape[0]), dtype=np.uint32)
+    entropy[0], entropy[1] = _split_words(seeds)
+    words = _seed_sequence_words(entropy, 8)
+    init_hi, init_lo, seq_hi, seq_lo = _join_words(words[0::2], words[1::2])
+    one = np.uint64(1)
+    inc_lo, inc_hi = seq_lo << one | one, seq_hi << one | seq_lo >> np.uint64(63)
+    state = _pcg64_step(*_add128(init_lo, init_hi, inc_lo, inc_hi), inc_lo, inc_hi)
+    return np.stack((*state, inc_lo, inc_hi), axis=1)
+
+
+def _state_words(bit_generator: np.random.PCG64):
+    """A ``(c_uint64 * 4)`` view of ``bit_generator``'s pcg64_random_t and the order of its words.
+
+    numpy's PCG64 state, at ``ctypes.state_address``, starts with a pointer to two
+    128-bit words, state then inc, each stored low word first where numpy has a
+    native 128-bit type and high word first where it emulates one.  Which one is
+    read off the generator's own ``.state``; ``order`` takes a ``_pcg64_states``
+    row to the struct's order.  The view is valid while ``bit_generator`` lives.
+    """
+    address = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
+    words = (ctypes.c_uint64 * 4).from_address(address)
+    pcg = bit_generator.state["state"]
+    known = [pcg["state"] & _U64_MASK, pcg["state"] >> 64, pcg["inc"] & _U64_MASK, pcg["inc"] >> 64]
+    for order in ([0, 1, 2, 3], [1, 0, 3, 2]):
+        if list(words) == [known[i] for i in order]:
+            return words, order
+    raise StreamMismatch(f"numpy {np.__version__}'s PCG64 words are laid out in neither order")
 
 
 def _draw_trials(out: np.ndarray, seeds: np.ndarray, channel_counts) -> None:
@@ -222,27 +270,27 @@ def _draw_trials(out: np.ndarray, seeds: np.ndarray, channel_counts) -> None:
     The one per-trial stream layout, behind ``draw_ensemble`` and ``sample_realization``.
     Row 0 is transmission, row 1 reflection, and each entry is bitwise
     ``np.square(default_rng(seed).standard_normal((2, M, 2))).sum(axis=2)``
-    with seed ``seeds[j]``.  Normals are drawn per trial: one PCG64 generator
-    is set to each trial's state in turn and writes the trial's 4 M normals
-    back to back into one flat buffer, reused by each chunk of ``_CHUNK_TRIALS``
-    trials.  The chunk is squared in place and its pair sums (M transmission,
-    then M reflection, per trial) go into ``out`` by a reshape when every M
-    fills the row, else into the filled entries after the padding is zeroed.
-    ``Generator`` keeps no normals between calls, so splitting the draws
-    this way leaves the stream unchanged.
+    with seed ``seeds[j]``.  Normals are drawn per trial: each trial's four
+    PCG64 words (``_pcg64_states``, for every trial at once, taken one chunk
+    at a time by one ``tolist()``) are written straight into one generator's
+    state through the ``_state_words`` view (0.13-0.20 µs a trial), and the
+    generator writes the trial's 4 M normals back to back into one flat buffer,
+    reused by each chunk of ``_CHUNK_TRIALS`` trials.  The chunk is squared in
+    place and its pair sums (M transmission, then M reflection, per trial) go
+    into ``out`` by a reshape when every M fills the row, else into the filled
+    entries after the padding is zeroed.  ``Generator`` keeps no normals between
+    calls, so splitting the draws this way leaves the stream unchanged.
     """
     generator = np.random.Generator(np.random.PCG64(0))
-    bit_generator, pcg = generator.bit_generator, {}  # pcg takes each trial's state and inc in turn
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    words, order = _state_words(generator.bit_generator)
     counts, width = np.asarray(channel_counts), out.shape[-1]
     flat = np.empty(min(_CHUNK_TRIALS, out.shape[0]) * 4 * width)  # reused by every chunk
-    channel, states = np.arange(width), _pcg64_states(seeds)
+    channel, states = np.arange(width), _pcg64_states(seeds)[:, order]
     for start in range(0, out.shape[0], _CHUNK_TRIALS):
         m = counts[start : start + _CHUNK_TRIALS]
         ends = np.cumsum(4 * m).tolist()
         chunk, rows = flat[: ends[-1]], out[start : start + m.shape[0]]
-        for begin, end, (pcg["state"], pcg["inc"]) in zip([0, *ends], ends, states):
-            bit_generator.state = state
+        for begin, end, words[:] in zip([0, *ends], ends, states[start : start + _CHUNK_TRIALS].tolist()):
             generator.standard_normal(out=chunk[begin:end])
         np.square(chunk, out=chunk)
         if m.min() == width:
@@ -257,14 +305,19 @@ _verified_seeds: set[int] = set()  # master seeds that passed _check_stream in t
 
 
 def _check_stream(master_seed: int) -> None:
-    """Raise StreamMismatch unless trial 0's seed and PCG64 state match numpy's; once per seed."""
+    """Raise StreamMismatch unless trial 0's seed and its PCG64 words, as written, match numpy's; once per seed.
+
+    The words go through the same view as ``_draw_trials``', so the check covers
+    the seeding arithmetic and the struct's word order alike.
+    """
     if master_seed in _verified_seeds:
         return
     seed = int(_trial_seeds(master_seed, np.zeros(1, dtype=np.uint64))[0])
-    state, inc = next(_pcg64_states(np.array([seed], dtype=np.uint64)))
+    bit_generator = np.random.PCG64(0)
+    words, order = _state_words(bit_generator)
+    words[:] = _pcg64_states(np.array([seed], dtype=np.uint64))[0, order].tolist()
     expected_seed = np.random.SeedSequence((mask_seed(master_seed), 0)).generate_state(1, np.uint64)
-    expected_state = np.random.default_rng(seed).bit_generator.state["state"]
-    if seed != int(expected_seed[0]) or {"state": state, "inc": inc} != expected_state:
+    if seed != int(expected_seed[0]) or bit_generator.state != np.random.default_rng(seed).bit_generator.state:
         raise StreamMismatch(
             f"batched seeding of master seed {master_seed} departs from numpy {np.__version__}'s "
             "SeedSequence/PCG64; the disorder stream would change"
@@ -500,11 +553,14 @@ def draw_ensemble(channel_count, trials, master_seed: int) -> EnsembleDraws:
     indices = trials if isinstance(trials, range) else range(whole_count(trials, "trials"))
     if len(indices) < 1:
         raise ValueError("trials must be >= 1")
+    if min(indices[0], indices[-1]) < 0 or max(indices[0], indices[-1]) > _U64_MASK:
+        raise ValueError("trial indices must lie in [0, 2**64)")
     counts = np.broadcast_to(channel_count, (len(indices),))
     width = int(counts.max()) if np.ndim(channel_count) == 0 else max(_CASE_CHANNELS, int(counts.max()))
     _check_stream(master_seed)
     intensity = np.empty((len(indices), 2, width))
-    _draw_trials(intensity, _trial_seeds(master_seed, np.array(indices, dtype=np.uint64)), counts)
+    seeds = _trial_seeds(master_seed, np.arange(indices.start, indices.stop, indices.step, dtype=np.uint64))
+    _draw_trials(intensity, seeds, counts)
     transmitted = intensity[:, 0]
     return EnsembleDraws(
         intensity,

@@ -357,7 +357,7 @@ def json_dumps_reference(command, header, rows):
     """The JSON writer's former body: ``json.dumps(indent=2)`` of the same cells."""
 
     def cell(value):
-        if isinstance(value, (int, np.integer)):
+        if isinstance(value, (int, np.integer, np.bool_)):
             return int(value)
         return float(value) if math.isfinite(value) else None
 
@@ -377,6 +377,18 @@ JSON_COMMANDS = [
     ["psf", "--step", "0.05"],
     ["oracle-check", "--cases", "40"],
     ["photon-budget"],
+]
+
+
+# Every command that draws disorder, at sizes that run quickly.
+MONTE_CARLO_COMMANDS = [
+    ["fano-scatter", "--trials", "5"],
+    ["snr-sweep", "--values", "0.5", "--trials", "5"],
+    ["nm-sweep", "--values", "0.5", "--trials", "5"],
+    ["universal-fano", "--values", "0.5", "--trials", "5"],
+    ["loss-sweep", "--g", "0.5", "--loss-grid", "0", "--trials", "5"],
+    ["superres", "--s", "2", "--budgets", "1e9", "--trials", "5"],
+    ["oracle-check", "--cases", "5"],
 ]
 
 
@@ -457,6 +469,20 @@ class TestJsonEncoding:
             out = tmp_path / "t.json"
             cli._write_table(out, "json", "oracle-check", EDGE_HEADER, edge_columns(rows))
             assert out.read_text() == json_dumps_reference("oracle-check", EDGE_HEADER, rows)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_bool_cells_are_written_as_ints(self, tmp_path, fmt):
+        # a bool array, a column mixing np.bool_ with ints and one of Python bools all write 1 and 0
+        columns = (np.array([True, False, True]), (np.bool_(True), 1, np.bool_(False)), (False, True, 2))
+        out = tmp_path / f"t.{fmt}"
+        cli._write_table(out, fmt, "oracle-check", ["a", "b", "c"], columns)
+        if fmt == "json":
+            assert [list(row.values()) for row in json.loads(out.read_text())["rows"]] == [
+                [1, 1, 0], [0, 1, 1], [1, 0, 2]
+            ]
+            assert "1.0" not in out.read_text()
+        else:
+            assert out.read_text() == "a,b,c\n1,1,0\n0,1,1\n1,0,2\n"
 
     def test_one_conversion_per_column(self):
         # exact int and finite exact float columns skip the per-cell fallback
@@ -628,6 +654,15 @@ def test_cli_import_does_not_load_argparse_gettext_or_json():
         "import speckleq.cli; print(sorted({'argparse', 'gettext', 'json'} & set(sys.modules) - eager))"
     )
     assert run_python(code) == "[]"
+
+
+def test_cli_import_loads_ctypes_only_where_numpy_does():
+    # the draw writes each trial's PCG64 words through a ctypes view: no start-up cost where numpy loads ctypes
+    code = (
+        "import sys, numpy; eager = 'ctypes' in sys.modules; import speckleq.cli; "
+        "print(eager or 'ctypes' not in sys.modules)"
+    )
+    assert run_python(code) == "True"
 
 
 def test_cli_import_does_not_load_dataclasses_or_copy():
@@ -1100,10 +1135,26 @@ class TestNumericalFailures:
         "command", [["fano-scatter", "--trials", "5"], ["oracle-check", "--cases", "5"]]
     )
     def test_stream_mismatch_exits_3(self, tmp_path, capsys, monkeypatch, command):
-        exact = random_media._pcg64_states
-        perturbed = lambda seeds: ((s ^ 1, i) for s, i in exact(seeds))  # noqa: E731
-        monkeypatch.setattr(random_media, "_pcg64_states", perturbed)
+        exact, flip = random_media._pcg64_states, np.array([1, 0, 0, 0], dtype=np.uint64)  # state_lo's low bit
+        monkeypatch.setattr(random_media, "_pcg64_states", lambda seeds: exact(seeds) ^ flip)
         monkeypatch.setattr(random_media, "_verified_seeds", set())  # forget earlier checks of seed 1
+        out = tmp_path / "o.csv"
+        assert main([*command, "--out", str(out)]) == 3
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "departs from numpy" in err[0]
+
+    @pytest.mark.parametrize("command", MONTE_CARLO_COMMANDS, ids=lambda args: args[0])
+    def test_swapped_state_word_order_exits_3(self, tmp_path, capsys, monkeypatch, command):
+        # each 128-bit word written high half first: the stream check catches the layout too
+        exact = random_media._state_words
+
+        def swapped(bit_generator):
+            words, order = exact(bit_generator)
+            return words, [order[1], order[0], order[3], order[2]]
+
+        monkeypatch.setattr(random_media, "_state_words", swapped)
+        monkeypatch.setattr(random_media, "_verified_seeds", set())
         out = tmp_path / "o.csv"
         assert main([*command, "--out", str(out)]) == 3
         assert list(tmp_path.iterdir()) == []

@@ -1,5 +1,10 @@
+import ctypes
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from speckleq import (
     CouplingSums,
@@ -10,7 +15,7 @@ from speckleq import (
     draw_ensemble,
     sample_realization,
 )
-from speckleq import random_media
+from speckleq import StreamMismatch, random_media
 from speckleq.random_media import mask_seed, normalization_bias
 
 
@@ -309,6 +314,18 @@ def reference_intensities(channel_count, trials, master):
 
 
 MASTERS = [0, 1, 6, 2**32 - 1, 2**32, 2**64 - 1, -5]
+U64 = 2**64 - 1
+WORDS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, U64 - 1, U64]), st.integers(0, U64))
+
+
+def words_of(pcg):
+    """A PCG64 ``.state["state"]`` dict as _pcg64_states' row (state_lo, state_hi, inc_lo, inc_hi)."""
+    return [pcg["state"] & U64, pcg["state"] >> 64, pcg["inc"] & U64, pcg["inc"] >> 64]
+
+
+def joined(words):
+    """Python ints of (low, high) uint64 word arrays."""
+    return [lo | hi << 64 for lo, hi in zip(*(w.tolist() for w in words))]
 
 
 class TestBatchedStream:
@@ -320,16 +337,50 @@ class TestBatchedStream:
         assert derive_trial_seed(master, 2**32) == reference_seed(master, 2**32)
 
     def test_pcg64_states_match_default_rng(self):
-        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+        # the edge seeds, then 500 drawn ones
+        drawn = np.random.default_rng(5).integers(0, U64, 500, dtype=np.uint64, endpoint=True).tolist()
+        seeds = [0, 1, 2**32 - 1, 2**32, U64, *drawn]
         states = random_media._pcg64_states(np.array(seeds, dtype=np.uint64))
-        for seed, (state, inc) in zip(seeds, states, strict=True):
-            expected = np.random.default_rng(seed).bit_generator.state["state"]
-            assert {"state": state, "inc": inc} == expected
+        assert states.dtype == np.uint64 and states.shape == (len(seeds), 4)
+        for seed, row in zip(seeds, states.tolist(), strict=True):
+            assert row == words_of(np.random.default_rng(seed).bit_generator.state["state"])
+
+    @given(st.lists(st.tuples(WORDS, WORDS, WORDS, WORDS), min_size=1, max_size=8))
+    @example([(0, 0, 0, 0), (U64, U64, U64, U64), (U64, 0, 1, 0), (1, U64, U64, U64)])
+    @example([(2**63, 2**63, 2**63, 2**63), (U64, 2**32 - 1, 2**32, U64)])
+    @settings(max_examples=200, deadline=None)
+    def test_word_arithmetic_is_python_int_arithmetic(self, rows):
+        # _mulhi, the 128-bit sum and PCG64's step against exact Python ints, carries out of each word included
+        a_lo, a_hi, b_lo, b_hi = (np.array(column, dtype=np.uint64) for column in zip(*rows))
+        a, b = [lo | hi << 64 for lo, hi, _, _ in rows], [lo | hi << 64 for _, _, lo, hi in rows]
+        assert random_media._mulhi(a_lo, b_lo).tolist() == [(x & U64) * (y & U64) >> 64 for x, y in zip(a, b)]
+        assert random_media._mulhi(a_hi, a_lo).tolist() == [(x >> 64) * (x & U64) >> 64 for x in a]
+        total = [(x + y) % 2**128 for x, y in zip(a, b)]
+        assert joined(random_media._add128(a_lo, a_hi, b_lo, b_hi)) == total
+        step = [(x * random_media._PCG_MULT + y) % 2**128 for x, y in zip(a, b)]
+        assert joined(random_media._pcg64_step(a_lo, a_hi, b_lo, b_hi)) == step
+
+    def test_state_words_read_the_word_order_off_the_known_state(self):
+        # numpy keeps each 128-bit word low word first where it has a native 128-bit type and
+        # high word first where it emulates one; any other layout cannot be written
+        state, inc = 0x0123456789ABCDEF_FEDCBA9876543210, 0x1111222233334444_5555666677778889
+        known = words_of({"state": state, "inc": inc})
+        for layout, order in (([0, 1, 2, 3], [0, 1, 2, 3]), ([1, 0, 3, 2], [1, 0, 3, 2]), ([2, 3, 0, 1], None)):
+            struct = (ctypes.c_uint64 * 4)(*(known[i] for i in layout))
+            pointer = ctypes.c_void_p(ctypes.addressof(struct))
+            fake = SimpleNamespace(ctypes=SimpleNamespace(state_address=ctypes.addressof(pointer)),
+                                   state={"state": {"state": state, "inc": inc}})
+            if order is None:
+                with pytest.raises(StreamMismatch, match="neither order"):
+                    random_media._state_words(fake)
+            else:
+                words, got = random_media._state_words(fake)
+                assert got == order and ctypes.addressof(words) == ctypes.addressof(struct)
 
     @pytest.mark.parametrize("m", [1, 7, 50])
     def test_draws_equal_per_trial_default_rng(self, m):
-        # 1100 trials cross the 256-trial chunks and the 1024-trial block of PCG64 states
-        trials = random_media._STATE_BLOCK + 76
+        # 1100 trials cross four edges of the 256-trial chunks, each chunk's states taken in one tolist()
+        trials = 4 * random_media._CHUNK_TRIALS + 76
         expected = reference_intensities(m, trials, 11)
         intensity = np.full((trials, 2, m), np.nan)
         seeds = random_media._trial_seeds(11, np.arange(trials, dtype=np.uint64))
@@ -339,6 +390,15 @@ class TestBatchedStream:
         assert np.array_equal(draws.cum_T, np.cumsum(expected[:, 0], axis=1))
         assert np.array_equal(draws.cum_abs_t, np.cumsum(np.sqrt(expected[:, 0]), axis=1))
         assert np.array_equal(draws.sum_R, expected[:, 1].sum(axis=1))
+
+    @pytest.mark.parametrize("m", [1, 7, 50])
+    def test_sample_realization_is_row_i_of_draw_ensemble(self, m):
+        # the rows on both sides of the call's chunk edge, from a range that starts past trial 0
+        trials = range(200, 200 + random_media._CHUNK_TRIALS + 3)
+        t_amp, r_amp = draw_ensemble(m, trials, 3).amplitudes(2.5)
+        for j in (0, 255, 256, len(trials) - 1):
+            real = sample_realization(DisorderParams(m, 2.5), derive_trial_seed(3, trials[j]))
+            assert np.array_equal(real.t_amp, t_amp[j]) and np.array_equal(real.r_amp, r_amp[j])
 
     def test_mixed_channel_counts_leave_padding(self):
         # the oracle's layout: case j fills out[j, :, :M_j] and zeros the rest
@@ -384,17 +444,31 @@ class TestBatchedStream:
     def test_trial_index_must_fit_64_bits(self):
         with pytest.raises(ValueError):
             derive_trial_seed(1, 2**64)
+        # ranges that leave [0, 2**64) are refused, not wrapped round to 0 or 2**64 - 1
+        for trials in (range(2**64 - 2, 2**64 + 1), range(-1, 2), range(1, -2, -1)):
+            with pytest.raises(ValueError, match="trial indices"):
+                draw_ensemble(3, trials, 1)
+        t_amp, _ = draw_ensemble(3, range(2**64 - 2, 2**64), 1).amplitudes(2.5)  # the last index is drawn
+        real = sample_realization(DisorderParams(3, 2.5), derive_trial_seed(1, 2**64 - 1))
+        assert np.array_equal(real.t_amp, t_amp[1])
 
-    @pytest.mark.parametrize("part", ["seed", "state"])
+    @pytest.mark.parametrize("part", ["seed", "state", "inc", "order"])
     def test_guard_fires_when_the_hash_departs_from_numpy(self, monkeypatch, part):
         monkeypatch.setattr(random_media, "_verified_seeds", set())  # forget earlier checks of seed 1
         if part == "seed":
             exact = random_media._trial_seeds
             monkeypatch.setattr(random_media, "_trial_seeds", lambda *a: exact(*a) ^ np.uint64(1))
-        else:
+        elif part == "order":  # each 128-bit word's halves written in the wrong order
+            exact = random_media._state_words
+
+            def swapped(bit_generator):
+                words, order = exact(bit_generator)
+                return words, [order[1], order[0], order[3], order[2]]
+
+            monkeypatch.setattr(random_media, "_state_words", swapped)
+        else:  # one bit of one word: state_hi, or inc_lo
+            flip = np.array([0, 1, 0, 0] if part == "state" else [0, 0, 1, 0], dtype=np.uint64)
             exact = random_media._pcg64_states
-            monkeypatch.setattr(
-                random_media, "_pcg64_states", lambda seeds: ((s ^ 1, i) for s, i in exact(seeds))
-            )
-        with pytest.raises(RuntimeError, match="departs from numpy"):
+            monkeypatch.setattr(random_media, "_pcg64_states", lambda seeds: exact(seeds) ^ flip)
+        with pytest.raises(StreamMismatch, match="departs from numpy"):
             draw_ensemble(5, 10, 1)
