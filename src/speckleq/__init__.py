@@ -33,7 +33,7 @@ _EXPORTS = {
     ),
     "prolate": (
         "ProlateBasis", "PsfCurve", "ReconstructionReport", "build_basis", "classical_psf",
-        "classical_psf_curve", "export_basis", "half_width", "reconstruction_psf",
+        "classical_psf_curve", "half_width", "reconstruction_psf",
         "reconstruction_psf_curve", "resolve_modes", "superres_factor",
     ),
     "ensemble": (

@@ -5,21 +5,21 @@ its runner.  ``_read_flags`` reads the command line from that table alone, and
 ``-h`` renders help from it.  A flag's domain enforces its range (finite
 numbers inside the flag's own range), so a bad value is a usage error before
 anything runs.
-Results go to one CSV or JSON file with fixed schemas, through a temporary
-file renamed into place, so a failed run never leaves a truncated file.
-Exit codes and SPECKLE_SEED work as ``_DESCRIPTION`` (the top-level help) says.
+Results go to one CSV, JSON or (``prolate-basis``) columnar text file with fixed
+schemas, through a temporary file renamed into place, so a failed run never
+leaves a truncated file.  Exit codes and SPECKLE_SEED work as ``_DESCRIPTION``
+(the top-level help) says.
 
-Runners hand ``_table`` columns, which ``_write_table`` writes in blocks of
-``_WRITE_BLOCK_ROWS`` rows, so its memory does not depend on the row count.
-Each block takes one ``%`` conversion per column and formats each row with one
-``%`` against a row template: ``%d`` for exact ``int``, ``%.17g`` (CSV) or
-``%r`` (JSON, finite values only) for exact ``float``.  A numpy ``int64`` or
-``float64`` column takes its conversion from its dtype; any other column is
-scanned for one exact type.  Other columns (mixed, bool or numpy scalars, or
-JSON nan and inf, which become null) go cell by cell, as ``json.dumps`` and
-``format(x, ".17g")`` write them: the bytes never depend on the conversion,
-and 17 significant digits re-parse to the exact values.  Command names and
-header keys are ASCII literals, which JSON quotes as they are.
+Runners return their table as data (``_Output``): a header and integer or float64
+numpy columns of one length.  ``_write_table`` fixes each column's ``%``
+conversion once from its dtype (``%d`` for integers, ``%.17g`` for floats, ``%r``
+in JSON, where a float column holding nan or inf goes cell by cell, those cells as
+null, as ``json.dumps`` writes them) and writes blocks of ``_WRITE_BLOCK_ROWS``
+rows, one ``%`` per row against a row template, so its memory does not depend on
+the row count.  Each block is read with ``tolist()``: only Python ints and floats
+reach ``%``, so the bytes never depend on numpy's scalar ``repr``, and 17
+significant digits re-parse to the exact values.  Command names and header keys
+are ASCII literals, which JSON quotes as they are.
 """
 
 from __future__ import annotations
@@ -266,73 +266,45 @@ def parse_args(argv) -> RunConfig:
             raise UsageError(
                 "--g: g = 0 with zero coherent intensity is a dark input: no photons reach the focus"
             )
-    fmt = fmt or "csv"  # None only tells an explicit --format from the default
+    fmt = fmt or ("txt" if command == "prolate-basis" else "csv")  # None only tells an explicit --format
     if out is None:
-        out = f"{command}.{'txt' if command == 'prolate-basis' else fmt}"
+        out = f"{command}.{fmt}"
     elif out.endswith((os.sep, os.altsep or os.sep)):  # Path(out) would drop the separator
         raise UsageError(f"--out: {out!r} ends in a path separator, so it names a directory, not a file")
     return RunConfig(command=command, options=options, out=Path(out), fmt=fmt)
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (int, np.integer, np.bool_)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
-def _json_cell(value) -> str:
-    """One cell as ``json.dumps`` writes it: ints and bools as ints (as in CSV), non-finite floats as null."""
-    if isinstance(value, (int, np.integer, np.bool_)):
-        return str(int(value))
-    value = float(value)
-    return repr(value) if math.isfinite(value) else "null"
-
-
-def _typed_columns(columns, json_output: bool):
-    """The ``%`` conversion of each column (a numpy one read as its ``tolist()``) and the rows."""
-    cell = _json_cell if json_output else _format_cell
-    specs, typed = [], []
-    for column in columns:
-        if isinstance(column, np.ndarray) and column.dtype in (np.int64, np.float64):
-            kind = int if column.dtype == np.int64 else float
-            finite = kind is int or not json_output or np.isfinite(column).all()
-            column = column.tolist()
-        else:
-            column = column.tolist() if isinstance(column, np.ndarray) else column
-            kinds = set(map(type, column))
-            kind = kinds.pop() if len(kinds) == 1 else None
-            finite = kind is not float or not json_output or all(map(math.isfinite, column))
-        if kind is int:
-            specs.append("%d")
-        elif kind is float and finite:
-            specs.append("%r" if json_output else "%.17g")
-        else:
-            specs.append("%s")
-            column = tuple(map(cell, column))
-        typed.append(column)
-    return specs, zip(*typed)
-
-
 _WRITE_BLOCK_ROWS = 1024  # rows converted, formatted and written at a time
 
 
-def _write_table(path: Path, fmt: str, command: str, header: list[str], columns) -> None:
-    """Write ``columns`` (numpy arrays or sequences) as CSV or as ``json.dumps(indent=2)`` bytes."""
+def _write_table(path: Path, fmt: str, command: str, table: _Output) -> None:
+    """Write a runner's table as CSV, as ``json.dumps(indent=2)`` bytes, or as text (``txt``):
+    its preamble lines, a ``# columns:`` line, then space-separated rows."""
+    header, columns = table.header, table.columns
     json_output, count = fmt == "json", len(columns[0])
-    keys = [f'"{key}"'.replace("%", "%%") for key in header]
-    with open(path, "w", encoding="utf-8") as f:
+    # JSON has no nan or inf: a float column holding either goes cell by cell, those cells as null
+    nulls = [i for i, c in enumerate(columns) if json_output and c.dtype.kind == "f" and not np.isfinite(c).all()]
+    specs = ["%s" if i in nulls else "%d" if c.dtype.kind != "f" else "%r" if json_output else "%.17g"
+             for i, c in enumerate(columns)]
+    if json_output:
+        fields = ",\n".join(f'      "{key.replace("%", "%%")}": {spec}' for key, spec in zip(header, specs))
+        row_template = ",\n    {\n" + fields + "\n    }"
         opening = f'{{\n  "command": "{command}",\n  "rows": ['
-        f.write(opening if json_output else ",".join(header))
+        closing = ("\n  ]" if count else "]") + "\n}\n"
+    elif fmt == "csv":
+        row_template, opening, closing = "\n" + ",".join(specs), ",".join(header), "\n"
+    else:  # txt, which execute passes for prolate-basis alone
+        row_template, closing = "\n" + " ".join(specs), "\n"
+        opening = "\n".join([*table.preamble, "# columns: " + " ".join(header)])
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(opening)
         for start in range(0, count, _WRITE_BLOCK_ROWS):  # each row opens with its separator
-            specs, cells = _typed_columns([c[start : start + _WRITE_BLOCK_ROWS] for c in columns], json_output)
-            if json_output:
-                fields = ",\n".join(f"      {key}: {spec}" for key, spec in zip(keys, specs))
-                row_template = ",\n    {\n" + fields + "\n    }"
-            else:
-                row_template = "\n" + ",".join(specs)
-            block = "".join(row_template % row for row in cells)
+            cells = [c[start : start + _WRITE_BLOCK_ROWS].tolist() for c in columns]
+            for i in nulls:
+                cells[i] = [repr(v) if math.isfinite(v) else "null" for v in cells[i]]
+            block = "".join(row_template % row for row in zip(*cells))
             f.write(block[1:] if json_output and start == 0 else block)  # no comma before the first row
-        f.write(("\n  ]" if count else "]") + "\n}\n" if json_output else "\n")
+        f.write(closing)
 
 
 def _write_atomic(path: Path, write) -> None:
@@ -348,17 +320,13 @@ def _write_atomic(path: Path, write) -> None:
 
 
 class _Output(NamedTuple):
-    """A runner's result: its row count, a writer that fills a given path, and report lines."""
+    """A runner's result: its table for ``_write_table``, and report lines."""
 
-    rows: int
-    write: Callable[[Path], object]
+    header: list[str]
+    columns: tuple  # integer or float64 arrays of one length
+    preamble: tuple = ()  # comment lines that open a text table
     note: str | None = None  # printed after the summary line
     failure: str | None = None  # a failed self-check: the file is kept and the exit status is 3
-
-
-def _table(config: RunConfig, header: list[str], columns, **report) -> _Output:
-    write = partial(_write_table, fmt=config.fmt, command=config.command, header=header, columns=columns)
-    return _Output(len(columns[0]), write, **report)
 
 
 _SWEEP_HEADER = ["axis_value", "mean_n", "fano_ratio", "snr_ratio", "stderr_snr", "trials"]
@@ -367,7 +335,7 @@ _SWEEP_HEADER = ["axis_value", "mean_n", "fano_ratio", "snr_ratio", "stderr_snr"
 def _run_fano_scatter(config: RunConfig) -> _Output:
     keys = ("m", "s", "g", "alpha2", "trials", "seed")
     fanos = ensemble.run_fano_scatter(*(config.options[key] for key in keys))
-    return _table(config, ["trial", "fano"], (range(fanos.size), fanos))
+    return _Output(["trial", "fano"], (np.arange(fanos.size), fanos))
 
 
 def _run_sweep(config: RunConfig, axis: str | None = None) -> _Output:
@@ -382,7 +350,7 @@ def _run_sweep(config: RunConfig, axis: str | None = None) -> _Output:
     )
     t = ensemble.run_sweep(spec)
     columns = (t.axis_values, t.mean_n, t.fano_ratio, t.snr_ratio, t.stderr_snr)
-    return _table(config, _SWEEP_HEADER, (*columns, [t.trials] * t.mean_n.size))
+    return _Output(_SWEEP_HEADER, (*columns, np.full(t.mean_n.size, t.trials)))
 
 
 def _run_loss_sweep(config: RunConfig) -> _Output:
@@ -392,7 +360,7 @@ def _run_loss_sweep(config: RunConfig) -> _Output:
         channel_count=opt["m"],
     )
     columns = (t.squeeze_strength, t.loss_rate, t.mean_n, t.fano_ratio, t.snr_ratio, t.stderr_snr)
-    return _table(config, ["g", *_SWEEP_HEADER], (*columns, [t.trials] * t.mean_n.size))
+    return _Output(["g", *_SWEEP_HEADER], (*columns, np.full(t.mean_n.size, t.trials)))
 
 
 def _run_superres(config: RunConfig) -> _Output:
@@ -403,7 +371,7 @@ def _run_superres(config: RunConfig) -> _Output:
         quad_order=opt["quad_order"],
     )
     columns = (t.disorder_strength, t.mean_n, t.modes_kept, t.classical_width, t.recon_width)
-    return _table(config, ["s", "mean_n", "Q", "W", "W_Q", "J"], (*columns, t.resolution_gain))
+    return _Output(["s", "mean_n", "Q", "W", "W_Q", "J"], (*columns, t.resolution_gain))
 
 
 def _run_psf(config: RunConfig) -> _Output:
@@ -411,13 +379,18 @@ def _run_psf(config: RunConfig) -> _Output:
     basis = prolate.build_basis(opt["c"], opt["modes"], opt["quad_order"])
     z = np.arange(0.0, np.pi / opt["c"] + opt["step"], opt["step"])
     columns = (z, prolate.classical_psf(opt["c"], z), prolate.reconstruction_psf(basis, opt["q"], z))
-    return _table(config, ["z", "classical", "reconstruction"], columns)
+    return _Output(["z", "classical", "reconstruction"], columns)
 
 
 def _run_prolate_basis(config: RunConfig) -> _Output:
     opt = config.options
     basis = prolate.build_basis(opt["c"], opt["modes"], opt["quad_order"])
-    return _Output(basis.grid.shape[0], partial(prolate.export_basis, basis))
+    preamble = (
+        f"# prolate basis: c={basis.bandwidth:.17g} modes={basis.mode_count} quad_order={basis.grid.shape[0]}",
+        "# lambda: " + " ".join("%.17g" % v for v in basis.lam.tolist()),
+    )
+    header = ["z", "weight", *(f"phi_{k}" for k in range(basis.mode_count))]
+    return _Output(header, (basis.grid, basis.weights, *basis.phi.T), preamble)
 
 
 def _run_oracle_check(config: RunConfig) -> _Output:
@@ -430,15 +403,15 @@ def _run_oracle_check(config: RunConfig) -> _Output:
     )
     failure = None if report.passed else f"FAILED tolerance {report.tolerance:.1e}"
     header = ["case", "M", "N", "s", "g", "alpha2", "rel_err_mean", "rel_err_var"]
-    columns = (range(report.cases), report.channel_counts, report.fed_modes, report.disorder_strengths)
+    columns = (np.arange(report.cases), report.channel_counts, report.fed_modes, report.disorder_strengths)
     columns += (report.squeeze_strengths, report.alpha2, report.rel_err_mean, report.rel_err_var)
-    return _table(config, header, columns, note=note, failure=failure)
+    return _Output(header, columns, note=note, failure=failure)
 
 
 def _run_photon_budget(config: RunConfig) -> _Output:
     inputs = tuple(config.options[key] for key in ("wavelength", "power", "duration", "fraction"))
     header = ["wavelength_m", "power_w", "duration_s", "focus_fraction", "mean_photons"]
-    return _table(config, header, [[value] for value in (*inputs, quantum_stats.photon_budget(*inputs))])
+    return _Output(header, [np.array([value]) for value in (*inputs, quantum_stats.photon_budget(*inputs))])
 
 
 class _Command(NamedTuple):
@@ -494,11 +467,13 @@ def execute(config: RunConfig) -> tuple[int, list[Path]]:
 
     Numpy overflow raises in the run; it and exhausted memory, running or writing, exit 3 with no file.
     """
+    if config.fmt not in (("txt",) if config.command == "prolate-basis" else ("csv", "json")):
+        return _fail(config, f"format {config.fmt!r}: {config.command} does not write it", 2)
     start = time.perf_counter()
     try:
         with np.errstate(over="raise", invalid="raise"):
             output = _COMMANDS[config.command].run(config)
-        _write_atomic(config.out, output.write)
+        _write_atomic(config.out, lambda tmp: _write_table(tmp, config.fmt, config.command, output))
     except OSError as exc:
         return _fail(config, f"cannot write {config.out}: {exc.strerror or exc}", 2)
     except (ArithmeticError, MemoryError) as exc:
@@ -506,7 +481,7 @@ def execute(config: RunConfig) -> tuple[int, list[Path]]:
     except (SpeckleQError, ValueError) as exc:
         return _fail(config, exc, 3)
     elapsed = time.perf_counter() - start
-    print(f"speckleq {config.command}: wrote {output.rows} rows to {config.out} in {elapsed:.2f}s")
+    print(f"speckleq {config.command}: wrote {len(output.columns[0])} rows to {config.out} in {elapsed:.2f}s")
     if output.note:
         print(output.note)
     if output.failure:

@@ -31,7 +31,6 @@ Every retained Nystrom eigenvalue must agree with the series one.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -420,23 +419,3 @@ def superres_factor(
     recon_w = np.array(widths)[which]
     return ReconstructionReport(modes_kept, np.full(recon_w.shape, classical_w), recon_w, classical_w / recon_w)
 
-
-def export_basis(basis: ProlateBasis, path) -> Path:
-    """Write the basis as columnar text: z, quadrature weight, phi_0..phi_{K-1}.
-
-    The header carries c, K and the eigenvalues; weights are included so
-    orthonormality can be re-verified externally to full precision.
-    """
-    path = Path(path)
-    k = basis.mode_count
-    lam_text = " ".join(format(v, ".17g") for v in basis.lam)
-    lines = [
-        f"# prolate basis: c={basis.bandwidth:.17g} modes={k} quad_order={basis.grid.shape[0]}",
-        f"# lambda: {lam_text}",
-        "# columns: z weight " + " ".join(f"phi_{j}" for j in range(k)),
-    ]
-    row_template = " ".join(["%.17g"] * (k + 2))
-    rows = zip(basis.grid.tolist(), basis.weights.tolist(), *basis.phi.T.tolist())
-    lines.extend(row_template % row for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path

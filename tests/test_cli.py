@@ -320,7 +320,7 @@ class TestOutputFailures:
         out = tmp_path / "pb.csv"
         out.write_text("previous\n")
 
-        def crash_mid_write(path, **kwargs):
+        def crash_mid_write(path, *args):
             path.write_text("truncat")
             raise OSError(28, "No space left on device")
 
@@ -352,14 +352,21 @@ class TestExecuteSurface:
         assert status == 3
         assert paths == []
 
+    @pytest.mark.parametrize("command, fmt", [("prolate-basis", "csv"), ("prolate-basis", "json"),
+                                              ("photon-budget", "txt"), ("photon-budget", "xml")])
+    def test_execute_rejects_a_format_its_command_does_not_write(self, tmp_path, capsys, command, fmt):
+        out = tmp_path / "x.out"
+        config = parse_args([command, "--out", str(out)])._replace(fmt=fmt)
+        assert execute(config) == (2, [])
+        assert capsys.readouterr().err == f"speckleq {command}: error: format {fmt!r}: {command} does not write it\n"
+        assert not out.exists()
+
 
 def json_dumps_reference(command, header, rows):
-    """The JSON writer's former body: ``json.dumps(indent=2)`` of the same cells."""
+    """The JSON writer's former body: ``json.dumps(indent=2)`` of the same cells, nan and inf as null."""
 
     def cell(value):
-        if isinstance(value, (int, np.integer, np.bool_)):
-            return int(value)
-        return float(value) if math.isfinite(value) else None
+        return value if isinstance(value, int) or math.isfinite(value) else None
 
     payload = {"command": command, "rows": [{k: cell(v) for k, v in zip(header, row)} for row in rows]}
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
@@ -392,43 +399,19 @@ MONTE_CARLO_COMMANDS = [
 ]
 
 
-# Edge cells: a table of mixed and numpy-scalar columns, converted cell by
-# cell, and one whose first four columns each hold one exact type and take one
-# conversion per column; its nan and inf column still goes cell by cell in JSON.
-EDGE_HEADER = ["case", "M", "x", "y", "z"]
-EDGE_TABLES = [
-    [
-        (0, np.int64(3), -0.0, 1e300, np.bool_(True)),
-        (1, 2**70, math.nan, -math.inf, np.float32(0.1)),
-        (np.int32(2), True, 5e-324, np.float64(-1.5e-300), np.int32(-7)),
-        (3, 0, np.float32(0.1), 1e16, 2**53 + 1),
-    ],
-    [
-        (0, 2**53 + 1, -0.0, math.nan, np.int32(7)),
-        (1, 2**70, 5e-324, math.inf, np.bool_(False)),
-        (2, -(2**63), 1e16, -math.inf, np.float32(0.1)),
-        (3, 0, 0.1, 1e300, -0.0),
-    ],
-    [],
-]
-
-
-def edge_columns(rows):
-    """The columns of an edge table, as the writer takes them (five empty columns for no rows)."""
-    return list(zip(*rows)) or [()] * len(EDGE_HEADER)
+def table_rows(columns):
+    """The rows of integer or float64 columns, as the Python ints and floats of their ``tolist()``."""
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 def run_recorded(tmp_path, monkeypatch, *args):
-    """Run the CLI and record each (command, header, rows) passed to the table writer.
-
-    The writer takes columns; the rows recorded are ``list(zip(*columns))``, numpy scalars and all.
-    """
+    """Run the CLI and record each (command, header, columns, preamble) passed to the table writer."""
     written = []
     exact = cli._write_table
 
-    def recording(path, fmt, command, header, columns):
-        written.append((command, header, list(zip(*columns))))
-        exact(path, fmt, command, header, columns)
+    def recording(path, fmt, command, table):
+        written.append((command, table.header, table.columns, table.preamble))
+        exact(path, fmt, command, table)
 
     monkeypatch.setattr(cli, "_write_table", recording)
     rc, out = run_cli(tmp_path, *args)
@@ -442,8 +425,8 @@ class TestJsonEncoding:
 
         out = tmp_path / "t.json"
         header = ["case", "rel_err_mean", "rel_err_var"]
-        columns = ([0, 1], [math.inf, math.nan], [1e-16, 0.0])
-        cli._write_table(out, "json", "oracle-check", header, columns)
+        columns = (np.arange(2), np.array([math.inf, math.nan]), np.array([1e-16, 0.0]))
+        cli._write_table(out, "json", "oracle-check", cli._Output(header, columns))
         payload = json.loads(out.read_text(), parse_constant=reject)
         assert payload["rows"] == [
             {"case": 0, "rel_err_mean": None, "rel_err_var": 1e-16},
@@ -454,9 +437,9 @@ class TestJsonEncoding:
     def test_command_output_equals_json_dumps(self, tmp_path, monkeypatch, args):
         rc, out, written = run_recorded(tmp_path, monkeypatch, *args, "--format", "json")
         assert rc == 0 and len(written) == 1
-        assert out.read_text() == json_dumps_reference(*written[0])
+        command, header, columns, _ = written[0]
+        assert out.read_text() == json_dumps_reference(command, header, table_rows(columns))
         # the writer quotes the command name and the header keys itself, so each is its own json.dumps
-        command, header, _ = written[0]
         for name in (command, *header):
             assert json.dumps(name) == f'"{name}"'
 
@@ -464,39 +447,10 @@ class TestJsonEncoding:
         for name in cli._COMMANDS:
             assert json.dumps(name) == f'"{name}"'
 
-    def test_edge_cells_equal_json_dumps(self, tmp_path):
-        for rows in EDGE_TABLES:
-            out = tmp_path / "t.json"
-            cli._write_table(out, "json", "oracle-check", EDGE_HEADER, edge_columns(rows))
-            assert out.read_text() == json_dumps_reference("oracle-check", EDGE_HEADER, rows)
-
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_bool_cells_are_written_as_ints(self, tmp_path, fmt):
-        # a bool array, a column mixing np.bool_ with ints and one of Python bools all write 1 and 0
-        columns = (np.array([True, False, True]), (np.bool_(True), 1, np.bool_(False)), (False, True, 2))
-        out = tmp_path / f"t.{fmt}"
-        cli._write_table(out, fmt, "oracle-check", ["a", "b", "c"], columns)
-        if fmt == "json":
-            assert [list(row.values()) for row in json.loads(out.read_text())["rows"]] == [
-                [1, 1, 0], [0, 1, 1], [1, 0, 2]
-            ]
-            assert "1.0" not in out.read_text()
-        else:
-            assert out.read_text() == "a,b,c\n1,1,0\n0,1,1\n1,0,2\n"
-
-    def test_one_conversion_per_column(self):
-        # exact int and finite exact float columns skip the per-cell fallback
-        specs, _ = cli._typed_columns(edge_columns(EDGE_TABLES[1]), json_output=True)
-        assert specs == ["%d", "%d", "%r", "%s", "%s"]
-        specs, _ = cli._typed_columns(edge_columns(EDGE_TABLES[1]), json_output=False)
-        assert specs == ["%d", "%d", "%.17g", "%.17g", "%s"]
-
 
 def format_cell_reference(value):
     """The CSV writer's former per-cell conversion."""
-    if isinstance(value, (int, np.integer, np.bool_)):
-        return str(int(value))
-    return format(float(value), ".17g")
+    return str(value) if isinstance(value, int) else format(value, ".17g")
 
 
 def csv_reference(header, rows):
@@ -511,90 +465,71 @@ class TestCsvEncoding:
     def test_command_output_equals_per_cell_csv(self, tmp_path, monkeypatch, args):
         rc, out, written = run_recorded(tmp_path, monkeypatch, *args)
         assert rc == 0 and len(written) == 1
-        _, header, rows = written[0]
-        assert out.read_text() == csv_reference(header, rows)
-
-    def test_edge_cells_equal_per_cell_csv(self, tmp_path):
-        for rows in EDGE_TABLES:
-            out = tmp_path / "t.csv"
-            cli._write_table(out, "csv", "oracle-check", EDGE_HEADER, edge_columns(rows))
-            assert out.read_text() == csv_reference(EDGE_HEADER, rows)
+        _, header, columns, _ = written[0]
+        assert out.read_text() == csv_reference(header, table_rows(columns))
 
 
 BLOCK = cli._WRITE_BLOCK_ROWS
 BLOCK_EDGE_SIZES = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
-BLOCK_EDGE_HEADER = ["case", "M", "x", "y", "z", "w"]
+EDGE_HEADER = ["case", "M", "x", "y"]
+INT_EDGES = [-(2**63), 2**63 - 1, 0, -7]
+FLOAT_EDGES = [-0.0, 5e-324, 1e300, 2.0**53 + 1, 0.1, -1.5e-300, 1 / 3]
 
 
-def block_edge_columns(n):
-    """Six columns of n rows whose cell types change at and near block edges.
+def edge_columns(n):
+    """int64 and float64 columns of n rows that cycle through edge values, so each block holds them all.
 
-    ``x`` is a float array that holds nan and inf only in its last rows, so in JSON only the last
-    block goes cell by cell; ``y`` and ``z`` are exact float and int lists with a numpy scalar, a
-    big int or inf just before, at and after a block edge; ``w`` cycles through numpy scalars,
-    Python numbers, nan and inf.
+    ``M`` cycles through the int64 extremes, ``x`` through finite float edges, and ``y`` through
+    those and nan, inf and -inf, so ``y`` is finite at 1 row and holds all three from 10 rows on.
     """
-    rng = np.random.default_rng(n)
-    m = rng.integers(-(2**62), 2**62, n)
-    x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
-    x[: min(n, 2)] = [-0.0, 5e-324][: min(n, 2)]
-    if n > BLOCK:
-        x[-2:] = [math.nan, -math.inf]
-    y, z = x.tolist(), m.tolist()
-    for k, value in ((BLOCK - 1, np.float64(-1.5e-300)), (BLOCK, math.inf), (2 * BLOCK, np.float32(0.1))):
-        if k < n:
-            y[k] = value
-    for k, value in ((BLOCK - 1, 2**70), (BLOCK, np.int64(3)), (BLOCK + 1, np.int32(-7)), (2 * BLOCK, True)):
-        if k < n:
-            z[k] = value
-    mixed = (np.int64(3), 0, 1e300, np.bool_(True), np.float32(0.1), 2**53 + 1, -math.inf, math.nan)
-    return range(n), m, x, y, z, tuple(mixed[k % len(mixed)] for k in range(n))
+    k = np.arange(n)
+    x = np.array(FLOAT_EDGES)[k % len(FLOAT_EDGES)]
+    y = np.array([*FLOAT_EDGES, math.nan, math.inf, -math.inf])[k % (len(FLOAT_EDGES) + 3)]
+    return k, np.array(INT_EDGES, dtype=np.int64)[k % len(INT_EDGES)], x, y
 
 
 class TestBlockWriterJsonCsv:
-    """The block writer against the whole-table references, at and around block edges."""
+    """The block writer: the columns every runner passes it, and its bytes against the whole-table
+    references at and around block edges."""
+
+    @pytest.mark.parametrize("args", [*JSON_COMMANDS, ["prolate-basis", "--modes", "3", "--quad-order", "16"]],
+                             ids=lambda args: " ".join(args[:3]))
+    def test_every_column_is_an_integer_or_float64_array(self, tmp_path, monkeypatch, args):
+        # the writer takes each column's conversion from its dtype and scans no cell, so this is its contract
+        rc, _, written = run_recorded(tmp_path, monkeypatch, *args)
+        assert rc == 0 and len(written) == 1
+        _, header, columns, _ = written[0]
+        assert len(columns) == len(header)
+        for column in columns:
+            assert isinstance(column, np.ndarray) and column.ndim == 1 and column.size == columns[0].size
+            assert column.dtype.kind in "iu" or column.dtype == np.float64
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES, ids=lambda n: f"{n}rows")
     def test_block_edges_equal_references(self, tmp_path, fmt, n):
-        columns = block_edge_columns(n)
+        columns = edge_columns(n)
         out = tmp_path / f"t.{fmt}"
-        cli._write_table(out, fmt, "oracle-check", BLOCK_EDGE_HEADER, columns)
-        rows = list(zip(*columns))
+        cli._write_table(out, fmt, "oracle-check", cli._Output(EDGE_HEADER, columns))
+        rows = table_rows(columns)
         assert len(rows) == n
         if fmt == "json":
-            assert out.read_text() == json_dumps_reference("oracle-check", BLOCK_EDGE_HEADER, rows)
+            assert out.read_text() == json_dumps_reference("oracle-check", EDGE_HEADER, rows)
         else:
-            assert out.read_text() == csv_reference(BLOCK_EDGE_HEADER, rows)
-
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_block_edge_tables_reach_each_conversion(self, fmt):
-        # the first block takes one conversion per column, and the nan, inf and numpy scalars
-        # past it send the later blocks' y and z (and in JSON x) cell by cell
-        json_output, columns = fmt == "json", block_edge_columns(2 * BLOCK + 1)
-        first, _ = cli._typed_columns([c[: BLOCK - 1] for c in columns], json_output)
-        last, _ = cli._typed_columns([c[2 * BLOCK :] for c in columns], json_output)
-        assert first == ["%d", "%d", "%r" if json_output else "%.17g", "%r" if json_output else "%.17g",
-                         "%d", "%s"]
-        assert last == ["%d", "%d", "%s" if json_output else "%.17g", "%s", "%s", "%s"]
+            assert out.read_text() == csv_reference(EDGE_HEADER, rows)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_numpy_columns_take_their_conversion_from_the_dtype(self, tmp_path, fmt):
-        # int64 and float64 arrays take one conversion from their dtype; in JSON, a float64 block
-        # holding nan or inf goes cell by cell (to null), and a bool array always does
+        # any integer dtype writes as an int, and in JSON a float64 column holding nan or inf
+        # writes those cells as null and its finite cells as they are
         floats = np.array([0.1, -0.0, 5e-324, -1.5e-300, 1e300, 2.0**53 + 1, 1 / 3])
         holed = floats.copy()
         holed[[1, 4, 6]] = math.nan, math.inf, -math.inf
-        ints = np.array([0, -(2**63), 2**63 - 1, 7, -1, 2**53 + 1, 3])
-        columns, header = (ints, floats, holed, np.arange(7) % 3 == 0), ["M", "x", "y", "flag"]
-        json_output = fmt == "json"
-        specs, _ = cli._typed_columns(columns, json_output)
-        exact = "%r" if json_output else "%.17g"
-        assert specs == ["%d", exact, "%s" if json_output else exact, "%s"]
+        columns = (np.arange(7, dtype=np.int32) - 3, np.array([2**64 - 1] * 7, dtype=np.uint64), floats, holed)
+        header = ["case", "M", "x", "y"]
         out = tmp_path / f"t.{fmt}"
-        cli._write_table(out, fmt, "oracle-check", header, columns)
-        rows = list(zip(*(column.tolist() for column in columns)))
-        if json_output:
+        cli._write_table(out, fmt, "oracle-check", cli._Output(header, columns))
+        rows = table_rows(columns)
+        if fmt == "json":
             assert out.read_text() == json_dumps_reference("oracle-check", header, rows)
             assert [row["y"] for row in json.loads(out.read_text())["rows"]][4:] == [None, 2.0**53 + 1, None]
         else:
@@ -606,11 +541,11 @@ class TestBlockWriterJsonCsv:
         # held every row, every row string, the joined text and its encoding (over 60 MB)
         n = 100_000
         rng = np.random.default_rng(0)
-        columns = (range(n), rng.integers(1, 65, n), rng.integers(1, 65, n), *rng.random((5, n)))
+        columns = (np.arange(n), rng.integers(1, 65, n), rng.integers(1, 65, n), *rng.random((5, n)))
         header = ["case", "M", "N", "s", "g", "alpha2", "rel_err_mean", "rel_err_var"]
         tracemalloc.start()
         try:
-            cli._write_table(tmp_path / "o.json", "json", "oracle-check", header, columns)
+            cli._write_table(tmp_path / "o.json", "json", "oracle-check", cli._Output(header, columns))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -711,7 +646,7 @@ def test_package_star_import_binds_all_exports():
         "import speckleq; ns = {}; exec('from speckleq import *', ns); "
         "print(sorted(set(ns) - {'__builtins__'} ^ set(speckleq.__all__)), len(speckleq.__all__))"
     )
-    assert run_python(code) == "[] 58"
+    assert run_python(code) == "[] 57"
 
 
 def test_package_import_of_an_unknown_name_raises_attribute_error():
@@ -1194,7 +1129,7 @@ class TestNumericalFailures:
         out = tmp_path / "pb.csv"
         out.write_text("previous\n")
 
-        def crash_mid_write(path, **kwargs):
+        def crash_mid_write(path, *args):
             path.write_text("truncat")
             raise error
 

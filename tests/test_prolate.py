@@ -15,14 +15,13 @@ from speckleq import (
     build_basis,
     classical_psf,
     classical_psf_curve,
-    export_basis,
     half_width,
     reconstruction_psf,
     reconstruction_psf_curve,
     resolve_modes,
     superres_factor,
 )
-from speckleq import prolate
+from speckleq import cli, prolate
 from speckleq.errors import ConvergenceError
 from speckleq.prolate import _legval, _series_eigenvalues, _sinc_kernel, _solve_spectrum
 
@@ -650,16 +649,46 @@ class TestSuperresFactor:
             resolve_modes(basis_c1, 1e4, 0.01, forced_modes=8)
 
 
+def export_basis_reference(basis):
+    """The former ``prolate.export_basis`` body: the basis text it wrote, as a string."""
+    k = basis.mode_count
+    lam_text = " ".join(format(v, ".17g") for v in basis.lam)
+    lines = [
+        f"# prolate basis: c={basis.bandwidth:.17g} modes={k} quad_order={basis.grid.shape[0]}",
+        f"# lambda: {lam_text}",
+        "# columns: z weight " + " ".join(f"phi_{j}" for j in range(k)),
+    ]
+    row_template = " ".join(["%.17g"] * (k + 2))
+    rows = zip(basis.grid.tolist(), basis.weights.tolist(), *basis.phi.T.tolist())
+    lines.extend(row_template % row for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 class TestExport:
+    """The prolate-basis command's columnar text: a comment preamble, a columns line, then
+    space-separated rows."""
+
     def test_roundtrip(self, tmp_path, basis_c1):
-        path = export_basis(basis_c1, tmp_path / "basis.txt")
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# prolate basis: c=1")
+        out = tmp_path / "basis.txt"
+        rc = cli.main(["prolate-basis", "--out", str(out)])
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "# prolate basis: c=1 modes=7 quad_order=256"
+        assert lines[2] == "# columns: z weight " + " ".join(f"phi_{k}" for k in range(7))
+        assert lines[1].startswith("# lambda: ")
         lam = np.array([float(tok) for tok in lines[1].split()[2:]])
         assert np.array_equal(lam, basis_c1.lam)
-        data = np.loadtxt(path)
+        data = np.loadtxt(out)
         assert data.shape == (256, 9)
         z, w, phi = data[:, 0], data[:, 1], data[:, 2:]
         assert np.array_equal(z, basis_c1.grid)
         gram = (phi * w[:, None]).T @ phi
         assert np.abs(gram - np.eye(7)).max() < 1e-8
+
+    @pytest.mark.parametrize("c, modes, quad_order", [(1.0, 7, 256), (2.0, 12, 128)])
+    def test_text_equals_the_former_export(self, tmp_path, c, modes, quad_order):
+        args = ["--c", str(c), "--modes", str(modes), "--quad-order", str(quad_order)]
+        out = tmp_path / "basis.txt"
+        rc = cli.main(["prolate-basis", *args, "--out", str(out)])
+        assert rc == 0
+        assert out.read_text() == export_basis_reference(build_basis(c, modes, quad_order))
