@@ -82,7 +82,7 @@ def _output_states(tau, abs_sum, g, alpha_mag, alpha_phase, squeeze_phase):
 def _photon_moments(d, excess, tr_excess):
     """Photon-number (mean, variance) of stacked states, as :func:`gaussian_photon_moments`."""
     cov = excess + np.eye(2) / 2.0
-    det = np.linalg.det(cov)
+    det = cov[..., 0, 0] * cov[..., 1, 1] - cov[..., 0, 1] * cov[..., 1, 0]
     if np.any(det < 0.25 - _PHYSICAL_TOL):
         raise ValueError(f"unphysical covariance matrix: det V = {np.min(det)!r} < 1/4")
     mean = tr_excess / 2.0 + np.einsum("...i,...i", d, d) / 2.0
@@ -179,21 +179,14 @@ def _single_mode_state(alpha: complex, zeta: complex, dim: int) -> np.ndarray:
     return (displace @ squeeze)[:, 0]
 
 
-def _apply_lowering(tensor: np.ndarray, axis: int) -> np.ndarray:
+def _apply_ladder(tensor: np.ndarray, axis: int, raising: bool) -> np.ndarray:
+    """a, or a^dag if ``raising``, on mode ``axis`` of a truncated Fock tensor."""
     moved = np.moveaxis(tensor, axis, 0)
     out = np.zeros_like(moved)
-    dim = moved.shape[0]
-    factors = np.sqrt(np.arange(1, dim)).reshape((-1,) + (1,) * (moved.ndim - 1))
-    out[:-1] = factors * moved[1:]
-    return np.moveaxis(out, 0, axis)
-
-
-def _apply_raising(tensor: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.moveaxis(tensor, axis, 0)
-    out = np.zeros_like(moved)
-    dim = moved.shape[0]
-    factors = np.sqrt(np.arange(1, dim)).reshape((-1,) + (1,) * (moved.ndim - 1))
-    out[1:] = factors * moved[:-1]
+    factors = np.sqrt(np.arange(1, moved.shape[0])).reshape((-1,) + (1,) * (moved.ndim - 1))
+    low, high = slice(None, -1), slice(1, None)
+    dst, src = (high, low) if raising else (low, high)
+    out[dst] = factors * moved[src]
     return np.moveaxis(out, 0, axis)
 
 
@@ -235,12 +228,12 @@ def fock_photon_moments(coeffs: ModeCoefficients, inp: SqueezedInput, cutoff: in
 
     lowered = np.zeros_like(state)
     for mode in range(k):
-        lowered += coeffs.c[mode] * _apply_lowering(state, mode)
+        lowered += coeffs.c[mode] * _apply_ladder(state, mode, False)
     mean = float(np.vdot(lowered, lowered).real)
 
     number_applied = np.zeros_like(state)
     for mode in range(k):
-        number_applied += np.conjugate(coeffs.c[mode]) * _apply_raising(lowered, mode)
+        number_applied += np.conjugate(coeffs.c[mode]) * _apply_ladder(lowered, mode, True)
     second = float(np.vdot(number_applied, number_applied).real)
     var = second - mean**2
     if -1e-12 < var < 0.0:
@@ -299,14 +292,31 @@ def _relative_error(value, reference):
 _BLOCK_CASES = 512
 
 
+def _normalized_draws(intensity: np.ndarray, m, s) -> np.ndarray:
+    """|t| and |r| of raw |z|^2 rows (rows, 2, channels), normalized here, not by random_media.
+
+    Each |z|^2 is scaled by its channel's variance, E|t|^2 = 1/(M s) or E|r|^2 = (1 - 1/s)/M, and
+    each row's 2M-vector of amplitudes is divided by its Euclidean norm.  The steps work in place:
+    a new block-sized array costs about four times a pass over an existing one.
+    """
+    variances = np.stack((1.0 / (m * s), (1.0 - 1.0 / s) / m), axis=-1)
+    amp = variances[..., None] * intensity
+    np.sqrt(amp, out=amp)
+    amp /= np.sqrt(np.einsum("ijk,ijk->i", amp, amp))[:, None, None]
+    return amp
+
+
 def _compare_block(draws: EnsembleDraws, params: DisorderParams, n, g, alpha2):
     """Relative errors, analytic against Gaussian oracle, of a block of cases."""
     alpha_mag = np.sqrt(alpha2)
     mean, variance = focus_moments(*draws.shaped_sums(params, n), SqueezedInput(alpha_mag, g), NO_LOSS)
 
-    t_amp, _ = draws.amplitudes(params.disorder_strength)
-    fed = np.arange(t_amp.shape[1]) < n[:, None]
-    tau, abs_sum = np.sum(t_amp**2, axis=1, where=fed), np.sum(t_amp, axis=1, where=fed)
+    amp = _normalized_draws(draws.intensity, params.channel_count, params.disorder_strength)
+    deviation = np.max(np.abs(np.einsum("ijk,ijk->i", amp, amp) - 1.0))  # nan fails too
+    if not deviation <= 1e-12:
+        raise ValueError(f"flux not conserved: |sum|t|^2 + sum|r|^2 - 1| = {float(deviation)!r}")
+    fed = np.arange(amp.shape[2]) < n[:, None]
+    tau, abs_sum = np.sum(amp[:, 0] ** 2, axis=1, where=fed), np.sum(amp[:, 0], axis=1, where=fed)
     oracle_mean, oracle_variance = _photon_moments(*_output_states(tau, abs_sum, g, alpha_mag, 0.0, 0.0))
     return _relative_error(mean, oracle_mean), _relative_error(variance, oracle_variance)
 
@@ -320,8 +330,8 @@ def run_equivalence_check(cases: int, seed: int, *, tolerance: float = 1e-10) ->
     one block of cases at a time.  Each block is one ``draw_ensemble`` call
     with one M per case, so case i's disorder is trial i of master seed
     ``seed``.  The analytic side is the sweeps' own evaluation,
-    ``focus_moments`` on ``EnsembleDraws.shaped_sums``; the oracle side is the
-    stacked Gaussian-state algebra on ``EnsembleDraws.amplitudes``.
+    ``focus_moments`` on ``EnsembleDraws.shaped_sums``; the oracle side normalizes its
+    own draws (``_normalized_draws``) and runs the stacked Gaussian-state algebra.
     """
     blocks = []
     for trials, m, n, s, g, alpha2 in draw_oracle_cases(seed, whole_count(cases, "cases"), _BLOCK_CASES):

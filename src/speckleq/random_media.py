@@ -7,7 +7,7 @@ circular complex Gaussians with E|t|^2 = 1/(M s) and E|r|^2 = (1 - 1/s)/M
 by one common factor so that sum|t|^2 + sum|r|^2 = 1 holds exactly.  Flux
 conservation must be exact because the downstream Gaussian-oracle
 equivalence checks rely on it; the price is an O(1/M) distortion of the
-marginal means (see ``normalization_bias``).
+marginal means.
 
 Wavefront shaping is represented implicitly: shaped propagation and both
 oracles use only the amplitudes |t| and |r|, so channel phases are never
@@ -103,7 +103,9 @@ class ScatteringRealization:
             raise ValueError("at least one transmission channel is required")
         if {self.t_amp.shape, self.r_amp.shape} != {(m,)}:
             raise ValueError(f"both amplitude arrays must share shape ({m},)")
-        _require_physical(self.t_amp, self.r_amp)
+        if np.any(self.t_amp < 0.0) or np.any(self.r_amp < 0.0):
+            raise ValueError("amplitudes must be nonnegative")
+        _require_flux(np.sum(self.t_amp**2) + np.sum(self.r_amp**2))
 
     @property
     def channel_count(self) -> int:
@@ -467,13 +469,6 @@ def _require_flux(flux) -> None:
         raise ValueError(f"flux not conserved: |sum|t|^2 + sum|r|^2 - 1| = {float(deviation)!r}")
 
 
-def _require_physical(t_amp: np.ndarray, r_amp: np.ndarray) -> None:
-    """Raise unless the amplitudes are nonnegative and each row (channels last) conserves flux."""
-    if np.any(t_amp < 0.0) or np.any(r_amp < 0.0):
-        raise ValueError("amplitudes must be nonnegative")
-    _require_flux(np.sum(t_amp**2, axis=-1) + np.sum(r_amp**2, axis=-1))
-
-
 def _amplitudes(intensity: np.ndarray, m, s) -> tuple[np.ndarray, np.ndarray]:
     """Flux-normalized |t| and |r| of intensities shaped (..., 2, channels); callers check them."""
     transmitted, reflected = intensity[..., 0, :], intensity[..., 1, :]
@@ -534,12 +529,6 @@ class EnsembleDraws(NamedTuple):
         _require_flux(t_scale * raw_T + r_scale * self.sum_R)
         return t_scale * raw_T_n, np.sqrt(t_scale) * self.cum_abs_t[rows, fed_modes - 1]
 
-    def amplitudes(self, disorder_strength) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row |t| and |r|, zero past the row's M, formed and checked as ``sample_realization`` does."""
-        t_amp, r_amp = _amplitudes(self.intensity, self.channel_counts, disorder_strength)
-        _require_physical(t_amp, r_amp)
-        return t_amp, r_amp
-
 
 def draw_ensemble(channel_count, trials, master_seed: int) -> EnsembleDraws:
     """Draw each trial once and keep its raw intensities and prefix sums.
@@ -569,14 +558,3 @@ def draw_ensemble(channel_count, trials, master_seed: int) -> EnsembleDraws:
         np.cumsum(np.sqrt(transmitted), axis=1),
         intensity[:, 1].sum(axis=1),
     )
-
-
-def normalization_bias(params: DisorderParams) -> float:
-    """Leading O(1/M) shift of E[sum_T] away from 1/s under exact normalization.
-
-    Second-order delta-method estimate for the ratio X/(X+Y) of the raw
-    transmitted and reflected intensity sums; vanishes at s = 2.
-    """
-    m = params.channel_count
-    s = params.disorder_strength
-    return (1.0 - 1.0 / s) * (1.0 - 2.0 / s) / (m * s)

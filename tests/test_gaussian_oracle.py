@@ -424,16 +424,33 @@ class TestBatchedEquivalence:
         assert report.worst_case()["case"] % 7 == 3
         assert np.all(report.rel_err_var[3::7] > 5e-9)
 
+    def test_catches_a_mis_weighted_normalization(self, monkeypatch):
+        # The oracle normalizes its own draws, so a 0.3% error in the transmission weight of
+        # the sweeps' normalization (random_media._flux_scales) must fail criterion 1's check.
+        # Scaling raw_T and the returned t factor by 1.003 is _flux_scales with its t weight
+        # scaled by 1.003: the rows still conserve flux, so only the oracle can see it.
+        exact = random_media._flux_scales
+
+        def mis_weighted(raw_T, raw_R, m, s):
+            t_scale, r_scale = exact(1.003 * raw_T, raw_R, m, s)
+            return 1.003 * t_scale, r_scale
+
+        assert run_equivalence_check(500, 20260810).passed
+        monkeypatch.setattr(random_media, "_flux_scales", mis_weighted)
+        report = run_equivalence_check(500, 20260810)
+        assert not report.passed and report.max_rel_error > 1e-4
+
     @pytest.mark.parametrize("fault", ["amplitude scale", "overflowed draw"])
     def test_flux_violating_block_raises(self, monkeypatch, fault):
         if fault == "amplitude scale":
-            exact = random_media._amplitudes
+            exact = gaussian_oracle._normalized_draws
 
             def broken(*args):
-                t_amp, r_amp = exact(*args)
-                return t_amp * (1.0 + 1e-9), r_amp
+                amp = exact(*args)
+                amp[:, 0] *= 1.0 + 1e-9
+                return amp
 
-            monkeypatch.setattr(random_media, "_amplitudes", broken)
+            monkeypatch.setattr(gaussian_oracle, "_normalized_draws", broken)
         else:
             exact = random_media._draw_trials
 

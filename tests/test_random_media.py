@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc, kolmogorov, roots_jacobi
 
 from speckleq import (
     CouplingSums,
@@ -16,7 +17,7 @@ from speckleq import (
     sample_realization,
 )
 from speckleq import StreamMismatch, random_media
-from speckleq.random_media import mask_seed, normalization_bias
+from speckleq.random_media import mask_seed
 
 
 def ensemble_sum_t(params, trials, seed):
@@ -24,6 +25,42 @@ def ensemble_sum_t(params, trials, seed):
     draws = draw_ensemble(params.channel_count, trials, seed)
     sum_t = draws.shaped_sums(params, params.channel_count)[0]
     return sum_t, float(np.mean(sum_t)), float(np.std(sum_t, ddof=1) / np.sqrt(trials))
+
+
+def draw_amplitudes(draws, disorder_strength):
+    """Per-row |t| and |r| of ``draws``, zero past each row's M, formed as ``sample_realization`` forms them."""
+    return random_media._amplitudes(draws.intensity, draws.channel_counts, disorder_strength)
+
+
+def channel_weights(m, s):
+    """The raw per-quadrature variances of t and r: a = 1/(2Ms) and b = (1 - 1/s)/(2M)."""
+    return 1.0 / (2.0 * m * s), (1.0 - 1.0 / s) / (2.0 * m)
+
+
+def exact_tau_cdf(tau, m, s):
+    """P(tau <= t) at full filling, where tau = aB / (aB + b(1 - B)) and B ~ Beta(M, M).
+
+    The raw transmitted and reflected sums are independent Gamma(M) variables, so
+    B = X / (X + Y) is Beta(M, M), and tau is an increasing function of B.
+    """
+    a, b = channel_weights(m, s)
+    return betainc(m, m, b * tau / (a * (1.0 - tau) + b * tau))
+
+
+def exact_tau_mean(m, s, nodes=64):
+    """E[tau] at full filling by a Gauss-Jacobi rule in B; tau is analytic in B on [0, 1]."""
+    a, b = channel_weights(m, s)
+    x, w = roots_jacobi(nodes, m - 1, m - 1)
+    beta = (1.0 + x) / 2.0
+    return float(np.sum(w * a * beta / (a * beta + b * (1.0 - beta))) / np.sum(w))
+
+
+def ks_p_value(sample, cdf):
+    """Asymptotic two-sided Kolmogorov-Smirnov p-value of ``sample`` against the continuous ``cdf``."""
+    u = np.sort(cdf(sample))
+    n = u.shape[0]
+    d = max(np.max(np.arange(1, n + 1) / n - u), np.max(u - np.arange(n) / n))
+    return float(kolmogorov(np.sqrt(n) * d))
 
 
 def make_realization(t_amp, r_amp):
@@ -176,7 +213,7 @@ class TestEnsembleStats:
         params = DisorderParams(50, 6.0)
         draws = draw_ensemble(50, 100, 4)
         tau = draws.shaped_sums(params, 50)[0]
-        t_amp, r_amp = draws.amplitudes(6.0)
+        t_amp, r_amp = draw_amplitudes(draws, 6.0)
         sum_t, sum_r = np.sum(t_amp**2, axis=1), np.sum(r_amp**2, axis=1)
         assert np.max(np.abs(sum_t + sum_r - 1.0)) <= 1e-12
         np.testing.assert_allclose(tau, sum_t, rtol=1e-14)
@@ -190,23 +227,18 @@ class TestEnsembleStats:
 
     @pytest.mark.parametrize("s", [2.0, 4.0, 6.0, 8.0])
     def test_mean_transmission_finite_size_oracle(self, s):
-        # The exact flux normalization shifts E[sum_T] off 1/s by the known
-        # O(1/M) delta-method correction (zero at s = 2); against that
-        # corrected reference the sampler is unbiased at the 4-sigma level.
-        # Against plain 1/s the shift itself exceeds 4 stderr at 1e4 trials
-        # for s > 2, which the loose bands above absorb.
-        params = DisorderParams(50, s)
-        _, mean, stderr = ensemble_sum_t(params, trials=10_000, seed=20)
-        reference = 1.0 / s + normalization_bias(params)
-        assert abs(mean - reference) < 4.0 * stderr
+        # The exact flux normalization shifts E[sum_T] off 1/s by O(1/M) (zero
+        # at s = 2); against the exact E[tau] the sampler is unbiased at the
+        # 4-sigma level.  Against plain 1/s the shift itself exceeds 4 stderr
+        # at 1e4 trials for s > 2, which the loose bands above absorb.
+        _, mean, stderr = ensemble_sum_t(DisorderParams(50, s), trials=10_000, seed=20)
+        assert abs(mean - exact_tau_mean(50, s)) < 4.0 * stderr
 
-    def test_normalization_bias_resolved_at_small_m(self):
+    def test_exact_mean_resolved_at_small_m(self):
         # At M = 20, s = 4 the O(1/M) shift is about 15 stderr at 4e4 trials:
-        # the ensemble agrees with 1/s + bias and is resolved away from 1/s.
-        params = DisorderParams(20, 4.0)
-        _, mean, stderr = ensemble_sum_t(params, trials=40_000, seed=20)
-        reference = 1.0 / 4.0 + normalization_bias(params)
-        assert abs(mean - reference) < 4.0 * stderr
+        # the ensemble agrees with the exact E[tau] and is resolved away from 1/s.
+        _, mean, stderr = ensemble_sum_t(DisorderParams(20, 4.0), trials=40_000, seed=20)
+        assert abs(mean - exact_tau_mean(20, 4.0)) < 4.0 * stderr
         assert abs(mean - 1.0 / 4.0) > 10.0 * stderr
 
     def test_rejects_zero_trials(self):
@@ -214,6 +246,65 @@ class TestEnsembleStats:
             draw_ensemble(5, 0, 1)
         with pytest.raises(ValueError):
             draw_ensemble(5, range(3, 3), 1)
+
+
+_LAW_S = (1.5, 2.0, 6.0)
+_LAW_TRIALS = {1: 20_000, 2: 20_000, 50: 200_000}
+_LAW_SAMPLES = 300  # sample_realization is a per-call API (about 0.25 ms a call)
+
+
+@pytest.fixture(scope="module")
+def law_taus():
+    """By M: tau of ``_LAW_TRIALS[M]`` trials of master seed 9 at full filling, one row per s of ``_LAW_S``."""
+    taus = {}
+    for m, n in _LAW_TRIALS.items():
+        params, chunk = DisorderParams(m, np.array(_LAW_S)[:, None]), 25_000  # memory does not grow with n
+        rows = [draw_ensemble(m, range(k, min(k + chunk, n)), 9).shaped_sums(params, m)[0] for k in range(0, n, chunk)]
+        taus[m] = np.concatenate(rows, axis=1)
+    return taus
+
+
+class TestTauLaw:
+    """The law of the flux-normalized tau at full filling: an exact image of Beta(M, M).
+
+    Every test runs at a fixed seed, so its false-alarm rate is the chance that a
+    correct stream of another seed fails it: 1e-4 for each KS test (p below 1e-4
+    fails) and 6.3e-5 for each mean test (4 standard errors, two-sided).  A relative
+    error e in the transmission weight a (as in ``_flux_scales``) shifts logit tau by
+    e.  The smallest such e that a test detects, taken where the expected statistic
+    reaches its threshold: the ensemble KS tests about 6.3% at M = 1, 4.2% at M = 2
+    and 0.25% at M = 50; the sample_realization KS tests (300 samples) about 51%,
+    34% and 6.5%; the M = 50 mean tests 0.18%.  A 0.3% error fails the M = 50 mean
+    tests and the M = 50 ensemble KS tests.  The KS statistic of tau against its law
+    is that of B, the same at every s up to rounding; each s checks that s's weights.
+    """
+
+    def test_exact_mean_equals_the_closed_form_at_one_channel(self):
+        # B is uniform at M = 1, where E[tau] = r/(r - 1) (1 - ln r/(r - 1)) with r = a/b
+        for s in (1.5, 6.0):
+            r = 1.0 / (s - 1.0)
+            assert exact_tau_mean(1, s) == pytest.approx(r / (r - 1.0) * (1.0 - np.log(r) / (r - 1.0)), rel=1e-13)
+        assert exact_tau_mean(50, 2.0) == pytest.approx(0.5, rel=1e-14)
+
+    @pytest.mark.parametrize("s", _LAW_S)
+    @pytest.mark.parametrize("m", sorted(_LAW_TRIALS))
+    def test_ensemble_tau_follows_the_exact_law(self, law_taus, m, s):
+        tau = law_taus[m][_LAW_S.index(s)]
+        assert ks_p_value(tau, lambda t: exact_tau_cdf(t, m, s)) > 1e-4
+
+    @pytest.mark.parametrize("s", _LAW_S)
+    @pytest.mark.parametrize("m", sorted(_LAW_TRIALS))
+    def test_sampled_tau_follows_the_exact_law(self, m, s):
+        params = DisorderParams(m, s)
+        reals = (sample_realization(params, derive_trial_seed(10, i)) for i in range(_LAW_SAMPLES))
+        tau = np.array([np.sum(real.t_amp**2) for real in reals])
+        assert ks_p_value(tau, lambda t: exact_tau_cdf(t, m, s)) > 1e-4
+
+    @pytest.mark.parametrize("s", _LAW_S)
+    def test_mean_tau_is_the_exact_mean(self, law_taus, s):
+        tau = law_taus[50][_LAW_S.index(s)]
+        stderr = np.std(tau, ddof=1) / np.sqrt(tau.shape[0])
+        assert abs(np.mean(tau) - exact_tau_mean(50, s)) < 4.0 * stderr
 
 
 class TestDrawEntryPoint:
@@ -244,7 +335,7 @@ class TestDrawEntryPoint:
             assert draws.intensity.shape[-1] == 64
             for name in ("intensity", "cum_T", "cum_abs_t", "sum_R"):
                 assert np.array_equal(getattr(draws, name)[j], getattr(alone, name)[0])
-            for got, want in zip(draws.amplitudes(3.0), alone.amplitudes(3.0)):
+            for got, want in zip(draw_amplitudes(draws, 3.0), draw_amplitudes(alone, 3.0)):
                 assert np.array_equal(got[j], want[0])
 
     def test_padding_width(self):
@@ -275,7 +366,7 @@ class TestDrawEntryPoint:
         draws = draw_ensemble(counts, range(30, 33), 6)
         params = DisorderParams(counts, strengths)
         sums = np.array(draws.shaped_sums(params, fed))
-        t_amp, r_amp = draws.amplitudes(strengths)
+        t_amp, r_amp = draw_amplitudes(draws, strengths)
         for j, (m, s, n) in enumerate(zip(counts, strengths, fed)):
             real = sample_realization(DisorderParams(m, s), derive_trial_seed(6, 30 + j))
             # padded rows are summed over more (zero) terms, so only rounding may differ
@@ -395,7 +486,7 @@ class TestBatchedStream:
     def test_sample_realization_is_row_i_of_draw_ensemble(self, m):
         # the rows on both sides of the call's chunk edge, from a range that starts past trial 0
         trials = range(200, 200 + random_media._CHUNK_TRIALS + 3)
-        t_amp, r_amp = draw_ensemble(m, trials, 3).amplitudes(2.5)
+        t_amp, r_amp = draw_amplitudes(draw_ensemble(m, trials, 3), 2.5)
         for j in (0, 255, 256, len(trials) - 1):
             real = sample_realization(DisorderParams(m, 2.5), derive_trial_seed(3, trials[j]))
             assert np.array_equal(real.t_amp, t_amp[j]) and np.array_equal(real.r_amp, r_amp[j])
@@ -448,7 +539,7 @@ class TestBatchedStream:
         for trials in (range(2**64 - 2, 2**64 + 1), range(-1, 2), range(1, -2, -1)):
             with pytest.raises(ValueError, match="trial indices"):
                 draw_ensemble(3, trials, 1)
-        t_amp, _ = draw_ensemble(3, range(2**64 - 2, 2**64), 1).amplitudes(2.5)  # the last index is drawn
+        t_amp, _ = draw_amplitudes(draw_ensemble(3, range(2**64 - 2, 2**64), 1), 2.5)  # the last index is drawn
         real = sample_realization(DisorderParams(3, 2.5), derive_trial_seed(1, 2**64 - 1))
         assert np.array_equal(real.t_amp, t_amp[1])
 
