@@ -395,11 +395,11 @@ def _run_prolate_basis(config: RunConfig) -> _Output:
 
 def _run_oracle_check(config: RunConfig) -> _Output:
     report = gaussian_oracle.run_equivalence_check(config.options["cases"], config.options["seed"])
-    worst = report.worst_case()
+    i = report.worst
     note = (
-        f"worst case: M={worst['channel_count']} N={worst['fed_modes']} "
-        f"s={worst['disorder_strength']:.4f} g={worst['squeeze_strength']:.4f} "
-        f"alpha2={worst['alpha2']:.4g} rel_err={max(worst['rel_err_mean'], worst['rel_err_var']):.3e}"
+        f"worst case: M={report.channel_counts[i]} N={report.fed_modes[i]} "
+        f"s={report.disorder_strengths[i]:.4f} g={report.squeeze_strengths[i]:.4f} "
+        f"alpha2={report.alpha2[i]:.4g} rel_err={max(report.rel_err_mean[i], report.rel_err_var[i]):.3e}"
     )
     failure = None if report.passed else f"FAILED tolerance {report.tolerance:.1e}"
     header = ["case", "M", "N", "s", "g", "alpha2", "rel_err_mean", "rel_err_var"]

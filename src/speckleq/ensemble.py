@@ -24,10 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ZeroMean
+from .errors import ZeroMean, whole_count
 from . import prolate
 from .quantum_stats import NO_LOSS, LossChannel, SqueezedInput, focus_moments
-from .random_media import DisorderParams, EnsembleDraws, draw_ensemble, whole_count
+from .random_media import DisorderParams, EnsembleDraws, draw_ensemble
 
 SWEEP_AXES = ("squeeze_g", "disorder_s", "mode_fill_ratio", "loss_rate", "coherent_fraction")
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the whole-count check, shared across the package."""
 
 
 class SpeckleQError(Exception):
@@ -31,3 +31,12 @@ class UsageError(SpeckleQError):
 
 class StreamMismatch(SpeckleQError, RuntimeError):
     """The batched trial seeding no longer reproduces numpy's SeedSequence/PCG64 stream."""
+
+
+def whole_count(value, name: str) -> int:
+    """``value`` as an int, checked to be a whole number >= 1; the ValueError names the argument."""
+    if not value >= 1:
+        raise ValueError(f"{name} must be >= 1")
+    if value % 1 != 0:
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)

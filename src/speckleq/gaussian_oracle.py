@@ -22,44 +22,42 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import TruncationError
+from .errors import TruncationError, whole_count
 from .quantum_stats import NO_LOSS, LossChannel, PhotonMoments, SqueezedInput
 from .quantum_stats import focus_moments
 from .random_media import DisorderParams, EnsembleDraws, ScatteringRealization
-from .random_media import draw_ensemble, draw_oracle_cases, whole_count
+from .random_media import draw_ensemble, draw_oracle_cases
 
 _MAX_FOCK_MODES = 3
 _MAX_CUTOFF = 256
 _FOCK_PAD = 8
 _PHYSICAL_TOL = 1e-9  # det V may undershoot the vacuum bound 1/4 by this much
 _NORM_TOL = 1e-10  # probability the Fock oracle may lose past its cutoff
+_TOLERANCE = 1e-10  # largest relative error the equivalence check passes
 
 
-class GaussianModeState:
-    """Quadrature mean vector and 2x2 covariance of one bosonic mode.
+class GaussianModeState(NamedTuple):
+    """Quadrature mean vector d, excess covariance E = V - I/2 and tr E of one bosonic mode.
 
-    The state also holds its excess covariance ``E = V - I/2`` and ``tr E``, which the photon
-    moments are taken from.  Near vacuum, V rounds to I/2 and loses E's low digits, so the
-    states this module forms carry E and tr E from their own formulas; a state built from V
-    takes E = V - I/2.
+    The photon moments are taken from E and tr E, not from V: near vacuum, V rounds to I/2 and
+    loses E's low digits, so the states this module forms carry E and tr E from their own
+    formulas.  :meth:`from_covariance` builds a checked state from d and V.
     """
 
-    __slots__ = ("d", "V", "excess", "tr_excess")
-
-    def __init__(self, d: np.ndarray, V: np.ndarray) -> None:
-        self.d, self.V = np.asarray(d, dtype=float), np.asarray(V, dtype=float)
-        if self.d.shape != (2,) or self.V.shape != (2, 2):
-            raise ValueError("d must have shape (2,) and V shape (2, 2)")
-        if abs(self.V[0, 1] - self.V[1, 0]) > 1e-12:
-            raise ValueError("covariance matrix must be symmetric")
-        self.excess = self.V - np.eye(2) / 2.0
-        self.tr_excess = float(np.trace(self.excess))
+    d: np.ndarray
+    excess: np.ndarray
+    tr_excess: float
 
     @classmethod
-    def _from_excess(cls, d, excess, tr_excess) -> GaussianModeState:
-        state = cls(d, excess + np.eye(2) / 2.0)
-        state.excess, state.tr_excess = excess, float(tr_excess)
-        return state
+    def from_covariance(cls, d, V) -> GaussianModeState:
+        """The state of mean vector d, shape (2,), and symmetric covariance V, shape (2, 2)."""
+        d, V = np.asarray(d, dtype=float), np.asarray(V, dtype=float)
+        if d.shape != (2,) or V.shape != (2, 2):
+            raise ValueError("d must have shape (2,) and V shape (2, 2)")
+        if abs(V[0, 1] - V[1, 0]) > 1e-12:
+            raise ValueError("covariance matrix must be symmetric")
+        excess = V - np.eye(2) / 2.0
+        return cls(d, excess, float(np.trace(excess)))
 
 
 def _output_states(tau, abs_sum, g, alpha_mag, alpha_phase, squeeze_phase):
@@ -111,9 +109,9 @@ def output_gaussian_state(real: ScatteringRealization, inp: SqueezedInput) -> Ga
     if n > real.channel_count:
         raise ValueError(f"fed mode count {n} inconsistent with {real.channel_count} channels")
     amps = real.t_amp[:n]
-    phases = (inp.alpha_phase, inp.squeeze_phase)
-    state = _output_states(np.sum(amps**2), np.sum(amps), inp.squeeze_strength, inp.alpha_mag, *phases)
-    return GaussianModeState._from_excess(*state)
+    g, phases = inp.squeeze_strength, (inp.alpha_phase, inp.squeeze_phase)
+    d, excess, tr_excess = _output_states(np.sum(amps**2), np.sum(amps), g, inp.alpha_mag, *phases)
+    return GaussianModeState(d, excess, float(tr_excess))
 
 
 def gaussian_photon_moments(state: GaussianModeState) -> PhotonMoments:
@@ -123,13 +121,13 @@ def gaussian_photon_moments(state: GaussianModeState) -> PhotonMoments:
     var = (tr E + tr E^2)/2 + d^T V d in the vacuum-variance-1/2 convention; for a physical
     state each term is nonnegative, so nothing cancels.
     """
-    return PhotonMoments(*map(float, _photon_moments(state.d, state.excess, state.tr_excess)))
+    return PhotonMoments(*map(float, _photon_moments(*state)))
 
 
 def apply_loss_channel(state: GaussianModeState, loss: LossChannel) -> GaussianModeState:
     """Beam-splitter vacuum channel acting on the Gaussian state."""
-    lossy = _lossy_states(state.d, state.excess, state.tr_excess, loss.loss_rate)
-    return GaussianModeState._from_excess(*lossy)
+    d, excess, tr_excess = _lossy_states(*state, loss.loss_rate)
+    return GaussianModeState(d, excess, float(tr_excess))
 
 
 class ModeCoefficients:
@@ -265,19 +263,10 @@ class EquivalenceReport(NamedTuple):
     def passed(self) -> bool:
         return self.max_rel_error < self.tolerance
 
-    def worst_case(self) -> dict:
-        err = np.maximum(self.rel_err_mean, self.rel_err_var)
-        i = int(np.argmax(err))
-        return {
-            "case": i,
-            "channel_count": int(self.channel_counts[i]),
-            "fed_modes": int(self.fed_modes[i]),
-            "disorder_strength": float(self.disorder_strengths[i]),
-            "squeeze_strength": float(self.squeeze_strengths[i]),
-            "alpha2": float(self.alpha2[i]),
-            "rel_err_mean": float(self.rel_err_mean[i]),
-            "rel_err_var": float(self.rel_err_var[i]),
-        }
+    @property
+    def worst(self) -> int:
+        """Index of the case with the largest relative error, in the mean or the variance."""
+        return int(np.argmax(np.maximum(self.rel_err_mean, self.rel_err_var)))
 
 
 def _relative_error(value, reference):
@@ -321,7 +310,7 @@ def _compare_block(draws: EnsembleDraws, params: DisorderParams, n, g, alpha2):
     return _relative_error(mean, oracle_mean), _relative_error(variance, oracle_variance)
 
 
-def run_equivalence_check(cases: int, seed: int, *, tolerance: float = 1e-10) -> EquivalenceReport:
+def run_equivalence_check(cases: int, seed: int) -> EquivalenceReport:
     """Random analytic vs Gaussian-oracle comparison over the supported domain.
 
     Cases draw M in {1..64}, N <= M, s in (1, 10], g in [0, 2] and
@@ -331,10 +320,11 @@ def run_equivalence_check(cases: int, seed: int, *, tolerance: float = 1e-10) ->
     with one M per case, so case i's disorder is trial i of master seed
     ``seed``.  The analytic side is the sweeps' own evaluation,
     ``focus_moments`` on ``EnsembleDraws.shaped_sums``; the oracle side normalizes its
-    own draws (``_normalized_draws``) and runs the stacked Gaussian-state algebra.
+    own draws (``_normalized_draws``) and runs the stacked Gaussian-state algebra.  The check
+    passes if every relative error is below ``_TOLERANCE`` (1e-10).
     """
     blocks = []
     for trials, m, n, s, g, alpha2 in draw_oracle_cases(seed, whole_count(cases, "cases"), _BLOCK_CASES):
         draws = draw_ensemble(m, trials, seed)
         blocks.append((m, n, s, g, alpha2, *_compare_block(draws, DisorderParams(m, s), n, g, alpha2)))
-    return EquivalenceReport(*(np.concatenate(column) for column in zip(*blocks)), tolerance=tolerance)
+    return EquivalenceReport(*(np.concatenate(column) for column in zip(*blocks)), tolerance=_TOLERANCE)

@@ -35,8 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, NoCrossing, TooDim
-from .random_media import whole_count
+from .errors import ConvergenceError, NoCrossing, TooDim, whole_count
 
 _CERTIFICATE_TOL = 1e-9  # largest distance of a retained Nystrom eigenvalue from its series value
 _SERIES_TAIL_TOL = 1e-12  # largest trailing Legendre coefficient of a retained series mode
@@ -115,16 +114,13 @@ class ProlateBasis(NamedTuple):
     def mode_count(self) -> int:
         return self.lam.shape[0]
 
-    def evaluate(self, z, max_modes: int | None = None) -> np.ndarray:
-        """Sample phi_k(z) for k < max_modes; +0.0 outside [-1, 1].  Shape: (len(z), max_modes).
+    def evaluate(self, z) -> np.ndarray:
+        """Sample every phi_k(z); +0.0 outside [-1, 1].  Shape: (len(z), K).
 
         Nystrom interpolation, exact at the quadrature nodes.  The weighted sinc kernel is formed
         for the points with |z| <= 1 (NaN included) in blocks of at most 128 rows, each projected
-        on all K modes at once, so the result is the first max_modes columns of evaluate(z).
+        on all K modes at once; callers that keep q modes slice the first q columns.
         """
-        k = self.mode_count if max_modes is None else max_modes
-        if not 1 <= k <= self.mode_count:
-            raise ValueError(f"max_modes must lie in [1, {self.mode_count}]")
         pts = np.atleast_1d(np.asarray(z, dtype=float))
         inside = np.flatnonzero(~(np.abs(pts) > 1.0))  # NaN points count as inside and stay NaN
         values = np.zeros((pts.shape[0], self.mode_count))
@@ -133,7 +129,7 @@ class ProlateBasis(NamedTuple):
             kernel = _sinc_kernel(self.bandwidth, pts[rows], self.grid)
             kernel *= self.weights
             values[rows] = kernel @ self.phi / self.lam
-        return values[:, :k]
+        return values
 
 
 def _solve_spectrum(bandwidth: float, quad_order: int, num_modes: int):
@@ -289,7 +285,7 @@ def reconstruction_psf(basis: ProlateBasis, modes_kept: int, z):
     """
     if not 1 <= modes_kept <= basis.mode_count:
         raise ValueError(f"modes_kept must lie in [1, {basis.mode_count}]")
-    values = basis.evaluate(z, modes_kept) @ basis.phi_at_zero[:modes_kept]
+    values = basis.evaluate(z)[:, :modes_kept] @ basis.phi_at_zero[:modes_kept]
     return float(values[0]) if np.isscalar(z) else values
 
 

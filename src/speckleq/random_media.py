@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import StreamMismatch
+from .errors import StreamMismatch, whole_count
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 _U32_MASK = 0xFFFFFFFF
@@ -134,15 +134,6 @@ class CouplingSums(NamedTuple):
         if not 0 <= fed_modes <= self.channel_count:
             raise ValueError(f"fed_modes={fed_modes} outside [0, {self.channel_count}]")
         return float(self.cum_T[fed_modes]), float(self.cum_abs_t[fed_modes])
-
-
-def whole_count(value, name: str) -> int:
-    """``value`` as an int, checked to be a whole number >= 1; the ValueError names the argument."""
-    if not value >= 1:
-        raise ValueError(f"{name} must be >= 1")
-    if value % 1 != 0:
-        raise ValueError(f"{name} must be an integer, got {value}")
-    return int(value)
 
 
 def mask_seed(seed: int) -> int:

@@ -609,6 +609,19 @@ def test_cli_import_does_not_load_dataclasses_or_copy():
     assert run_python(code) == "[]"
 
 
+@pytest.mark.parametrize(
+    "module,layers",
+    [
+        ("speckleq.prolate", ["errors", "prolate"]),
+        ("speckleq.cli", ["cli", "ensemble", "errors", "gaussian_oracle", "prolate", "quantum_stats", "random_media"]),
+    ],
+)
+def test_module_import_loads_only_its_layers(module, layers):
+    # prolate stands alone, so the Slepian layer needs neither the draws nor the moments
+    code = f"import sys, {module}; print(sorted(m[len('speckleq.'):] for m in sys.modules if m.startswith('speckleq.')))"
+    assert run_python(code) == str(layers)
+
+
 def test_slepian_commands_do_not_import_numpy_polynomial(tmp_path):
     # the Gauss-Legendre rule is computed in prolate; numpy 2 imports numpy.polynomial lazily
     out = tmp_path / "out.txt"
@@ -1141,9 +1154,7 @@ class TestNumericalFailures:
         assert err == [f"speckleq photon-budget: error: {type(error).__name__}: {error}"]
 
     def test_failed_oracle_check_keeps_file_and_exits_3(self, tmp_path, capsys, monkeypatch):
-        check = cli.gaussian_oracle.run_equivalence_check
-        strict = lambda cases, seed: check(cases, seed, tolerance=0.0)  # noqa: E731
-        monkeypatch.setattr(cli.gaussian_oracle, "run_equivalence_check", strict)
+        monkeypatch.setattr(cli.gaussian_oracle, "_TOLERANCE", 0.0)
         out = tmp_path / "o.csv"
         assert main(["oracle-check", "--cases", "20", "--out", str(out)]) == 3
         assert len(read_csv(out)[1]) == 20

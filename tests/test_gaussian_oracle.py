@@ -33,20 +33,20 @@ from tests.test_random_media import make_realization
 
 class TestGaussianMoments:
     def test_vacuum(self):
-        moments = gaussian_photon_moments(GaussianModeState(np.zeros(2), np.eye(2) / 2.0))
+        moments = gaussian_photon_moments(GaussianModeState.from_covariance(np.zeros(2), np.eye(2) / 2.0))
         assert moments.mean == 0.0
         assert moments.variance == 0.0
 
     def test_coherent_state_is_poissonian(self):
         alpha2 = 7.3
-        state = GaussianModeState(np.array([math.sqrt(2.0 * alpha2), 0.0]), np.eye(2) / 2.0)
+        state = GaussianModeState.from_covariance(np.array([math.sqrt(2.0 * alpha2), 0.0]), np.eye(2) / 2.0)
         moments = gaussian_photon_moments(state)
         assert moments.mean == pytest.approx(alpha2, rel=1e-14)
         assert moments.variance == pytest.approx(alpha2, rel=1e-14)
 
     def test_squeezed_vacuum_moments(self):
         g = 1.1
-        state = GaussianModeState(
+        state = GaussianModeState.from_covariance(
             np.zeros(2), np.diag([math.exp(-2.0 * g), math.exp(2.0 * g)]) / 2.0
         )
         moments = gaussian_photon_moments(state)
@@ -57,18 +57,18 @@ class TestGaussianMoments:
 
     def test_thermal_state_moments(self):
         nbar = 2.5
-        state = GaussianModeState(np.zeros(2), (2.0 * nbar + 1.0) * np.eye(2) / 2.0)
+        state = GaussianModeState.from_covariance(np.zeros(2), (2.0 * nbar + 1.0) * np.eye(2) / 2.0)
         moments = gaussian_photon_moments(state)
         assert moments.mean == pytest.approx(nbar, rel=1e-14)
         assert moments.variance == pytest.approx(nbar * (nbar + 1.0), rel=1e-14)
 
     def test_rejects_unphysical_covariance(self):
         with pytest.raises(ValueError):
-            gaussian_photon_moments(GaussianModeState(np.zeros(2), np.eye(2) / 4.0))
+            gaussian_photon_moments(GaussianModeState.from_covariance(np.zeros(2), np.eye(2) / 4.0))
 
     def test_rejects_asymmetric_covariance(self):
         with pytest.raises(ValueError):
-            GaussianModeState(np.zeros(2), np.array([[0.5, 0.1], [0.0, 0.5]]))
+            GaussianModeState.from_covariance(np.zeros(2), np.array([[0.5, 0.1], [0.0, 0.5]]))
 
 
 class TestOutputState:
@@ -76,18 +76,18 @@ class TestOutputState:
         real = make_realization([1.0], [0.0])
         state = output_gaussian_state(real, SqueezedInput(0.0, 0.0, fed_modes=1))
         assert np.allclose(state.d, 0.0)
-        assert np.allclose(state.V, np.eye(2) / 2.0)
+        assert np.allclose(state.excess + np.eye(2) / 2.0, np.eye(2) / 2.0)
 
     def test_pure_squeezed_state(self):
         real = make_realization([1.0], [0.0])
         state = output_gaussian_state(real, SqueezedInput(0.0, 1.5, fed_modes=1))
-        assert np.allclose(state.V, np.diag([math.exp(-3.0), math.exp(3.0)]) / 2.0, atol=1e-15)
+        assert np.allclose(state.excess + np.eye(2) / 2.0, np.diag([math.exp(-3.0), math.exp(3.0)]) / 2.0, atol=1e-15)
 
     def test_convex_mixture_of_squeezed_and_vacuum(self):
         real = make_realization([np.sqrt(0.3), np.sqrt(0.2)], [np.sqrt(0.5), 0.0])
         state = output_gaussian_state(real, SqueezedInput(0.0, 1.0, fed_modes=2))
         expected = 0.5 * np.diag([math.exp(-2.0), math.exp(2.0)]) / 2.0 + 0.5 * np.eye(2) / 2.0
-        assert np.allclose(state.V, expected, atol=1e-14)
+        assert np.allclose(state.excess + np.eye(2) / 2.0, expected, atol=1e-14)
 
     def test_displacement_scaling(self):
         real = make_realization([np.sqrt(0.5), np.sqrt(0.5)], [0.0, 0.0])
@@ -228,8 +228,8 @@ class TestEquivalenceSweep:
         assert report.cases == 100
         assert report.passed
         assert report.max_rel_error < 1e-10
-        worst = report.worst_case()
-        assert set(worst) >= {"channel_count", "fed_modes", "rel_err_mean", "rel_err_var"}
+        worst = report.worst
+        assert max(report.rel_err_mean[worst], report.rel_err_var[worst]) == report.max_rel_error
 
     def test_rejects_zero_cases(self):
         with pytest.raises(ValueError):
@@ -421,7 +421,7 @@ class TestBatchedEquivalence:
         monkeypatch.setattr(gaussian_oracle, "focus_moments", perturbed)
         report = run_equivalence_check(200, 4)
         assert not report.passed
-        assert report.worst_case()["case"] % 7 == 3
+        assert report.worst % 7 == 3
         assert np.all(report.rel_err_var[3::7] > 5e-9)
 
     def test_catches_a_mis_weighted_normalization(self, monkeypatch):

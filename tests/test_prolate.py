@@ -138,7 +138,7 @@ class TestSpectrum:
     def test_evaluate_reproduces_grid_samples(self):
         basis = build_basis(1.0, 4, 256)
         probe = basis.grid[::50]
-        values = basis.evaluate(probe, 4)
+        values = basis.evaluate(probe)[:, :4]
         assert np.abs(values - basis.phi[::50, :4]).max() < 1e-9
 
     def test_evaluate_vanishes_outside_support(self):
@@ -392,13 +392,11 @@ class TestBlockedEvaluation:
     """evaluate forms the kernel only inside the support, in row blocks, each projected on all K modes."""
 
     @pytest.mark.parametrize("grid", EVALUATION_GRIDS.values(), ids=EVALUATION_GRIDS.keys())
-    def test_leading_modes_are_columns_of_all_modes(self, evaluation_basis, grid):
+    def test_all_modes_and_zero_outside_the_support(self, evaluation_basis, grid):
         every = evaluation_basis.evaluate(grid)
         assert every.shape == (grid.shape[0], evaluation_basis.mode_count)
         outside = np.abs(grid) > 1.0
         assert np.all(every[outside] == 0.0) and not np.signbit(every[outside]).any()
-        for q in range(1, evaluation_basis.mode_count + 1):
-            assert np.array_equal(evaluation_basis.evaluate(grid, q), every[:, :q])
 
     @pytest.mark.parametrize("grid", EVALUATION_GRIDS.values(), ids=EVALUATION_GRIDS.keys())
     def test_full_kernel_within_conditioning(self, evaluation_basis, grid):
@@ -516,7 +514,7 @@ class TestPointObjectCoeffs:
         z = 0.5 * eps * nodes
         w = 0.5 * eps * weights
         amplitude = math.sqrt(budget / eps)
-        projected = amplitude * (w @ basis_c1.evaluate(z, 7))
+        projected = amplitude * (w @ basis_c1.evaluate(z)[:, :7])
         for q in range(1, 8):
             power = projected[:q] ** 2
             expected = np.sum(power) ** 2 / np.sum(power / basis_c1.lam[:q])

@@ -1,7 +1,8 @@
 """The package's record types: validated parameter classes and result NamedTuples.
 
 Parameter types are small ``__slots__`` classes whose ``__init__`` checks and
-coerces its arguments; results are ``typing.NamedTuple``s.  The rejection
+coerces its arguments; results are ``typing.NamedTuple``s, which a classmethod
+such as ``GaussianModeState.from_covariance`` may build checked.  The rejection
 table pins each check's exception type and exact message.
 """
 
@@ -90,9 +91,14 @@ REJECTED = [
     (PsfCurve, ([0.0, 1.0], [1.0]), {}, "curve needs matching 1-D z and value arrays with >= 2 samples"),
     (PsfCurve, ([0.1, 1.0], [1.0, 0.5]), {}, "z samples must start at 0 and increase strictly"),
     (PsfCurve, ([0.0, 1.0, 1.0], [1.0, 0.5, 0.2]), {}, "z samples must start at 0 and increase strictly"),
-    (GaussianModeState, ([0.0], VACUUM_V), {}, "d must have shape (2,) and V shape (2, 2)"),
-    (GaussianModeState, ([0.0, 0.0], [0.5, 0.5]), {}, "d must have shape (2,) and V shape (2, 2)"),
-    (GaussianModeState, ([0.0, 0.0], [[0.5, 0.1], [0.0, 0.5]]), {}, "covariance matrix must be symmetric"),
+    (GaussianModeState.from_covariance, ([0.0], VACUUM_V), {}, "d must have shape (2,) and V shape (2, 2)"),
+    (GaussianModeState.from_covariance, ([0.0, 0.0], [0.5, 0.5]), {}, "d must have shape (2,) and V shape (2, 2)"),
+    (
+        GaussianModeState.from_covariance,
+        ([0.0, 0.0], [[0.5, 0.1], [0.0, 0.5]]),
+        {},
+        "covariance matrix must be symmetric",
+    ),
     (ModeCoefficients, ([],), {}, "coefficients must form a nonempty 1-D vector"),
     (ModeCoefficients, ([[1.0]],), {}, "coefficients must form a nonempty 1-D vector"),
     (ModeCoefficients, ([0.5, 0.5],), {}, "sum |c_k|^2 = 0.5, focus mode must be a proper bosonic mode"),
@@ -187,8 +193,8 @@ class TestParameterTypes:
         real = ScatteringRealization([0.6], (0.8,))
         assert all(isinstance(a, np.ndarray) and a.dtype == float for a in (real.t_amp, real.r_amp))
         assert real.channel_count == 1
-        state = GaussianModeState([0, 1], [[1, 0], [0, 1]])
-        assert state.d.dtype == float and state.V.dtype == float and state.V.shape == (2, 2)
+        state = GaussianModeState.from_covariance([0, 1], [[1, 0], [0, 1]])
+        assert state.d.dtype == float and state.excess.dtype == float and state.excess.shape == (2, 2)
         coeffs = ModeCoefficients([1.0])
         assert coeffs.c.dtype == complex and coeffs.n_modes == 1
         curve = PsfCurve([0, 1], [1, 0])
@@ -221,7 +227,7 @@ class TestParameterTypes:
             INPUT, DISORDER, LossChannel(0.5), PhotonMoments(1.0, 1.0),
             SweepSpec("squeeze_g", (1.0,), DISORDER, INPUT), ScatteringRealization([0.6], [0.8]),
             PsfCurve([0.0, 1.0], [1.0, 0.0]),
-            GaussianModeState([0.0, 0.0], VACUUM_V), ModeCoefficients([1.0]),
+            ModeCoefficients([1.0]),
         ],
         ids=lambda record: type(record).__name__,
     )
@@ -233,7 +239,7 @@ class TestParameterTypes:
 
 RESULT_TYPES = [
     EnsembleSummary, SuperresTable, LossSweepTable, EquivalenceReport, ReconstructionReport,
-    CouplingSums, EnsembleDraws, RunConfig, ProlateBasis,
+    CouplingSums, EnsembleDraws, RunConfig, ProlateBasis, GaussianModeState,
 ]
 
 
