@@ -79,7 +79,9 @@ def _value_list(text: str) -> list[float]:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2][3:])
         if not (2 <= count <= _MAX_POINTS and 0.0 < start < math.inf and 0.0 < stop < math.inf):
             raise ValueError(f"logN needs 2 <= N <= {_MAX_POINTS} and finite positive endpoints")
-        values = [float(v) for v in np.geomspace(start, stop, count)]
+        # np.geomspace's steps with exact endpoints, in math: its SIMD log and power loops vary by CPU
+        low, step = math.log10(start), (math.log10(stop) - math.log10(start)) / (count - 1)
+        values = [start, *(10.0 ** (low + k * step) for k in range(1, count - 1)), stop]
     else:
         start, stop, step = map(float, parts)
         if not (math.isfinite(start) and start <= stop < math.inf and 0.0 < step < math.inf):

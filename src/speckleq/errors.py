@@ -30,7 +30,7 @@ class UsageError(SpeckleQError):
 
 
 class StreamMismatch(SpeckleQError, RuntimeError):
-    """The batched trial seeding no longer reproduces numpy's SeedSequence/PCG64 stream."""
+    """A batched draw or replay no longer reproduces numpy's own SeedSequence/PCG64 stream."""
 
 
 def whole_count(value, name: str) -> int:

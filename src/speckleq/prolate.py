@@ -283,7 +283,8 @@ def reconstruction_psf(basis: ProlateBasis, modes_kept: int, z):
 
     Odd modes vanish at the origin and drop out identically.
     """
-    if not 1 <= modes_kept <= basis.mode_count:
+    modes_kept = whole_count(modes_kept, "modes_kept")
+    if modes_kept > basis.mode_count:
         raise ValueError(f"modes_kept must lie in [1, {basis.mode_count}]")
     values = basis.evaluate(z)[:, :modes_kept] @ basis.phi_at_zero[:modes_kept]
     return float(values[0]) if np.isscalar(z) else values
@@ -377,8 +378,10 @@ def resolve_modes(basis: ProlateBasis, budget, epsilon: float, forced_modes: int
     and positive, and TooDim when no Q qualifies.
     """
     budget = checked_budget(budget, epsilon)
-    if forced_modes is not None and not 1 <= forced_modes <= basis.mode_count:
-        raise ValueError(f"forced_modes must lie in [1, {basis.mode_count}]")
+    if forced_modes is not None:
+        forced_modes = whole_count(forced_modes, "forced_modes")
+        if forced_modes > basis.mode_count:
+            raise ValueError(f"forced_modes must lie in [1, {basis.mode_count}]")
     with np.errstate(divide="ignore", invalid="ignore", over="raise"):
         power = (np.sqrt(budget[..., None] * epsilon) * basis.phi_at_zero) ** 2
         snr = np.cumsum(power, axis=-1) ** 2 / np.cumsum(power / basis.lam, axis=-1)

@@ -21,17 +21,17 @@ draws one trial from a given seed with the same layout and channel weights.
 
 The stream is numpy's: trial i's seed is
 ``SeedSequence((master, i)).generate_state(1, uint64)``, and its normals are
-``default_rng(seed).standard_normal((2, M, 2))``.  Both seedings are fixed
-algorithms (O'Neill's seed_seq hash, PCG64's ``srandom``), so they are
-computed here for a whole batch of trials at once as uint32 and uint64
-array arithmetic, with no 128-bit Python int.  Normals are drawn per trial:
-each trial's state is written as four uint64 words straight into one PCG64
-generator's struct (0.13-0.20 µs a trial on a 2-vCPU Xeon, where the
-``.state`` dict setter took 1.4-2.6 µs), and its normals go back to back
-into one flat buffer per chunk of trials, which is squared and summed in
-pairs in one pass.
-``draw_ensemble`` checks trial 0's seed, words and their layout against
-numpy's own seeding once per master seed.
+``default_rng(seed).standard_normal((2, M, 2))``.  ``derive_trial_seed`` and
+``sample_realization`` make exactly these numpy calls, and are the stream's
+reference.  ``draw_ensemble`` computes both seedings, which are fixed
+algorithms (O'Neill's seed_seq hash, PCG64's ``srandom``), for a whole batch
+of trials at once as uint32 and uint64 array arithmetic, with no 128-bit
+Python int.  Normals are drawn per trial: each trial's state is written as
+four uint64 words straight into one PCG64 generator's struct (0.13-0.20 µs a
+trial on a 2-vCPU Xeon, where the ``.state`` dict setter took 1.4-2.6 µs),
+and its normals go back to back into one flat buffer per chunk of trials,
+which is squared and summed in pairs in one pass.  Every ``draw_ensemble``
+call checks its first row against numpy's own draw of that trial.
 ``oracle-check``'s case parameters are five scalar draws per case from
 ``default_rng(master)``; ``draw_oracle_cases`` replays them from the
 generator's raw words (Lemire's bounded integers on buffered 32-bit halves,
@@ -260,19 +260,18 @@ def _state_words(bit_generator: np.random.PCG64):
 def _draw_trials(out: np.ndarray, seeds: np.ndarray, channel_counts) -> None:
     """Write trial j's |z|^2 into ``out[j, :, :M]``, M = ``channel_counts[j]``, and zeros past it.
 
-    The one per-trial stream layout, behind ``draw_ensemble`` and ``sample_realization``.
-    Row 0 is transmission, row 1 reflection, and each entry is bitwise
-    ``np.square(default_rng(seed).standard_normal((2, M, 2))).sum(axis=2)``
-    with seed ``seeds[j]``.  Normals are drawn per trial: each trial's four
-    PCG64 words (``_pcg64_states``, for every trial at once, taken one chunk
-    at a time by one ``tolist()``) are written straight into one generator's
-    state through the ``_state_words`` view (0.13-0.20 µs a trial), and the
-    generator writes the trial's 4 M normals back to back into one flat buffer,
-    reused by each chunk of ``_CHUNK_TRIALS`` trials.  The chunk is squared in
-    place and its pair sums (M transmission, then M reflection, per trial) go
-    into ``out`` by a reshape when every M fills the row, else into the filled
-    entries after the padding is zeroed.  ``Generator`` keeps no normals between
-    calls, so splitting the draws this way leaves the stream unchanged.
+    The batched stream behind ``draw_ensemble``.  Row 0 is transmission, row 1
+    reflection, and each entry is bitwise ``_numpy_draw(seeds[j], M)``'s.
+    Normals are drawn per trial: each trial's four PCG64 words
+    (``_pcg64_states``, for every trial at once, taken one chunk at a time by
+    one ``tolist()``) are written straight into one generator's state through
+    the ``_state_words`` view (0.13-0.20 µs a trial), and the generator writes
+    the trial's 4 M normals back to back into one flat buffer, reused by each
+    chunk of ``_CHUNK_TRIALS`` trials.  The chunk is squared in place and its
+    pair sums (M transmission, then M reflection, per trial) go into ``out`` by
+    a reshape when every M fills the row, else into the filled entries after
+    the padding is zeroed.  ``Generator`` keeps no normals between calls, so
+    splitting the draws this way leaves the stream unchanged.
     """
     generator = np.random.Generator(np.random.PCG64(0))
     words, order = _state_words(generator.bit_generator)
@@ -292,30 +291,6 @@ def _draw_trials(out: np.ndarray, seeds: np.ndarray, channel_counts) -> None:
             filled = np.broadcast_to(channel < m[:, None, None], rows.shape)
             rows[~filled] = 0.0
             rows[filled] = chunk[0::2] + chunk[1::2]
-
-
-_verified_seeds: set[int] = set()  # master seeds that passed _check_stream in this process
-
-
-def _check_stream(master_seed: int) -> None:
-    """Raise StreamMismatch unless trial 0's seed and its PCG64 words, as written, match numpy's; once per seed.
-
-    The words go through the same view as ``_draw_trials``', so the check covers
-    the seeding arithmetic and the struct's word order alike.
-    """
-    if master_seed in _verified_seeds:
-        return
-    seed = int(_trial_seeds(master_seed, np.zeros(1, dtype=np.uint64))[0])
-    bit_generator = np.random.PCG64(0)
-    words, order = _state_words(bit_generator)
-    words[:] = _pcg64_states(np.array([seed], dtype=np.uint64))[0, order].tolist()
-    expected_seed = np.random.SeedSequence((mask_seed(master_seed), 0)).generate_state(1, np.uint64)
-    if seed != int(expected_seed[0]) or bit_generator.state != np.random.default_rng(seed).bit_generator.state:
-        raise StreamMismatch(
-            f"batched seeding of master seed {master_seed} departs from numpy {np.__version__}'s "
-            "SeedSequence/PCG64; the disorder stream would change"
-        )
-    _verified_seeds.add(master_seed)
 
 
 def _bounded(halves: np.ndarray, bound) -> tuple[np.ndarray, np.ndarray]:
@@ -439,9 +414,10 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     ``SeedSequence((mask_seed(master_seed), trial_index)).generate_state(1, uint64)``,
     so any execution order or worker count reproduces the same per-trial streams.
     """
-    if not 0 <= trial_index <= _U64_MASK:
-        raise ValueError("trial_index must lie in [0, 2**64)")
-    return int(_trial_seeds(master_seed, np.array([trial_index], dtype=np.uint64))[0])
+    if not (0 <= trial_index <= _U64_MASK and trial_index % 1 == 0):
+        raise ValueError(f"trial_index must be a whole number in [0, 2**64), got {trial_index}")
+    entropy = (mask_seed(master_seed), int(trial_index))
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 def _flux_scales(raw_T, raw_R, m, s):
@@ -467,6 +443,11 @@ def _amplitudes(intensity: np.ndarray, m, s) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(t_scale[..., None] * transmitted), np.sqrt(r_scale[..., None] * reflected)
 
 
+def _numpy_draw(seed: int, m: int) -> np.ndarray:
+    """Raw |z_t|^2 and |z_r|^2 of one trial, shaped (2, m): numpy's own draw, the stream's reference."""
+    return np.square(np.random.default_rng(mask_seed(seed)).standard_normal((2, m, 2))).sum(axis=2)
+
+
 def sample_realization(params: DisorderParams, seed: int) -> ScatteringRealization:
     """Draw one scattering realization, exactly flux-normalized.
 
@@ -474,10 +455,7 @@ def sample_realization(params: DisorderParams, seed: int) -> ScatteringRealizati
     bitwise-identical realization.
     """
     m = params.channel_count
-    intensity = np.empty((1, 2, m))
-    _draw_trials(intensity, np.array([mask_seed(seed)], dtype=np.uint64), [m])
-    amplitudes = _amplitudes(intensity[0], m, params.disorder_strength)
-    return ScatteringRealization(*amplitudes)
+    return ScatteringRealization(*_amplitudes(_numpy_draw(seed, m), m, params.disorder_strength))
 
 
 def coupling_sums(real: ScatteringRealization) -> CouplingSums:
@@ -537,10 +515,15 @@ def draw_ensemble(channel_count, trials, master_seed: int) -> EnsembleDraws:
         raise ValueError("trial indices must lie in [0, 2**64)")
     counts = np.broadcast_to(channel_count, (len(indices),))
     width = int(counts.max()) if np.ndim(channel_count) == 0 else max(_CASE_CHANNELS, int(counts.max()))
-    _check_stream(master_seed)
     intensity = np.empty((len(indices), 2, width))
     seeds = _trial_seeds(master_seed, np.arange(indices.start, indices.stop, indices.step, dtype=np.uint64))
     _draw_trials(intensity, seeds, counts)
+    m = int(counts[0])
+    if not np.array_equal(intensity[0, :, :m], _numpy_draw(derive_trial_seed(master_seed, indices[0]), m)):
+        raise StreamMismatch(
+            f"batched draw of master seed {master_seed}'s trial {indices[0]} departs from numpy "
+            f"{np.__version__}'s SeedSequence/PCG64 stream; the disorder stream would change"
+        )
     transmitted = intensity[:, 0]
     return EnsembleDraws(
         intensity,

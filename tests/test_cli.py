@@ -743,7 +743,7 @@ DEFAULT_OPTIONS = {
         "budgets": [
             1000000.0, 1546451.0170017537, 2391510.747985753, 3698354.2283931924,
             5719323.657731388, 8844653.887060877, 13677823.998673804, 21152084.833120096,
-            32710663.101885874, 50585438.220713146, 78227902.38190107, 120975619.1964048,
+            32710663.101885878, 50585438.220713146, 78227902.38190107, 120975619.1964048,
             187082869.33869708, 289314493.55243427, 447410692.78750926, 691898720.8787,
             1069987480.5650781, 1654683227.4990091, 2558886559.9815865, 3957192723.0756435,
             6119604711.072243, 9463668929.08643, 14635100439.953547, 22632465959.288975,
@@ -1085,7 +1085,6 @@ class TestNumericalFailures:
     def test_stream_mismatch_exits_3(self, tmp_path, capsys, monkeypatch, command):
         exact, flip = random_media._pcg64_states, np.array([1, 0, 0, 0], dtype=np.uint64)  # state_lo's low bit
         monkeypatch.setattr(random_media, "_pcg64_states", lambda seeds: exact(seeds) ^ flip)
-        monkeypatch.setattr(random_media, "_verified_seeds", set())  # forget earlier checks of seed 1
         out = tmp_path / "o.csv"
         assert main([*command, "--out", str(out)]) == 3
         assert list(tmp_path.iterdir()) == []
@@ -1102,7 +1101,6 @@ class TestNumericalFailures:
             return words, [order[1], order[0], order[3], order[2]]
 
         monkeypatch.setattr(random_media, "_state_words", swapped)
-        monkeypatch.setattr(random_media, "_verified_seeds", set())
         out = tmp_path / "o.csv"
         assert main([*command, "--out", str(out)]) == 3
         assert list(tmp_path.iterdir()) == []

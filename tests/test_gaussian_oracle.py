@@ -456,7 +456,7 @@ class TestBatchedEquivalence:
 
             def broken(out, seeds, channel_counts):
                 exact(out, seeds, channel_counts)
-                out[:, 0, 0] = np.inf
+                out[1:, 0, 0] = np.inf  # row 0 is left to the stream guard
 
             monkeypatch.setattr(random_media, "_draw_trials", broken)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="flux not conserved"):

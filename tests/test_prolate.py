@@ -646,6 +646,23 @@ class TestSuperresFactor:
         with pytest.raises(ValueError):
             resolve_modes(basis_c1, 1e4, 0.01, forced_modes=8)
 
+    def test_mode_counts_may_be_whole_floats(self, basis_c1):
+        z = np.linspace(0.0, 1.0, 9)
+        assert reconstruction_psf(basis_c1, 3.0, z).tobytes() == reconstruction_psf(basis_c1, 3, z).tobytes()
+        for budget in (1e4, np.array([1e4, 1e9])):
+            forced = [resolve_modes(basis_c1, budget, 0.01, forced_modes=q) for q in (3.0, 3)]
+            assert np.array_equal(forced[0][0], forced[1][0]) and np.array_equal(forced[0][1], forced[1][1])
+        assert superres_factor(basis_c1, 1e9, 0.01, forced_modes=3.0) == superres_factor(
+            basis_c1, 1e9, 0.01, forced_modes=3
+        )
+        for count in (2.5, 0):
+            with pytest.raises(ValueError):
+                reconstruction_psf(basis_c1, count, z)
+            with pytest.raises(ValueError):
+                resolve_modes(basis_c1, 1e4, 0.01, forced_modes=count)
+            with pytest.raises(ValueError):
+                superres_factor(basis_c1, 1e9, 0.01, forced_modes=count)
+
 
 def export_basis_reference(basis):
     """The former ``prolate.export_basis`` body: the basis text it wrote, as a string."""

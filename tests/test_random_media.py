@@ -545,7 +545,6 @@ class TestBatchedStream:
 
     @pytest.mark.parametrize("part", ["seed", "state", "inc", "order"])
     def test_guard_fires_when_the_hash_departs_from_numpy(self, monkeypatch, part):
-        monkeypatch.setattr(random_media, "_verified_seeds", set())  # forget earlier checks of seed 1
         if part == "seed":
             exact = random_media._trial_seeds
             monkeypatch.setattr(random_media, "_trial_seeds", lambda *a: exact(*a) ^ np.uint64(1))
@@ -563,3 +562,32 @@ class TestBatchedStream:
             monkeypatch.setattr(random_media, "_pcg64_states", lambda seeds: exact(seeds) ^ flip)
         with pytest.raises(StreamMismatch, match="departs from numpy"):
             draw_ensemble(5, 10, 1)
+
+    def test_guard_checks_each_call_s_own_first_trial(self, monkeypatch):
+        exact = random_media._trial_seeds
+        monkeypatch.setattr(
+            random_media, "_trial_seeds", lambda master, indices: exact(master, indices) ^ (indices >= 512)
+        )
+        with pytest.raises(StreamMismatch, match="departs from numpy"):
+            draw_ensemble(5, range(512, 520), 1)
+        draw_ensemble(5, 10, 1)  # trials below 512 are drawn as numpy draws them
+
+    def test_single_trial_api_calls_no_batched_helper(self, monkeypatch):
+        masters, index = [3, -20260810, 2**32 + 5], 17
+        seeds = [int(random_media._trial_seeds(m, np.array([index], dtype=np.uint64))[0]) for m in masters]
+        rows = [draw_amplitudes(draw_ensemble(6, range(index, index + 1), m), 2.0) for m in masters]
+
+        def refuse(*args):
+            raise AssertionError("the single-trial API reached a batched helper")
+
+        for name in ("_trial_seeds", "_pcg64_states", "_draw_trials", "_state_words"):
+            monkeypatch.setattr(random_media, name, refuse)
+        for master, seed, (t_amp, r_amp) in zip(masters, seeds, rows):
+            assert derive_trial_seed(master, index) == seed
+            real = sample_realization(DisorderParams(6, 2.0), seed)
+            assert np.array_equal(real.t_amp, t_amp[0]) and np.array_equal(real.r_amp, r_amp[0])
+
+    def test_trial_index_must_be_a_whole_number(self):
+        with pytest.raises(ValueError, match="whole number"):
+            derive_trial_seed(1, 2.5)
+        assert derive_trial_seed(1, 3.0) == derive_trial_seed(1, np.int64(3)) == derive_trial_seed(1, 3)
