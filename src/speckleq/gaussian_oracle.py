@@ -317,14 +317,14 @@ def run_equivalence_check(cases: int, seed: int) -> EquivalenceReport:
     |alpha|^2 in [0, 1e5] with both phases zero, from ``default_rng(seed mod 2**64)``;
     ``draw_oracle_cases`` replays those draws from the generator's raw words,
     one block of cases at a time.  Each block is one ``draw_ensemble`` call
-    with one M per case, so case i's disorder is trial i of master seed
-    ``seed``.  The analytic side is the sweeps' own evaluation,
+    with one M per case, keeping the raw draws, so case i's disorder is trial i
+    of master seed ``seed``.  The analytic side is the sweeps' own evaluation,
     ``focus_moments`` on ``EnsembleDraws.shaped_sums``; the oracle side normalizes its
     own draws (``_normalized_draws``) and runs the stacked Gaussian-state algebra.  The check
     passes if every relative error is below ``_TOLERANCE`` (1e-10).
     """
     blocks = []
     for trials, m, n, s, g, alpha2 in draw_oracle_cases(seed, whole_count(cases, "cases"), _BLOCK_CASES):
-        draws = draw_ensemble(m, trials, seed)
+        draws = draw_ensemble(m, trials, seed, keep_raw=True)
         blocks.append((m, n, s, g, alpha2, *_compare_block(draws, DisorderParams(m, s), n, g, alpha2)))
     return EquivalenceReport(*(np.concatenate(column) for column in zip(*blocks)), tolerance=_TOLERANCE)

@@ -31,7 +31,8 @@ four uint64 words straight into one PCG64 generator's struct (0.13-0.20 µs a
 trial on a 2-vCPU Xeon, where the ``.state`` dict setter took 1.4-2.6 µs),
 and its normals go back to back into one flat buffer per chunk of trials,
 which is squared and summed in pairs in one pass.  Every ``draw_ensemble``
-call checks its first row against numpy's own draw of that trial.
+call checks its first row against numpy's own draw of that trial, then
+accumulates the prefix sums in place over that buffer: a sweep keeps no raw draws.
 ``oracle-check``'s case parameters are five scalar draws per case from
 ``default_rng(master)``; ``draw_oracle_cases`` replays them from the
 generator's raw words (Lemire's bounded integers on buffered 32-bit halves,
@@ -466,16 +467,18 @@ def coupling_sums(real: ScatteringRealization) -> CouplingSums:
 
 
 class EnsembleDraws(NamedTuple):
-    """A seeded ensemble's raw draws, before any s-dependent scaling.
+    """A seeded ensemble's draws, before any s-dependent scaling.
 
     Row j is trial ``trials[j]`` of :func:`draw_ensemble`, the draw of
     ``sample_realization(params, derive_trial_seed(master_seed, trials[j]))``:
-    raw |z_t|^2 and |z_r|^2 (``intensity``, zero past the row's M), prefix
-    sums of |z_t|^2 and |z_t| over the transmission channels, and the total |z_r|^2.
+    prefix sums of raw |z_t|^2 and |z_t| over the transmission channels, and
+    the total raw |z_r|^2.  ``intensity``, the raw |z_t|^2 and |z_r|^2 (zero
+    past the row's M), is None unless asked for (``keep_raw``); without it,
+    ``cum_T`` and ``cum_abs_t`` are the two halves of the buffer drawn into.
     Rows are M wide for one M, and padded as :func:`draw_ensemble` says for one M per row.
     """
 
-    intensity: np.ndarray
+    intensity: np.ndarray | None
     channel_counts: np.ndarray
     cum_T: np.ndarray
     cum_abs_t: np.ndarray
@@ -499,14 +502,17 @@ class EnsembleDraws(NamedTuple):
         return t_scale * raw_T_n, np.sqrt(t_scale) * self.cum_abs_t[rows, fed_modes - 1]
 
 
-def draw_ensemble(channel_count, trials, master_seed: int) -> EnsembleDraws:
-    """Draw each trial once and keep its raw intensities and prefix sums.
+def draw_ensemble(channel_count, trials, master_seed: int, *, keep_raw: bool = False) -> EnsembleDraws:
+    """Draw each trial once and keep its prefix sums, and its raw intensities if ``keep_raw``.
 
     ``trials`` is a count n, meaning ``range(n)``, or a range of trial indices;
     ``channel_count`` is one M, which sets the row width, or one per trial.  Then rows are
     zero-padded to 64 columns, or to the largest M where that is more: every sum along a
     row runs over the padded width, so a row with M <= 64 has the same bits whichever
-    trials share its call.
+    trials share its call.  The prefix sums are built in place over the draw buffer,
+    |z_t| over the reflected half once its total is taken, so a draw holds one buffer;
+    with ``keep_raw`` (the oracle check, which normalizes raw draws itself) they go
+    into a second buffer of the same shape by the same steps.
     """
     indices = trials if isinstance(trials, range) else range(whole_count(trials, "trials"))
     if len(indices) < 1:
@@ -524,11 +530,9 @@ def draw_ensemble(channel_count, trials, master_seed: int) -> EnsembleDraws:
             f"batched draw of master seed {master_seed}'s trial {indices[0]} departs from numpy "
             f"{np.__version__}'s SeedSequence/PCG64 stream; the disorder stream would change"
         )
-    transmitted = intensity[:, 0]
-    return EnsembleDraws(
-        intensity,
-        counts,
-        np.cumsum(transmitted, axis=1),
-        np.cumsum(np.sqrt(transmitted), axis=1),
-        intensity[:, 1].sum(axis=1),
-    )
+    sum_R = intensity[:, 1].sum(axis=1)
+    sums = np.empty_like(intensity) if keep_raw else intensity
+    np.sqrt(intensity[:, 0], out=sums[:, 1])
+    np.cumsum(intensity[:, 0], axis=1, out=sums[:, 0])
+    np.cumsum(sums[:, 1], axis=1, out=sums[:, 1])
+    return EnsembleDraws(intensity if keep_raw else None, counts, sums[:, 0], sums[:, 1], sum_R)

@@ -302,7 +302,7 @@ class TestWeakSqueezing:
             for alpha2 in (0.0, 1e-300, 1e-8, 1e5)
         ]
         m, n, s, g, alpha2 = (np.array(column) for column in zip(*cases))
-        draws = random_media.draw_ensemble(m, len(cases), 3)
+        draws = random_media.draw_ensemble(m, len(cases), 3, keep_raw=True)
         rel_mean, rel_var = gaussian_oracle._compare_block(draws, DisorderParams(m, s), n, g, alpha2)
         assert np.max(rel_mean) < 1e-12 and np.max(rel_var) < 1e-12
 

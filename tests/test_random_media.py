@@ -1,4 +1,5 @@
 import ctypes
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,9 +12,12 @@ from speckleq import (
     CouplingSums,
     DisorderParams,
     ScatteringRealization,
+    SqueezedInput,
+    SweepSpec,
     coupling_sums,
     derive_trial_seed,
     draw_ensemble,
+    run_sweep,
     sample_realization,
 )
 from speckleq import StreamMismatch, random_media
@@ -28,7 +32,8 @@ def ensemble_sum_t(params, trials, seed):
 
 
 def draw_amplitudes(draws, disorder_strength):
-    """Per-row |t| and |r| of ``draws``, zero past each row's M, formed as ``sample_realization`` forms them."""
+    """Per-row |t| and |r| of ``draws`` (drawn with ``keep_raw``), zero past each row's M,
+    formed as ``sample_realization`` forms them."""
     return random_media._amplitudes(draws.intensity, draws.channel_counts, disorder_strength)
 
 
@@ -211,7 +216,7 @@ class TestEnsembleStats:
     def test_reflection_mean_complement(self):
         # every realization conserves flux, so its reflected sum is the complement of sum_T
         params = DisorderParams(50, 6.0)
-        draws = draw_ensemble(50, 100, 4)
+        draws = draw_ensemble(50, 100, 4, keep_raw=True)
         tau = draws.shaped_sums(params, 50)[0]
         t_amp, r_amp = draw_amplitudes(draws, 6.0)
         sum_t, sum_r = np.sum(t_amp**2, axis=1), np.sum(r_amp**2, axis=1)
@@ -320,18 +325,18 @@ class TestDrawEntryPoint:
 
     def test_ragged_rows_equal_fixed_m_rows(self):
         counts = [3, 1, 64, 7, 7, 20]
-        draws = draw_ensemble(np.array(counts), len(counts), 5)
+        draws = draw_ensemble(np.array(counts), len(counts), 5, keep_raw=True)
         assert draws.intensity.shape == (6, 2, 64)
         assert draws.channel_counts.tolist() == counts
         for j, m in enumerate(counts):
-            self.assert_rows_match(draws, j, draw_ensemble(m, len(counts), 5), j, m)
+            self.assert_rows_match(draws, j, draw_ensemble(m, len(counts), 5, keep_raw=True), j, m)
 
     def test_ragged_row_does_not_depend_on_the_rows_beside_it(self):
         # rows with M <= 64 are padded to 64 columns, so each row is summed over the same width
-        alone = draw_ensemble([20], range(7, 8), 4)
+        alone = draw_ensemble([20], range(7, 8), 4, keep_raw=True)
         for counts in ([20, 3], [1, 20], [64, 20, 5], [2, 2, 20]):
             j = counts.index(20)
-            draws = draw_ensemble(counts, range(7 - j, 7 - j + len(counts)), 4)
+            draws = draw_ensemble(counts, range(7 - j, 7 - j + len(counts)), 4, keep_raw=True)
             assert draws.intensity.shape[-1] == 64
             for name in ("intensity", "cum_T", "cum_abs_t", "sum_R"):
                 assert np.array_equal(getattr(draws, name)[j], getattr(alone, name)[0])
@@ -339,31 +344,31 @@ class TestDrawEntryPoint:
                 assert np.array_equal(got[j], want[0])
 
     def test_padding_width(self):
-        assert draw_ensemble(20, 3, 4).intensity.shape[-1] == 20  # one M: no padding
-        assert draw_ensemble([20, 20], 2, 4).intensity.shape[-1] == 64
-        assert draw_ensemble([3, 100], 2, 4).intensity.shape[-1] == 100
+        assert draw_ensemble(20, 3, 4).cum_T.shape[-1] == 20  # one M: no padding
+        assert draw_ensemble([20, 20], 2, 4).cum_T.shape[-1] == 64
+        assert draw_ensemble([3, 100], 2, 4).cum_T.shape[-1] == 100
 
     def test_range_rows_equal_fixed_m_rows(self):
-        fixed = draw_ensemble(9, 40, 3)
-        draws = draw_ensemble(9, range(17, 40), 3)
+        fixed = draw_ensemble(9, 40, 3, keep_raw=True)
+        draws = draw_ensemble(9, range(17, 40), 3, keep_raw=True)
         for j, i in enumerate(range(17, 40)):
             self.assert_rows_match(draws, j, fixed, i, 9)
         assert np.array_equal(draws.sum_R, fixed.sum_R[17:])
 
     def test_ragged_range_rows(self):
         counts = [2, 5, 4]
-        draws = draw_ensemble(counts, range(100, 103), 8)
+        draws = draw_ensemble(counts, range(100, 103), 8, keep_raw=True)
         for j, m in enumerate(counts):
-            self.assert_rows_match(draws, j, draw_ensemble(m, range(100, 103), 8), j, m)
+            self.assert_rows_match(draws, j, draw_ensemble(m, range(100, 103), 8, keep_raw=True), j, m)
 
     def test_count_means_range_from_zero(self):
-        count, span = draw_ensemble(6, 12, 2), draw_ensemble(6, range(12), 2)
+        count, span = draw_ensemble(6, 12, 2, keep_raw=True), draw_ensemble(6, range(12), 2, keep_raw=True)
         for name in ("intensity", "cum_T", "cum_abs_t", "sum_R"):
             assert np.array_equal(getattr(count, name), getattr(span, name))
 
     def test_per_row_shaped_sums_and_amplitudes_match_single_trials(self):
         counts, strengths, fed = np.array([4, 1, 9]), np.array([1.5, 3.0, 8.0]), np.array([2, 1, 9])
-        draws = draw_ensemble(counts, range(30, 33), 6)
+        draws = draw_ensemble(counts, range(30, 33), 6, keep_raw=True)
         params = DisorderParams(counts, strengths)
         sums = np.array(draws.shaped_sums(params, fed))
         t_amp, r_amp = draw_amplitudes(draws, strengths)
@@ -468,7 +473,7 @@ class TestBatchedStream:
                 words, got = random_media._state_words(fake)
                 assert got == order and ctypes.addressof(words) == ctypes.addressof(struct)
 
-    @pytest.mark.parametrize("m", [1, 7, 50])
+    @pytest.mark.parametrize("m", [1, 2, 7, 50])
     def test_draws_equal_per_trial_default_rng(self, m):
         # 1100 trials cross four edges of the 256-trial chunks, each chunk's states taken in one tolist()
         trials = 4 * random_media._CHUNK_TRIALS + 76
@@ -477,16 +482,26 @@ class TestBatchedStream:
         seeds = random_media._trial_seeds(11, np.arange(trials, dtype=np.uint64))
         random_media._draw_trials(intensity, seeds, [m] * trials)
         assert np.array_equal(intensity, expected)
-        draws = draw_ensemble(m, trials, 11)
-        assert np.array_equal(draws.cum_T, np.cumsum(expected[:, 0], axis=1))
-        assert np.array_equal(draws.cum_abs_t, np.cumsum(np.sqrt(expected[:, 0]), axis=1))
-        assert np.array_equal(draws.sum_R, expected[:, 1].sum(axis=1))
+        # the prefix sums built in place over the draw buffer, and in a second buffer beside kept raw draws
+        for span in (range(trials), range(300, trials)):
+            raw = expected[span.start :]
+            for keep_raw in (False, True):
+                draws = draw_ensemble(m, span, 11, keep_raw=keep_raw)
+                assert np.array_equal(draws.cum_T, np.cumsum(raw[:, 0], axis=1))
+                assert np.array_equal(draws.cum_abs_t, np.cumsum(np.sqrt(raw[:, 0]), axis=1))
+                assert np.array_equal(draws.sum_R, raw[:, 1].sum(axis=1))
+                buffer = draws.cum_T.base
+                assert buffer.shape == (len(span), 2, m) and draws.cum_abs_t.base is buffer
+                if keep_raw:
+                    assert np.array_equal(draws.intensity, raw) and not np.shares_memory(draws.intensity, buffer)
+                else:
+                    assert draws.intensity is None
 
     @pytest.mark.parametrize("m", [1, 7, 50])
     def test_sample_realization_is_row_i_of_draw_ensemble(self, m):
         # the rows on both sides of the call's chunk edge, from a range that starts past trial 0
         trials = range(200, 200 + random_media._CHUNK_TRIALS + 3)
-        t_amp, r_amp = draw_amplitudes(draw_ensemble(m, trials, 3), 2.5)
+        t_amp, r_amp = draw_amplitudes(draw_ensemble(m, trials, 3, keep_raw=True), 2.5)
         for j in (0, 255, 256, len(trials) - 1):
             real = sample_realization(DisorderParams(m, 2.5), derive_trial_seed(3, trials[j]))
             assert np.array_equal(real.t_amp, t_amp[j]) and np.array_equal(real.r_amp, r_amp[j])
@@ -520,6 +535,24 @@ class TestBatchedStream:
             assert np.array_equal(out[j, :, :m], np.square(normals).sum(axis=2))
             assert np.all(out[j, :, m:] == 0.0)
 
+    def test_draw_holds_one_buffer(self):
+        # the draw, and a 16-point sweep that evaluates it, allocate at most 1.5 times the
+        # (trials, 2, M) buffer at peak: no raw copy, cumsum output or sqrt temporary beside it
+        buffer = 20_000 * 2 * 50 * np.dtype(float).itemsize
+        spec = SweepSpec("squeeze_g", tuple(np.linspace(0.0, 2.0, 16)), DisorderParams(50, 2.0),
+                         SqueezedInput.from_intensity(1e4, 1.5, fed_modes=50), trials=20_000, master_seed=1)
+        draw_ensemble(50, 10, 1)  # numpy's lazy imports and first-call set-up
+        peaks = []
+        tracemalloc.start()
+        try:
+            for run in (lambda: draw_ensemble(50, 20_000, 1), lambda: run_sweep(spec)):
+                tracemalloc.reset_peak()
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1] / buffer)
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < 1.5, peaks
+
     def test_rows_are_prefix_stable(self):
         short, long = draw_ensemble(50, 300, 9), draw_ensemble(50, 1000, 9)
         for name in ("cum_T", "cum_abs_t", "sum_R"):
@@ -539,7 +572,8 @@ class TestBatchedStream:
         for trials in (range(2**64 - 2, 2**64 + 1), range(-1, 2), range(1, -2, -1)):
             with pytest.raises(ValueError, match="trial indices"):
                 draw_ensemble(3, trials, 1)
-        t_amp, _ = draw_amplitudes(draw_ensemble(3, range(2**64 - 2, 2**64), 1), 2.5)  # the last index is drawn
+        last = draw_ensemble(3, range(2**64 - 2, 2**64), 1, keep_raw=True)  # the last index is drawn
+        t_amp, _ = draw_amplitudes(last, 2.5)
         real = sample_realization(DisorderParams(3, 2.5), derive_trial_seed(1, 2**64 - 1))
         assert np.array_equal(real.t_amp, t_amp[1])
 
@@ -575,7 +609,7 @@ class TestBatchedStream:
     def test_single_trial_api_calls_no_batched_helper(self, monkeypatch):
         masters, index = [3, -20260810, 2**32 + 5], 17
         seeds = [int(random_media._trial_seeds(m, np.array([index], dtype=np.uint64))[0]) for m in masters]
-        rows = [draw_amplitudes(draw_ensemble(6, range(index, index + 1), m), 2.0) for m in masters]
+        rows = [draw_amplitudes(draw_ensemble(6, range(index, index + 1), m, keep_raw=True), 2.0) for m in masters]
 
         def refuse(*args):
             raise AssertionError("the single-trial API reached a batched helper")
