@@ -316,7 +316,8 @@ def run_equivalence_check(cases: int, seed: int) -> EquivalenceReport:
     Cases draw M in {1..64}, N <= M, s in (1, 10], g in [0, 2] and
     |alpha|^2 in [0, 1e5] with both phases zero, from ``default_rng(seed mod 2**64)``;
     ``draw_oracle_cases`` replays those draws from the generator's raw words,
-    one block of cases at a time.  Each block is one ``draw_ensemble`` call
+    in one loop over each block of cases' words, after checking the replay
+    against numpy's own calls.  Each block is one ``draw_ensemble`` call
     with one M per case, keeping the raw draws, so case i's disorder is trial i
     of master seed ``seed``.  The analytic side is the sweeps' own evaluation,
     ``focus_moments`` on ``EnsembleDraws.shaped_sums``; the oracle side normalizes its

@@ -1108,14 +1108,16 @@ class TestNumericalFailures:
         assert len(err) == 1 and "departs from numpy" in err[0]
 
     def test_case_stream_mismatch_exits_3(self, tmp_path, capsys, monkeypatch):
-        exact = random_media._bounded
+        exact = random_media._case_blocks
 
-        def off_by_one(halves, bound):
-            values, rejected = exact(halves, bound)
-            return np.maximum(values - 1, 1), rejected
+        def off_by_one(*args):  # the first case's N one higher
+            blocks = exact(*args)
+            trials, m, n, *doubles = next(blocks)
+            n[0] += 1
+            yield trials, m, n, *doubles
+            yield from blocks
 
-        monkeypatch.setattr(random_media, "_bounded", off_by_one)
-        monkeypatch.setattr(random_media, "_case_stream_verified", False)  # forget an earlier check
+        monkeypatch.setattr(random_media, "_case_blocks", off_by_one)
         out = tmp_path / "o.csv"
         assert main(["oracle-check", "--cases", "5", "--out", str(out)]) == 3
         assert list(tmp_path.iterdir()) == []

@@ -341,6 +341,25 @@ class TestSuperresSweep:
         # each curve divides its budgets by F-bar(s); the gain ordering in s rests on this one
         assert np.all(np.diff(table_fano) > 0.0) and table_fano[-1] < 1.0
 
+    def test_budgets_are_mean_n_over_each_curve_s_fano_bar(self, monkeypatch):
+        # F-bar(s) reaches the output only through Q, so a slip in it can leave every row as it was
+        exact, calls = ensemble.prolate.superres_factor, []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs, exact(*args, **kwargs)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(ensemble.prolate, "superres_factor", spy)
+        strengths, budgets = [2.0, 4.0, 6.0, 8.0], np.geomspace(1e6, 3.5e10, 25)
+        table = run_superres_sweep(1.5, strengths, budgets, 1.0, 0.01, 300, 5)
+        fano = run_sweep(small_spec("disorder_s", strengths, trials=300, seed=5)).fano_ratio
+        assert len(calls) == 1
+        (basis, got, epsilon), kwargs, report = calls[0]
+        assert (basis.bandwidth, basis.mode_count, epsilon, kwargs) == (1.0, 7, 0.01, {})
+        expected = budgets / np.array([1.0, *fano])[:, None]  # the coherent curve has F = 1
+        assert got.tobytes() == expected.ravel().tobytes()
+        assert all(np.array_equal(getattr(table, field), column) for field, column in zip(table._fields[2:], report))
+
     def test_tiny_budget_raises(self):
         with pytest.raises(TooDim):
             run_superres_sweep(1.5, [2.0], [1.0], 1.0, 0.01, 50, 1)

@@ -472,13 +472,15 @@ _SINGLE_CHANNEL_CASES = {12: [41, 42, 511], 27: [32, 33], 64: [511], 81: [255], 
 
 
 class TestCaseParameterReplay:
+    # blocks of 1 and 7 put the buffered half and the unread words across every block edge
+    @pytest.mark.parametrize("block", [1, 7, 256])
     @pytest.mark.parametrize("seed", _REPLAY_SEEDS)
-    def test_equals_numpy_scalar_draws(self, seed):
+    def test_equals_numpy_scalar_draws(self, seed, block):
         rng = np.random.default_rng(mask_seed(seed))
         expected = [np.array(column) for column in zip(*_scalar_parameters(1000, rng))]
         assert np.all(expected[0][_SINGLE_CHANNEL_CASES.get(seed, [])] == 1)
-        blocks = list(random_media.draw_oracle_cases(seed, 1000, 256))
-        assert [block[0] for block in blocks] == [range(i, min(i + 256, 1000)) for i in range(0, 1000, 256)]
+        blocks = list(random_media.draw_oracle_cases(seed, 1000, block))
+        assert [trials for trials, *_ in blocks] == [range(i, min(i + block, 1000)) for i in range(0, 1000, block)]
         for got, want in zip((np.concatenate(column) for column in list(zip(*blocks))[1:]), expected):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
@@ -510,8 +512,16 @@ class TestCaseParameterReplay:
             np.testing.assert_array_equal(got, np.array(want))
 
     def test_guard_fires_when_the_replay_departs_from_numpy(self, monkeypatch):
-        monkeypatch.setattr(random_media, "_case_stream_verified", False)  # forget an earlier check
-        exact = random_media._unit_doubles
-        monkeypatch.setattr(random_media, "_unit_doubles", lambda words: exact(words ^ np.uint64(1 << 11)))
+        assert run_equivalence_check(5, 1).passed  # a passing check in this process does not excuse the next
+        exact = random_media._case_blocks
+
+        def one_ulp_off(*args):  # the first case's s one ulp higher
+            blocks = exact(*args)
+            trials, m, n, s, *rest = next(blocks)
+            s[0] = np.nextafter(s[0], np.inf)
+            yield trials, m, n, s, *rest
+            yield from blocks
+
+        monkeypatch.setattr(random_media, "_case_blocks", one_ulp_off)
         with pytest.raises(StreamMismatch, match="depart from numpy"):
             run_equivalence_check(5, 1)
