@@ -158,23 +158,23 @@ def focus_mode_coefficients(real: ScatteringRealization, n_fed: int) -> ModeCoef
     """
     if not 1 <= n_fed <= real.channel_count:
         raise ValueError(f"n_fed {n_fed} inconsistent with {real.channel_count} channels")
-    amps = real.t_amp[:n_fed]
+    amps = real.t_amp[: whole_count(n_fed, "n_fed")]
     vac_weight = np.sqrt(max(1.0 - float(np.sum(amps**2)), 0.0))
     return ModeCoefficients(np.concatenate([amps, [vac_weight]]).astype(complex))
 
 
-def _ladder(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
-
-
 def _single_mode_state(alpha: complex, zeta: complex, dim: int) -> np.ndarray:
-    """D(alpha) S(zeta) |0> in a dim-level Fock ladder via matrix exponentials."""
-    from scipy.linalg import expm  # only the Fock oracle needs it; keeps CLI import light
-    low = _ladder(dim)
-    hi = low.conj().T
-    displace = expm(alpha * hi - np.conjugate(alpha) * low)
-    squeeze = expm(0.5 * (-zeta * hi @ hi + np.conjugate(zeta) * low @ low))
-    return (displace @ squeeze)[:, 0]
+    """D(alpha) S(zeta) |0> in a dim-level Fock ladder: the squeeze, then the displacement, on the vacuum.
+
+    Each generator G is anti-Hermitian, so iG is Hermitian and exp(G) = V diag(e^{-iw}) V^dag, w, V = eigh(iG).
+    """
+    low = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    squeeze = 0.5 * (np.conjugate(zeta) * low @ low - zeta * low.T @ low.T)
+    state = np.eye(dim, 1, dtype=complex)[:, 0]
+    for generator in (squeeze, alpha * low.T - np.conjugate(alpha) * low):
+        w, v = np.linalg.eigh(1j * generator)
+        state = v @ (np.exp(-1j * w) * (v.conj().T @ state))
+    return state
 
 
 def _apply_ladder(tensor: np.ndarray, axis: int, raising: bool) -> np.ndarray:
@@ -203,35 +203,25 @@ def fock_photon_moments(coeffs: ModeCoefficients, inp: SqueezedInput, cutoff: in
         raise ValueError(f"fock oracle supports at most {_MAX_FOCK_MODES} modes, got {k}")
     if not 1 <= cutoff <= _MAX_CUTOFF:
         raise ValueError(f"cutoff must lie in [1, {_MAX_CUTOFF}], got {cutoff}")
+    cutoff = whole_count(cutoff, "cutoff")
     if inp.fed_modes > k:
         raise ValueError(f"fed_modes={inp.fed_modes} exceeds the {k} coefficient modes")
 
     alpha = inp.alpha_mag * np.exp(1j * inp.alpha_phase)
     zeta = inp.squeeze_strength * np.exp(2j * inp.squeeze_phase)
     padded = _single_mode_state(alpha, zeta, cutoff + _FOCK_PAD)
-    tail = float(np.sum(np.abs(padded[cutoff:]) ** 2))
-    deficit = inp.fed_modes * tail
+    deficit = inp.fed_modes * float(np.sum(np.abs(padded[cutoff:]) ** 2))
     if deficit > _NORM_TOL:
-        raise TruncationError(
-            f"truncated-norm deficit {deficit:.3e} exceeds {_NORM_TOL:.1e}; increase cutoff"
-        )
-    fed = padded[:cutoff]
-    vac = np.zeros(cutoff, dtype=complex)
-    vac[0] = 1.0
+        raise TruncationError(f"truncated-norm deficit {deficit:.3e} exceeds {_NORM_TOL:.1e}; increase cutoff")
+    fed, vac = padded[:cutoff], np.eye(cutoff, 1, dtype=complex)[:, 0]
 
     state = fed
     for mode in range(1, k):
-        factor = fed if mode < inp.fed_modes else vac
-        state = np.multiply.outer(state, factor)
+        state = np.multiply.outer(state, fed if mode < inp.fed_modes else vac)
 
-    lowered = np.zeros_like(state)
-    for mode in range(k):
-        lowered += coeffs.c[mode] * _apply_ladder(state, mode, False)
+    lowered = sum(coeffs.c[mode] * _apply_ladder(state, mode, False) for mode in range(k))
     mean = float(np.vdot(lowered, lowered).real)
-
-    number_applied = np.zeros_like(state)
-    for mode in range(k):
-        number_applied += np.conjugate(coeffs.c[mode]) * _apply_ladder(lowered, mode, True)
+    number_applied = sum(np.conjugate(coeffs.c[mode]) * _apply_ladder(lowered, mode, True) for mode in range(k))
     second = float(np.vdot(number_applied, number_applied).real)
     var = second - mean**2
     if -1e-12 < var < 0.0:

@@ -28,6 +28,8 @@ from .random_media import CouplingSums, ScatteringRealization, coupling_sums
 
 PLANCK_CONSTANT = 6.62607015e-34  # J s, exact SI
 LIGHT_SPEED = 299792458.0  # m / s, exact SI
+# math's bits on every CPU: numpy's AVX-512 sinh, cosh and expm1 loops round some values differently
+_sinh, _cosh, _expm1 = (np.vectorize(f, otypes=[float]) for f in (math.sinh, math.cosh, math.expm1))
 
 
 class SqueezedInput:
@@ -191,11 +193,11 @@ def focus_moments(tau, abs_sum, inp: SqueezedInput, loss: LossChannel):
     in :func:`apply_loss`.
     """
     g, delta = inp.squeeze_strength, inp.alpha_phase - inp.squeeze_phase
-    with np.errstate(over="raise"):  # an overflow raises FloatingPointError, never inf moments
-        sh, ch = np.sinh(g), np.cosh(g)
-        sh2, ch2, damping = sh * sh, ch * ch, -np.expm1(-2.0 * g)  # damping = 1 - e^{-2g}
+    with np.errstate(over="raise"):  # an overflow raises (math's OverflowError or numpy's), never inf moments
+        sh, ch = _sinh(g), _cosh(g)
+        sh2, ch2, damping = sh * sh, ch * ch, -_expm1(-2.0 * g)  # damping = 1 - e^{-2g}
         if delta != 0.0:  # at Delta = 0 skip, not zero, the sin^2 term: e^{2g} may overflow, and inf * 0 is nan
-            damping = math.cos(delta) ** 2 * damping - math.sin(delta) ** 2 * np.expm1(2.0 * g)
+            damping = math.cos(delta) ** 2 * damping - math.sin(delta) ** 2 * _expm1(2.0 * g)
         coherent = inp.alpha2 * (abs_sum * abs_sum)
         squeezed = tau * sh2 * (1.0 + tau * (2.0 * ch2 - 1.0))  # tau sinh^2 g (1 + tau cosh 2g)
         mean, variance = _loss_terms(tau * sh2 + coherent, squeezed + coherent * (1.0 - tau * damping), loss)

@@ -60,6 +60,14 @@ _CHUNK_TRIALS = 256  # trials whose normals are squared and summed in one pass
 _CASE_CHANNELS = 64  # oracle-check draws M in {1..64}; ragged rows are padded to at least this width
 
 
+def _channel_counts(channel_count):
+    """M as an int, or one M per trial as an int64 array, each checked to be a whole number >= 1."""
+    m = np.asarray(channel_count)
+    if not np.all(np.isfinite(m) & (m >= 1) & (m == np.floor(m))):
+        raise ValueError(f"channel_count must be a positive integer, got {channel_count}")
+    return int(m) if m.ndim == 0 else m.astype(np.int64)
+
+
 class DisorderParams:
     """Scattering-lens parameters seen by one focus mode.
 
@@ -74,16 +82,13 @@ class DisorderParams:
     __slots__ = ("channel_count", "disorder_strength")
 
     def __init__(self, channel_count: int, disorder_strength: float) -> None:
-        m = np.asarray(channel_count)
-        if not np.all(np.isfinite(m) & (m >= 1) & (m == np.floor(m))):
-            raise ValueError(f"channel_count must be a positive integer, got {channel_count}")
+        self.channel_count = _channel_counts(channel_count)
         weak = ~(np.asarray(disorder_strength) > 1.0)
         if np.any(weak):
             raise ValueError(
                 f"disorder_strength must exceed 1, got {np.asarray(disorder_strength)[weak].tolist()[0]} "
                 "(the reflected intensity (1-1/s)/M would be negative)"
             )
-        self.channel_count = int(m) if m.ndim == 0 else m.astype(np.int64)
         self.disorder_strength = disorder_strength
 
     def replace(self, **changes) -> DisorderParams:
@@ -471,8 +476,8 @@ class EnsembleDraws(NamedTuple):
 def draw_ensemble(channel_count, trials, master_seed: int, *, keep_raw: bool = False) -> EnsembleDraws:
     """Draw each trial once and keep its prefix sums, and its raw intensities if ``keep_raw``.
 
-    ``trials`` is a count n, meaning ``range(n)``, or a range of trial indices;
-    ``channel_count`` is one M, which sets the row width, or one per trial.  Then rows are
+    ``trials`` is a count n, meaning ``range(n)``, or a range of trial indices; ``channel_count``
+    is one M, which sets the row width, or one per trial, checked as DisorderParams checks it.  Then rows are
     zero-padded to 64 columns, or to the largest M where that is more: every sum along a
     row runs over the padded width, so a row with M <= 64 has the same bits whichever
     trials share its call.  The prefix sums are built in place over the draw buffer,
@@ -485,7 +490,7 @@ def draw_ensemble(channel_count, trials, master_seed: int, *, keep_raw: bool = F
         raise ValueError("trials must be >= 1")
     if min(indices[0], indices[-1]) < 0 or max(indices[0], indices[-1]) > _U64_MASK:
         raise ValueError("trial indices must lie in [0, 2**64)")
-    counts = np.broadcast_to(channel_count, (len(indices),))
+    counts = np.broadcast_to(_channel_counts(channel_count), (len(indices),))
     width = int(counts.max()) if np.ndim(channel_count) == 0 else max(_CASE_CHANNELS, int(counts.max()))
     intensity = np.empty((len(indices), 2, width))
     seeds = _trial_seeds(master_seed, np.arange(indices.start, indices.stop, indices.step, dtype=np.uint64))

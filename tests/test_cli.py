@@ -568,8 +568,70 @@ def run_python(code, env=None):
 
 
 def test_cli_import_does_not_load_scipy_linalg():
-    # scipy.linalg is needed only by the truncated-Fock oracle, which no command uses
+    # the package runs on numpy alone and scipy is a test-only dependency, so nothing loads scipy.linalg
     assert run_python("import sys, speckleq.cli; print('scipy.linalg' in sys.modules)") == "False"
+
+
+# The 10 commands at their defaults, and snr-sweep on its other axis, keyed by their output file names
+DEFAULT_LINES = {name: [name] for name in cli._COMMANDS} | {"snr-sweep-s": ["snr-sweep", "--axis", "s"]}
+# Put first in sys.meta_path, this finder refuses every scipy import
+NO_SCIPY = (
+    "import sys\n"
+    "class NoScipy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.partition('.')[0] == 'scipy':\n"
+    "            raise ImportError(f'{name} refused: speckleq must run on numpy alone')\n"
+    "sys.meta_path.insert(0, NoScipy())\n"
+)
+
+
+def default_lines_code(out_dir):
+    """Code that runs each DEFAULT_LINES entry at seed 2 into ``out_dir`` with ``main`` and prints their statuses."""
+    argvs = [[*line, "--seed", "2", "--out", str(out_dir / name)] for name, line in DEFAULT_LINES.items()]
+    return f"from speckleq.cli import main\nprint([main(argv) for argv in {argvs!r}])\n"
+
+
+def test_every_command_and_the_fock_oracle_run_without_scipy(tmp_path):
+    code = NO_SCIPY + default_lines_code(tmp_path) + (
+        "from speckleq import DisorderParams, SqueezedInput, fock_photon_moments, focus_mode_coefficients\n"
+        "from speckleq import sample_realization\n"
+        "coeffs = focus_mode_coefficients(sample_realization(DisorderParams(2, 4.0), 21), 2)\n"
+        "print(fock_photon_moments(coeffs, SqueezedInput.from_intensity(1.5, 0.4, fed_modes=2), 40).mean > 0)\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    assert run_python(code).splitlines()[-3:] == [str([0] * len(DEFAULT_LINES)), "True", "[]"]
+
+
+def avx512_features():
+    """The AVX-512 feature groups, as NPY_DISABLE_CPU_FEATURES names them, that numpy reports as on."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__ as features
+    return [name for name in ("X86_V4", "AVX512_ICL", "AVX512_SPR") if features.get(name)]
+
+
+def test_outputs_do_not_depend_on_numpy_avx512_loops(tmp_path):
+    # numpy picks its float64 loops by CPU; every output byte must be the same with its AVX-512 loops off.
+    # Only oracle-check's rel_err_* residues may move, and both runs keep them below 1e-10.
+    features = avx512_features()
+    if not features:
+        pytest.skip("numpy reports none of X86_V4, AVX512_ICL, AVX512_SPR (absent, or already turned off)")
+    runs = {"default": None, "off": ",".join(features)}
+    for tag, disabled in runs.items():
+        (tmp_path / tag).mkdir()
+        statuses = run_python(default_lines_code(tmp_path / tag), {"NPY_DISABLE_CPU_FEATURES": disabled})
+        assert statuses.splitlines()[-1] == str([0] * len(DEFAULT_LINES)), tag
+    for name in DEFAULT_LINES:
+        default, off = ((tmp_path / tag / name).read_bytes() for tag in runs)
+        if name != "oracle-check":
+            assert default == off, name
+            continue
+        tables = [[line.split(",") for line in blob.decode().splitlines()] for blob in (default, off)]
+        residues = [k for k, column in enumerate(tables[0][0]) if column.startswith("rel_err_")]
+        kept = [[[cell for k, cell in enumerate(row) if k not in residues] for row in table] for table in tables]
+        assert len(residues) == 2 and len(tables[0]) == 501 and kept[0] == kept[1]
+        assert max(float(row[k]) for table in tables for row in table[1:] for k in residues) < 1e-10
 
 
 def test_cli_import_does_not_load_numpy_random():

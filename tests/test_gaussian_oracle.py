@@ -1,4 +1,6 @@
+import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -201,6 +203,41 @@ class TestFockOracle:
             gauss = gaussian_photon_moments(output_gaussian_state(real, inp))
             assert fock.mean == pytest.approx(gauss.mean, rel=1e-6)
             assert fock.variance == pytest.approx(gauss.variance, rel=1e-6)
+
+    @pytest.mark.parametrize("dim", [9, 17, 48, 128, 264])  # cutoffs 1 to 256, each padded by 8 levels
+    def test_single_mode_state_equals_scipy_expm(self, dim):
+        from scipy.linalg import expm  # the package runs on numpy alone; only this test holds it to scipy
+
+        low = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
+        high = low.conj().T
+        # each alpha^2 and each g has its own nonzero phase, so the 25 pairs meet 25 relative phases
+        alphas = [math.sqrt(a2) * np.exp(1j * phase) for a2, phase in zip(
+            (0.0, 1e-8, 0.5, 4.0, 10.0), (0.3, 2.5, -1.9, 1.2, -0.6))]
+        zetas = [g * np.exp(2j * phase) for g, phase in zip((0.0, 1e-8, 0.25, 0.5, 1.0), (1.1, -0.7, 2.8, 0.4, -2.2))]
+        displace = [expm(alpha * high - np.conjugate(alpha) * low) for alpha in alphas]
+        squeeze = [expm(0.5 * (-zeta * high @ high + np.conjugate(zeta) * low @ low)) for zeta in zetas]
+        for (i, alpha), (j, zeta) in itertools.product(enumerate(alphas), enumerate(zetas)):
+            state = gaussian_oracle._single_mode_state(alpha, zeta, dim)
+            assert np.max(np.abs(state - (displace[i] @ squeeze[j])[:, 0])) < 1e-13, (alpha, zeta)
+
+    def test_whole_number_counts(self):
+        real = sample_realization(DisorderParams(2, 4.0), 21)
+        inp = SqueezedInput.from_intensity(1.5, 0.4, fed_modes=2)
+        coeffs = focus_mode_coefficients(real, 2.0)
+        assert coeffs.c.tobytes() == focus_mode_coefficients(real, 2).c.tobytes()
+        whole, integer = (fock_photon_moments(coeffs, inp, cutoff=cutoff) for cutoff in (40.0, 40))
+        assert (whole.mean, whole.variance) == (integer.mean, integer.variance)
+        rejected = [
+            (partial(focus_mode_coefficients, real, 1.5), "n_fed must be an integer, got 1.5"),
+            (partial(fock_photon_moments, coeffs, inp, cutoff=40.5), "cutoff must be an integer, got 40.5"),
+            # each range check keeps its message
+            (partial(focus_mode_coefficients, real, 3.0), "n_fed 3.0 inconsistent with 2 channels"),
+            (partial(fock_photon_moments, coeffs, inp, cutoff=256.5), "cutoff must lie in [1, 256], got 256.5"),
+        ]
+        for call, message in rejected:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
 
     def test_truncation_error(self):
         coeffs = ModeCoefficients(np.array([1.0 + 0j]))

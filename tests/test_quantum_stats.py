@@ -32,6 +32,7 @@ from speckleq import (
     variance_photon,
     variance_photon_partial,
 )
+from speckleq.quantum_stats import NO_LOSS
 from tests.test_random_media import make_realization
 
 
@@ -438,6 +439,19 @@ class TestPerCaseInputs:
         for i, inp in enumerate(inputs):
             mean, variance = focus_moments(*(float(x[i]) for x in sums), inp, channel)
             assert means[i] == mean and variances[i] == variance
+
+    def test_squeeze_terms_take_maths_bits(self):
+        # numpy's AVX-512 sinh, cosh and expm1 loops round some of these g differently from math, which
+        # its other loops match: the moments take math's values, so their bits do not depend on the CPU
+        g, tau, abs_sum, delta = np.arange(1, 41) / 20.0, 0.3, 0.9, 0.5
+        inp = SqueezedInput(1.0, g, alpha_phase=delta)
+        means, variances = focus_moments(np.full(g.shape, tau), np.full(g.shape, abs_sum), inp, NO_LOSS)
+        coherent = abs_sum * abs_sum  # |alpha|^2 = 1
+        for x, mean, variance in zip(g.tolist(), means.tolist(), variances.tolist()):
+            sh2, ch2 = math.sinh(x) * math.sinh(x), math.cosh(x) * math.cosh(x)
+            damping = math.cos(delta) ** 2 * -math.expm1(-2.0 * x) - math.sin(delta) ** 2 * math.expm1(2.0 * x)
+            assert mean == tau * sh2 + coherent
+            assert variance == tau * sh2 * (1.0 + tau * (2.0 * ch2 - 1.0)) + coherent * (1.0 - tau * damping)
 
     def test_alpha2_rounds_alike_for_floats_and_arrays(self):
         # this |alpha| squares differently under C pow (a float's ** 2) and multiplication

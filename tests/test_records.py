@@ -129,6 +129,10 @@ REJECTED = [
         {},
         "disorder_strength must exceed 1, got 0.5 (the reflected intensity (1-1/s)/M would be negative)",
     ),
+    # draw_ensemble checks its channel counts by DisorderParams' rule, so none draws zero-width rows
+    (draw_ensemble, (0, 10, 1), {}, "channel_count must be a positive integer, got 0"),
+    (draw_ensemble, (np.array([0, 3]), 2, 1), {}, "channel_count must be a positive integer, got [0 3]"),
+    (draw_ensemble, (2.5, 10, 1), {}, "channel_count must be a positive integer, got 2.5"),
 ]
 
 
@@ -179,6 +183,10 @@ class TestParameterTypes:
         assert np.array_equal(draw_ensemble(params.channel_count, 3, 1).cum_T, draw_ensemble(50, 3, 1).cum_T)
         per_case = DisorderParams(np.array([1.0, 64.0]), 2.0)
         assert per_case.channel_count.dtype == np.int64 and per_case.channel_count.tolist() == [1, 64]
+        for whole, counts, trials in ((50.0, 50, 100), (np.array([1.0, 3.0]), np.array([1, 3]), 2)):
+            draws = draw_ensemble(whole, trials, 1, keep_raw=True)
+            for got, want in zip(draws, draw_ensemble(counts, trials, 1, keep_raw=True)):
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
         inp = SqueezedInput(10.0, 1.5, fed_modes=2.0)
         assert type(inp.fed_modes) is int and inp.fed_modes == 2
